@@ -24,12 +24,17 @@ amortizes work across the batch without touching index internals:
   ``top_k`` path is already output-sensitive, so there is little to save.
 
 Everything stays lazy: nothing runs until some result in the batch is
-actually consumed, and consuming one result materializes only the
-evaluations it depends on.
+actually consumed.  On a plain ``Engine``, consuming one result
+materializes only the evaluations it depends on.  An engine that fans
+out to shards passes a *window evaluator* instead: the first touch of
+any result hands it every direct evaluation of the batch that the result
+cache cannot answer, together, so the whole batch costs one shard
+fan-out; each result still reads (and caches) only its own answer.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.base import Occurrence
@@ -40,6 +45,12 @@ from .requests import Match, PartialAnswer, SearchRequest, SearchResult
 #: ``timeout_ms`` is deliberately absent: the budget changes how long a
 #: caller waits, never what the answer is.
 _RequestKey = Tuple[str, Optional[float], Optional[int]]
+
+#: Evaluates several requests together: one lazy evaluator per request,
+#: in order (see ``ShardedEngine._evaluate_window``).
+WindowEvaluator = Callable[
+    [Sequence[SearchRequest]], List[Callable[[], List[Match]]]
+]
 
 
 def _match_value(match: Match) -> float:
@@ -80,6 +91,7 @@ def execute_batch(
     refine_tau: bool = True,
     cache: Optional[ResultCache] = None,
     cache_key: Optional[Callable[[SearchRequest], CacheKey]] = None,
+    evaluate_window: Optional[WindowEvaluator] = None,
 ) -> List[SearchResult]:
     """Turn a batch of requests into (shared, lazy, cacheable) results.
 
@@ -107,6 +119,12 @@ def execute_batch(
         never touching the index) and *writes* its own (a later single
         ``search`` reuses batch work).  The wrap happens once, at the
         result level, so dedupe and refinement never double-probe.
+    evaluate_window:
+        Optional engine callback evaluating several requests at once.
+        When given, the first touch of any result hands it every direct
+        evaluation of the batch (distinct requests and refinement bases)
+        that the cache cannot answer; each of those results then reads
+        its own evaluator.  ``None`` keeps every result lazy on its own.
     """
     # The batch-level default applies to bare patterns only — an explicit
     # SearchRequest keeps its own threshold.
@@ -133,6 +151,44 @@ def execute_batch(
                 base_for_pattern[request.pattern] = request
 
     shared: Dict[_RequestKey, SearchResult] = {}
+    # Window hand-off state: direct evaluations not yet handed to the
+    # engine, and handed-over evaluators not yet consumed.
+    unsent: Dict[_RequestKey, SearchRequest] = {}
+    handed: Dict[_RequestKey, Callable[[], List[Match]]] = {}
+    handoff = threading.Lock()
+
+    def in_cache(request: SearchRequest) -> bool:
+        return cache is not None and cache_key is not None and cache.contains(
+            cache_key(request)
+        )
+
+    def direct(request: SearchRequest) -> Callable[[], List[Match]]:
+        """The evaluation of a request the engine answers itself."""
+        if evaluate_window is None:
+            return lambda: evaluate(request)
+        evaluate_together: WindowEvaluator = evaluate_window
+        key: _RequestKey = (request.pattern, request.tau, request.top_k)
+        unsent[key] = request
+
+        def compute() -> List[Match]:
+            with handoff:
+                evaluator = handed.pop(key, None)
+                if evaluator is None:
+                    # First touch (or a request the cache answered when the
+                    # window left): send it with every unsent miss.
+                    unsent.pop(key, None)
+                    window = [request] + [
+                        other for other in unsent.values() if not in_cache(other)
+                    ]
+                    unsent.clear()
+                    evaluator, *rest = evaluate_together(window)
+                    handed.update(
+                        ((other.pattern, other.tau, other.top_k), later)
+                        for other, later in zip(window[1:], rest)
+                    )
+            return evaluator()
+
+        return compute
 
     def wrapped(
         request: SearchRequest, compute: Callable[[], List[Match]]
@@ -172,8 +228,7 @@ def execute_batch(
             base_result = shared.get(base_key)
             if base_result is None:
                 base_result = SearchResult(
-                    base_request,
-                    wrapped(base_request, lambda r=base_request: evaluate(r)),
+                    base_request, wrapped(base_request, direct(base_request))
                 )
                 shared[base_key] = base_result
 
@@ -196,9 +251,7 @@ def execute_batch(
                 ),
             )
         else:
-            result = SearchResult(
-                request, wrapped(request, lambda r=request: evaluate(r))
-            )
+            result = SearchResult(request, wrapped(request, direct(request)))
         shared[key] = result
         return result
 

@@ -206,6 +206,25 @@ class ResultCache:
             self._hits.inc()
             return value
 
+    def contains(self, key: CacheKey) -> bool:
+        """Whether a live entry answers ``key`` — a peek, not a lookup.
+
+        No counter ticks, no LRU move, no fault site: a batch uses it to
+        leave answered requests out of a sharded engine's window (see
+        :mod:`repro.api.batch`), while the :meth:`get` that serves them
+        still counts each lookup once.
+        """
+        if not self.enabled:
+            return False
+        with self._lock:
+            entry = self._entries.get((self._generation, key))
+            if entry is None:
+                return False
+            return (
+                self._ttl_seconds is None
+                or self._clock() - entry[1] <= self._ttl_seconds
+            )
+
     def put(
         self, key: CacheKey, value: Sequence, *, generation: Optional[int] = None
     ) -> None:

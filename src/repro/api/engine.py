@@ -25,7 +25,7 @@ from ..core.listing import UncertainStringListingIndex
 from ..obs.profile import active_profiler
 from ..strings.special import SpecialUncertainString
 from ..strings.uncertain import UncertainString
-from .batch import execute_batch
+from .batch import WindowEvaluator, execute_batch
 from .cache import DEFAULT_CACHE_SIZE, CacheKey, ResultCache
 from .persistence import (
     FORMAT_VERSION,
@@ -65,6 +65,14 @@ class QueryEngine:
     def _refine_allowed(self) -> bool:
         """Whether batch threshold refinement is exact on this engine."""
         raise NotImplementedError
+
+    def _window_evaluator(self) -> Optional[WindowEvaluator]:
+        """How a batch's direct misses are evaluated together, if at all.
+
+        ``None`` (the plain :class:`Engine`) keeps every batch result
+        lazy on its own; a sharded engine returns its window fan-out.
+        """
+        return None
 
     def _cache_key(self, request: SearchRequest) -> CacheKey:
         return (request.pattern, request.tau, request.top_k, self.kind)
@@ -122,7 +130,9 @@ class QueryEngine:
         :mod:`repro.api.batch` and :meth:`_refine_allowed`).  Every result
         — direct or refined — reads and writes the result cache under its
         own key, so a repeated batch is answered entirely from memory.
-        Results come back in request order and stay lazy until consumed.
+        Results come back in request order and stay lazy until consumed;
+        on a sharded engine, touching one evaluates the batch's direct
+        cache misses together (one shard fan-out for the window).
         """
         return execute_batch(
             requests,
@@ -132,6 +142,7 @@ class QueryEngine:
             refine_tau=self._refine_allowed(),
             cache=self._cache,
             cache_key=self._cache_key,
+            evaluate_window=self._window_evaluator(),
         )
 
     def query(self, pattern: str, tau: Optional[float] = None) -> List[Match]:

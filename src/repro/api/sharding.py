@@ -35,13 +35,24 @@ document; ``top_k`` answers fetch ``k + overlap`` candidates per shard
 candidates always survive) and heap-merge the per-shard heaps on
 ``(-value, position)``, reproducing the unsharded tie-break.
 
-Per-shard evaluation fans out on a lazily created thread pool; per-shard
-*construction* can fan out on a process pool (``workers=N`` — suffix-array
-and RMQ building is GIL-bound Python + numpy, so real parallelism needs
-processes), answering byte-identically to a serial build.  The merged
-evaluation sits behind the same :class:`~repro.api.cache.ResultCache` an
-unsharded engine uses (the shard engines run with their caches disabled so
-counters are not double-counted), and :meth:`ShardedEngine.save` /
+Evaluation fans out per *window*, not per request: one ``search_many``
+call (one :class:`~repro.serving.AsyncSearchService` window) hands its
+direct cache misses to :class:`_Window` together, which sends each
+persistent worker process one message carrying every request for every
+shard it owns (``query_executor="process"``), or submits one task per
+shard to a lazily created thread pool (the default), and reads back one
+reply each; ``search`` is the window of one.  The window also owns the
+deadline, retry, partial-answer and tracing logic: a bad request fails
+only itself, a dead worker pool re-dispatches the window's open requests,
+and every request of a degraded window names the same failed shards.
+
+Per-shard *construction* can fan out on a process pool (``workers=N`` —
+suffix-array and RMQ building is GIL-bound Python + numpy, so real
+parallelism needs processes), answering byte-identically to a serial
+build.  The merged evaluation sits behind the same
+:class:`~repro.api.cache.ResultCache` an unsharded engine uses (the shard
+engines run with their caches disabled so counters are not
+double-counted), and :meth:`ShardedEngine.save` /
 :func:`repro.api.engine.load_index` round-trip the whole ensemble through a
 directory of ordinary ``.npz`` shard archives plus a JSON shard manifest.
 """
@@ -55,13 +66,23 @@ import signal
 import threading
 import time
 import weakref
-from dataclasses import replace
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.base import (
     ListingMatch,
@@ -78,6 +99,7 @@ from ..exceptions import (
 )
 from ..faults import SITE_WORKER_DISPATCH, fire
 from ..obs.metrics import MetricSample, MetricsRegistry
+from .batch import WindowEvaluator
 from .cache import DEFAULT_CACHE_SIZE, ResultCache
 from .engine import Engine, QueryEngine, build_index
 from .persistence import (
@@ -140,24 +162,6 @@ def _pool_killer(pool: ProcessPoolExecutor) -> Callable[[], None]:
     return kill
 
 
-class _FanOut:
-    """One completed shard fan-out: per-shard answers plus failure metadata.
-
-    ``answers`` holds one globally-translated match list per shard (empty
-    for a failed shard); ``failed`` the sorted ordinals of shards whose
-    dispatch or evaluation failed with an infrastructure error on the
-    final attempt (always empty unless the engine runs ``partial=True``).
-    """
-
-    __slots__ = ("answers", "failed")
-
-    def __init__(
-        self, answers: List[List[Match]], failed: Tuple[int, ...] = ()
-    ) -> None:
-        self.answers = answers
-        self.failed = failed
-
-
 def _deadline_from(request: SearchRequest) -> Optional[float]:
     """Monotonic deadline for a budgeted request (``None``: unbounded)."""
     if request.timeout_ms is None:
@@ -170,6 +174,238 @@ def _remaining_s(deadline: Optional[float]) -> Optional[float]:
     if deadline is None:
         return None
     return max(0.0, deadline - time.monotonic())
+
+
+class _Settled(NamedTuple):
+    """How the shards answered one request of a window.
+
+    ``replies`` holds one raw reply per shard — a worker's
+    ``(kind, ids, values, eval_ms)`` or a shard thread's
+    ``(matches, eval_ms)`` — or ``None`` for a shard in ``failed`` (empty
+    unless ``partial=True``).  ``fan_out_ms`` is the window's fan-out
+    wall-clock, shared by every request settled with it.
+    """
+
+    replies: List[Any]
+    failed: Tuple[int, ...]
+    attempt: int
+    fan_out_ms: float
+
+
+class _Attempt:
+    """One dispatch of a window's unsettled requests.
+
+    ``slots`` are the window slots sent, in message order; ``jobs`` pairs
+    each submitted future with the shard ordinals its reply covers (one
+    job per worker message, or per shard thread task).  ``failed`` and
+    ``error`` record shards whose dispatch itself failed, and ``pools``
+    the worker pools used (``None`` in thread mode), so a dead set can be
+    torn down.
+    """
+
+    __slots__ = ("number", "slots", "pools", "jobs", "failed", "error")
+
+    def __init__(
+        self,
+        number: int,
+        slots: List[int],
+        pools: Optional[List[ProcessPoolExecutor]],
+    ) -> None:
+        self.number = number
+        self.slots = slots
+        self.pools = pools
+        self.jobs: "List[Tuple[Future[Any], Tuple[int, ...]]]" = []
+        self.failed: List[int] = []
+        self.error: Optional[Exception] = None
+
+    def fail(self, shards: Sequence[int], error: Exception) -> None:
+        """Record shards that failed with an infrastructure error."""
+        self.failed.extend(shards)
+        if self.error is None:
+            self.error = error
+
+
+#: A window slot's state: open (``None``), answered, or failed.
+_Outcome = Union[None, _Settled, Exception]
+
+
+def _deadline_error(
+    request: SearchRequest, where: str, cause: Optional[Exception] = None
+) -> DeadlineExceededError:
+    error = DeadlineExceededError(
+        f"request exceeded its timeout_ms={request.timeout_ms} budget {where}"
+    )
+    error.__cause__ = cause
+    return error
+
+
+class _Window:
+    """The shard fan-out of one window of requests, shared by their results.
+
+    :meth:`ShardedEngine._evaluate_window` builds one over a batch's direct
+    cache misses, and each request's evaluator calls :meth:`settle` with
+    its slot.  The first call dispatches every request at once — one
+    message per worker process, or one task per shard thread — and each
+    call waits for the replies only as long as its own request's
+    ``timeout_ms`` allows, so a spent budget fails that request alone
+    (:class:`DeadlineExceededError`) while the others keep waiting.
+
+    Whichever call sees an attempt complete settles every request in it:
+
+    * a request-blaming error (:data:`_REQUEST_ERRORS`) from any shard
+      fails only its own request — never retried, never degraded;
+    * otherwise, when every shard answered, the request is done;
+    * when a shard failed, the requests still open are re-dispatched
+      together (``worker_retries`` times, exponential backoff; a dead
+      worker pool is torn down first and rebuilt by the next dispatch),
+      and past the retries either degrade to partial answers naming the
+      same failed shards (``partial=True``) or all fail with the same
+      error.
+
+    Deadlines start when the window is built, which is when its first
+    result is touched.
+    """
+
+    def __init__(
+        self,
+        engine: "ShardedEngine",
+        requests: Sequence[SearchRequest],
+        queries: Sequence[SearchRequest],
+        rejected: Sequence[Optional[Exception]],
+    ) -> None:
+        self._engine = engine
+        #: The callers' requests (traced, budgeted), and what each shard
+        #: answers for them (untraced; ``top_k`` widened by the overlap).
+        self.requests = list(requests)
+        self.queries = list(queries)
+        self._deadlines = [_deadline_from(request) for request in requests]
+        self._started = time.perf_counter()
+        self._lock = threading.Lock()
+        # A request rejected before dispatch starts out failed, never sent.
+        self._outcomes: List[_Outcome] = list(rejected)  # guarded-by: _lock
+        self._attempt: Optional[_Attempt] = None  # guarded-by: _lock
+        self._next_attempt = 0  # guarded-by: _lock
+        self._retry_at = 0.0  # guarded-by: _lock
+
+    def settle(self, slot: int) -> _Settled:
+        """The shards' answers for ``slot``, or the error that request ends with."""
+        while True:
+            pause = 0.0
+            with self._lock:
+                outcome = self._outcomes[slot]
+                attempt = self._attempt
+                if outcome is None and attempt is None:
+                    # A retry waits out its backoff first — slept below,
+                    # outside the lock, by a request still waiting for it.
+                    pause = self._retry_at - time.monotonic()
+                    if pause <= 0:
+                        open_slots = [
+                            index
+                            for index, pending in enumerate(self._outcomes)
+                            if pending is None
+                        ]
+                        attempt = self._attempt = self._engine._dispatch(
+                            self, self._next_attempt, open_slots
+                        )
+            if isinstance(outcome, Exception):
+                # A shard's error re-raised verbatim, or one built by _finish.
+                raise outcome  # repro-check: allow(exception-taxonomy)
+            if outcome is not None:
+                return outcome
+            if attempt is None:
+                time.sleep(pause)
+                continue
+            for future, shards in attempt.jobs:
+                try:
+                    # Waits without raising: _finish reads each outcome.
+                    future.exception(timeout=_remaining_s(self._deadlines[slot]))
+                except FutureTimeoutError:
+                    with self._lock:
+                        if self._outcomes[slot] is None:
+                            self._outcomes[slot] = _deadline_error(
+                                self.requests[slot], f"waiting on shard {shards[0]}"
+                            )
+                    break
+            else:
+                self._finish(attempt)
+
+    def _finish(self, attempt: _Attempt) -> None:
+        """Settle every request of a completed attempt (once per attempt)."""
+        engine = self._engine
+        with self._lock:
+            if self._attempt is not attempt:
+                return
+            self._attempt = None
+            failed = set(attempt.failed)
+            error = attempt.error
+            broken = isinstance(error, BrokenProcessPool)
+            replies: Dict[int, List[Any]] = {}
+            for future, shards in attempt.jobs:
+                try:
+                    rows = future.result()
+                except Exception as failure:  # the whole message failed
+                    failed.update(shards)
+                    broken = broken or isinstance(failure, BrokenProcessPool)
+                    if error is None:
+                        error = failure
+                    continue
+                replies.update(zip(shards, rows))
+            fan_out_ms = (time.perf_counter() - self._started) * 1000.0
+            unsettled: List[Tuple[int, List[Any]]] = []
+            for position, slot in enumerate(attempt.slots):
+                if self._outcomes[slot] is not None:
+                    continue  # its budget ran out while the attempt was in flight
+                row = [
+                    replies[shard][position] if shard in replies else None
+                    for shard in range(engine.shard_count)
+                ]
+                blamed = next(
+                    (reply for reply in row if isinstance(reply, Exception)), None
+                )
+                if blamed is not None:
+                    self._outcomes[slot] = blamed
+                elif failed:
+                    unsettled.append((slot, row))
+                else:
+                    self._outcomes[slot] = _Settled(
+                        row, (), attempt.number, fan_out_ms
+                    )
+            if not unsettled:
+                return
+            if broken and attempt.pools is not None:
+                engine._discard_pools(attempt.pools)
+            if attempt.number < engine.worker_retries:
+                backoff = engine._worker_retry_backoff_s * (2**attempt.number)
+                for slot, _ in unsettled:
+                    remaining = _remaining_s(self._deadlines[slot])
+                    if remaining is not None and backoff >= remaining:
+                        self._outcomes[slot] = _deadline_error(
+                            self.requests[slot],
+                            "while recovering from a shard failure",
+                            error,
+                        )
+                self._retry_at = time.monotonic() + backoff
+                self._next_attempt = attempt.number + 1
+                return
+            if engine.partial:
+                for slot, row in unsettled:
+                    self._outcomes[slot] = _Settled(
+                        row, tuple(sorted(failed)), attempt.number, fan_out_ms
+                    )
+                engine._partial_answers.inc(len(unsettled))
+                return
+            assert error is not None  # every failed shard records one
+            final: Exception
+            if isinstance(error, BrokenProcessPool):
+                final = WorkerError(
+                    f"shard worker pool died and did not recover within "
+                    f"{engine.worker_retries} retry attempt(s)"
+                )
+                final.__cause__ = error
+            else:
+                final = error
+            for slot, _ in unsettled:
+                self._outcomes[slot] = final
 
 
 def _shutdown_owned_executors(owned: List[Any]) -> None:
@@ -231,16 +467,20 @@ class ShardedEngine(QueryEngine):
     little query parallelism for a bounded process/thread footprint.
     Values larger than the shard count are clamped to it.
 
-    Resilience (see :meth:`_shard_answers`): a request's ``timeout_ms``
-    bounds every wait on a shard future
+    The fan-out works on windows, not requests (see :class:`_Window`):
+    one ``search_many`` call costs one message per worker process, or one
+    task per shard thread, counted by ``resilience_stats()["dispatches"]``.
+
+    Resilience (see :class:`_Window`): a request's ``timeout_ms`` bounds
+    its own wait on the shards
     (:class:`~repro.exceptions.DeadlineExceededError` on exhaustion); a
-    killed worker pool is rebuilt and the fan-out retried
-    (``worker_retries`` times, exponential ``worker_retry_backoff_s``
-    backoff) before :class:`~repro.exceptions.WorkerError` surfaces; and
-    ``partial=True`` opts into degraded
-    :class:`~repro.api.requests.PartialAnswer` results — matches from the
-    healthy shards plus the failed ordinals — instead of an error when
-    shards stay down after recovery."""
+    killed worker pool is rebuilt and the window's open requests
+    re-dispatched (``worker_retries`` times, exponential
+    ``worker_retry_backoff_s`` backoff) before
+    :class:`~repro.exceptions.WorkerError` surfaces; and ``partial=True``
+    opts into degraded :class:`~repro.api.requests.PartialAnswer` results
+    — matches from the healthy shards plus the failed ordinals — instead
+    of an error when shards stay down after recovery."""
 
     def __init__(
         self,
@@ -297,6 +537,7 @@ class ShardedEngine(QueryEngine):
         self._metrics = MetricsRegistry(lock=self._executor_lock)
         self._recoveries = self._metrics.counter("sharding_pool_recoveries_total")
         self._partial_answers = self._metrics.counter("sharding_partial_answers_total")
+        self._dispatches = self._metrics.counter("sharding_dispatches_total")
         # Per-shard persistent worker processes (query_executor="process"),
         # created lazily on the first query.  Shards restored from disk
         # record their archive paths (+ the mmap flag) here so workers
@@ -415,17 +656,22 @@ class ShardedEngine(QueryEngine):
         """Recovery configuration and counters (surfaced by :meth:`describe`).
 
         Snapshotted under the executor lock (shared with the metrics
-        registry), so the two counters are mutually consistent.
+        registry), so the counters are mutually consistent.
+        ``dispatches`` counts messages sent to worker processes plus tasks
+        submitted to shard threads — one per worker (or shard) per
+        window attempt.
         """
         with self._executor_lock:
             recoveries = self._recoveries.value
             partial_answers = self._partial_answers.value
+            dispatches = self._dispatches.value
         return {
             "partial": self._partial,
             "worker_retries": self._worker_retries,
             "worker_retry_backoff_s": self._worker_retry_backoff_s,
             "pool_recoveries": recoveries,
             "partial_answers": partial_answers,
+            "dispatches": dispatches,
         }
 
     def metrics_samples(self) -> List[MetricSample]:
@@ -473,12 +719,6 @@ class ShardedEngine(QueryEngine):
                 self._owned_executors.append(executor)
             return executor
 
-    def _map_shards(self, function: Callable[[int], Any]) -> List[Any]:
-        """Run ``function(shard)`` for every shard, in parallel when > 1."""
-        if len(self._engines) == 1:
-            return [function(0)]
-        return list(self._thread_pool().map(function, range(len(self._engines))))
-
     def _worker_spec(self, shard: int) -> Any:
         """Initialization payload for one shard (archive path or shm block).
 
@@ -505,11 +745,11 @@ class ShardedEngine(QueryEngine):
         owns (archive path + mmap flag when the engine was loaded from
         disk, the shard's shared-memory spec otherwise — block name plus
         array layout, never the arrays; see :mod:`repro.api.shm`) and
-        keeps them for the engine's lifetime — queries only ship
-        ``(shard, pattern, tau, top_k)`` tuples out and ndarray payloads
-        back.  Single-worker pools keep the shard → process assignment
-        deterministic, so each shard is materialized in exactly one
-        process.  The shm exports outlive any one pool: a crashed pool's
+        keeps them for the engine's lifetime — a window only ships one
+        ``(shards, queries, trace_ids)`` message per worker out and
+        ndarray payloads back.  Single-worker pools keep the shard →
+        process assignment deterministic, so each shard is materialized in
+        exactly one process.  The shm exports outlive any one pool: a crashed pool's
         rebuild re-attaches to the same live blocks.
         """
         with self._executor_lock:
@@ -542,32 +782,28 @@ class ShardedEngine(QueryEngine):
                 self._owned_executors.extend(pools)
             return pools
 
-    def _evaluate_shard(
-        self, shard: int, request: SearchRequest, attempt: int = 0
-    ) -> List[Match]:
-        """Evaluate one shard in-process, translated to global coordinates.
+    def _shard_task(
+        self, shard: int, queries: Sequence[SearchRequest]
+    ) -> List[List[Any]]:
+        """Answer a window's queries on one in-process shard (thread mode).
 
-        A traced request gets one ``shard`` span per evaluation, timed
-        here; the shard engine itself runs untraced (its kernel timing is
-        the span's duration — a per-shard ``kernel`` child would repeat
-        the same number under a dangling parent).
+        The thread-mode twin of :func:`~repro.api.workers.query_worker`,
+        in the same shape (one reply list per shard, here one shard): a
+        ``(matches, eval_ms)`` reply per query, or the request-blaming
+        error in its place.  The shard engine runs untraced; the parent
+        turns ``eval_ms`` into the request's ``shard`` span.
         """
-        trace = request.trace
-        if trace is None:
-            return self._translate(shard, self._engines[shard]._evaluate(request))
-        bare = replace(request, trace=None)
-        start = time.perf_counter()
-        matches = self._translate(shard, self._engines[shard]._evaluate(bare))
-        trace.add(
-            "shard",
-            (time.perf_counter() - start) * 1000.0,
-            parent="fan_out",
-            shard=shard,
-            attempt=attempt,
-            executor="thread",
-            matches=len(matches),
-        )
-        return matches
+        engine = self._engines[shard]
+        replies: List[Any] = []
+        for query in queries:
+            start = time.perf_counter()
+            try:
+                matches = engine._evaluate(query)
+            except _REQUEST_ERRORS as error:
+                replies.append(error)
+                continue
+            replies.append((matches, (time.perf_counter() - start) * 1000.0))
+        return [replies]
 
     def _discard_pools(self, dead: List[ProcessPoolExecutor]) -> None:
         """Tear down a broken worker-pool set so the next attempt rebuilds it.
@@ -591,248 +827,73 @@ class ShardedEngine(QueryEngine):
         for broken in dead:
             broken.shutdown(wait=False)
 
-    def _collect(
-        self,
-        request: SearchRequest,
-        deadline: Optional[float],
-        shard_futures: "List[Optional[Future[Any]]]",
-        translate: Callable[[int, Any], List[Match]],
-        answers: List[List[Match]],
-        failed: List[int],
-    ) -> Tuple[Optional[Exception], bool]:
-        """Drain one attempt's shard futures into ``answers`` / ``failed``.
+    def _dispatch(
+        self, window: _Window, number: int, slots: List[int]
+    ) -> _Attempt:
+        """Send a window's open requests to every shard: one attempt.
 
-        Returns ``(first_error, pool_broken)``.  A deadline expiry raises
-        :class:`DeadlineExceededError` immediately; request-blaming errors
-        (:data:`_REQUEST_ERRORS`) propagate verbatim — both are properties
-        of the request, not of the infrastructure, so no retry or
-        degradation applies.
+        The ``worker-dispatch`` fault site fires once per shard, in shard
+        order, from this (single) dispatching thread, so a plan's trigger
+        ordinals line up with shard ordinals; a shard whose firing fails
+        sits the attempt out.  Process mode then sends each worker one
+        message carrying every request for every live shard it owns; thread
+        mode submits one task per live shard.  Each message or task counts
+        one dispatch.
         """
-        first: Optional[Exception] = None
-        pool_broken = False
-        for shard, future in enumerate(shard_futures):
-            if future is None:
-                answers.append([])
-                continue
-            try:
-                outcome = future.result(timeout=_remaining_s(deadline))
-            except FutureTimeoutError:
-                raise DeadlineExceededError(
-                    f"request exceeded its timeout_ms={request.timeout_ms} "
-                    f"budget waiting on shard {shard}"
-                ) from None
-            except _REQUEST_ERRORS:
-                raise
-            except Exception as error:
-                if isinstance(error, BrokenProcessPool):
-                    pool_broken = True
-                answers.append([])
-                failed.append(shard)
-                if first is None:
-                    first = error
-                continue
-            answers.append(translate(shard, outcome))
-        return first, pool_broken
-
-    def _attempt_fan_out(
-        self,
-        request: SearchRequest,
-        deadline: Optional[float],
-        pools: Optional[List[ProcessPoolExecutor]],
-        attempt: int = 0,
-    ) -> Tuple[List[List[Match]], List[int], Optional[Exception], bool]:
-        """One dispatch attempt over every shard.
-
-        Returns ``(answers, failed, error, pool_broken)``: per-shard
-        answers in global coordinates (``[]`` for failed shards), the
-        failed shard ordinals, the first infrastructure error seen, and
-        whether a worker pool died (so the caller tears it down before
-        retrying).  The ``worker-dispatch`` fault site fires once per
-        shard, in shard order, from this (single) dispatching thread, so a
-        plan's trigger ordinals line up with shard ordinals.
-        """
-        answers: List[List[Match]] = []
-        failed: List[int] = []
-        first: Optional[Exception] = None
-        pool_broken = False
-        shard_futures: "List[Optional[Future[Any]]]" = []
-        trace = request.trace
-        if pools is not None:
-            workers = len(pools)
-            # Tracing crosses the process boundary as plain payload data —
-            # the trace_id string inside the argument tuple — never the
-            # live Trace object; the worker's eval_ms comes back inside
-            # the answer payload and is attached to the shard span here.
-            trace_id = trace.trace_id if trace is not None else None
-
-            def translate_payload(shard: int, payload: Any) -> List[Match]:
-                kind, ids, values, eval_ms = payload
-                matches = self._translate(shard, matches_from_arrays(kind, ids, values))
-                if trace is not None:
-                    trace.add(
-                        "shard",
-                        float(eval_ms),
-                        parent="fan_out",
-                        shard=shard,
-                        attempt=attempt,
-                        executor="process",
-                        matches=len(matches),
-                    )
-                return matches
-
-            for shard in range(self.shard_count):
-                owner = pools[shard % workers]
-                try:
-                    fire(SITE_WORKER_DISPATCH, crash=_pool_killer(owner))
-                    shard_futures.append(
-                        owner.submit(
-                            query_worker,
-                            (shard, request.pattern, request.tau, request.top_k,
-                             trace_id),
-                        )
-                    )
-                except _REQUEST_ERRORS:
-                    raise
-                except Exception as error:
-                    if isinstance(error, BrokenProcessPool):
-                        pool_broken = True
-                    shard_futures.append(None)
-                    failed.append(shard)
-                    if first is None:
-                        first = error
-            collected, broke = self._collect(
-                request,
-                deadline,
-                shard_futures,
-                translate_payload,
-                answers,
-                failed,
-            )
-            return (
-                answers,
-                failed,
-                first if first is not None else collected,
-                pool_broken or broke,
-            )
-        if self.shard_count == 1:
-            # A single shard evaluates inline (no pool to wait on): the
-            # deadline is not enforceable here — a plain Engine evaluation
-            # is not interruptible — so the serving tier's watchdog is the
-            # backstop, exactly as for an unsharded engine.
-            try:
-                fire(SITE_WORKER_DISPATCH)
-                answers.append(self._evaluate_shard(0, request, attempt))
-            except _REQUEST_ERRORS:
-                raise
-            except Exception as error:
-                answers.append([])
-                failed.append(0)
-                first = error
-            return answers, failed, first, False
-        executor = self._thread_pool()
+        pools = (
+            self._ensure_process_pools()
+            if self._query_executor == "process"
+            else None
+        )
+        attempt = _Attempt(number, slots, pools)
+        queries = [window.queries[slot] for slot in slots]
+        live: List[int] = []
         for shard in range(self.shard_count):
             try:
                 # No crash hook in thread mode — a "crash" spec degrades to
                 # its error form (there is no process to kill).
-                fire(SITE_WORKER_DISPATCH)
-                shard_futures.append(
-                    executor.submit(self._evaluate_shard, shard, request, attempt)
-                )
+                crash = None if pools is None else _pool_killer(pools[shard % len(pools)])
+                fire(SITE_WORKER_DISPATCH, crash=crash)
             except _REQUEST_ERRORS:
                 raise
             except Exception as error:
-                shard_futures.append(None)
-                failed.append(shard)
-                if first is None:
-                    first = error
-        collected, _ = self._collect(
-            request,
-            deadline,
-            shard_futures,
-            lambda shard, matches: matches,
-            answers,
-            failed,
-        )
-        return answers, failed, first if first is not None else collected, False
-
-    def _shard_answers(self, request: SearchRequest) -> _FanOut:
-        """Evaluate ``request`` on every shard; answers in global coordinates.
-
-        Thread mode runs each shard engine on the shared thread pool;
-        process mode ships the request to the persistent shard workers,
-        which answer with array payloads the parent rewraps into matches
-        at this merge boundary.  Around either mode sits the resilience
-        envelope:
-
-        * ``request.timeout_ms`` bounds every wait on a shard future;
-          exhaustion raises :class:`~repro.exceptions.DeadlineExceededError`.
-        * A dead worker pool (:class:`BrokenProcessPool` — a shard worker
-          was killed mid-query) is torn down and rebuilt from the retained
-          archive paths / shard payloads, and the whole fan-out re-runs
-          (up to ``worker_retries`` times, with exponential backoff) so a
-          recovered attempt answers byte-identically to an undisturbed
-          one.
-        * With ``partial=True``, shards that still fail after the retries
-          degrade to a :class:`~repro.api.requests.PartialAnswer` naming
-          exactly the failed ordinals; otherwise the recorded error (or a
-          :class:`~repro.exceptions.WorkerError` for an unrecovered pool)
-          propagates.
-        """
-        deadline = _deadline_from(request)
-        trace = request.trace
-        if trace is None:
-            return self._run_fan_out(request, deadline)
-        with trace.span(
-            "fan_out",
-            parent="evaluate",
-            executor=self._query_executor,
-            shards=self.shard_count,
-        ) as meta:
-            fan = self._run_fan_out(request, deadline)
-            meta["failed_shards"] = list(fan.failed)
-        return fan
-
-    def _run_fan_out(
-        self, request: SearchRequest, deadline: Optional[float]
-    ) -> _FanOut:
-        """The retry loop behind :meth:`_shard_answers`."""
-        attempt = 0
-        while True:
-            pools = (
-                self._ensure_process_pools()
-                if self._query_executor == "process"
-                else None
-            )
-            answers, failed, error, pool_broken = self._attempt_fan_out(
-                request, deadline, pools, attempt
-            )
-            if not failed:
-                return _FanOut(answers)
-            if pool_broken and pools is not None:
-                self._discard_pools(pools)
-            if attempt < self._worker_retries:
-                backoff = self._worker_retry_backoff_s * (2**attempt)
-                remaining = _remaining_s(deadline)
-                if remaining is not None and backoff >= remaining:
-                    raise DeadlineExceededError(
-                        f"request exceeded its timeout_ms={request.timeout_ms} "
-                        f"budget while recovering from a shard failure"
-                    ) from error
-                if backoff:
-                    time.sleep(backoff)
-                attempt += 1
+                attempt.fail((shard,), error)
                 continue
-            if self._partial:
-                self._partial_answers.inc()
-                return _FanOut(answers, tuple(sorted(set(failed))))
-            if error is None:  # unreachable: every failed shard records one
-                raise WorkerError("shard fan-out failed without a recorded cause")
-            if isinstance(error, BrokenProcessPool):
-                raise WorkerError(
-                    f"shard worker pool died and did not recover within "
-                    f"{self._worker_retries} retry attempt(s)"
-                ) from error
-            raise error
+            live.append(shard)
+        if pools is not None:
+            workers = len(pools)
+            # Tracing crosses the process boundary as plain payload data —
+            # trace_id strings inside the message — never the live Trace
+            # objects; each worker eval_ms comes back inside its reply.
+            message_queries = [
+                (query.pattern, query.tau, query.top_k) for query in queries
+            ]
+            traces = [window.requests[slot].trace for slot in slots]
+            trace_ids = [None if trace is None else trace.trace_id for trace in traces]
+            for worker in range(workers):
+                owned = tuple(shard for shard in live if shard % workers == worker)
+                if not owned:
+                    continue
+                try:
+                    future = pools[worker].submit(
+                        query_worker, (owned, message_queries, trace_ids)
+                    )
+                except Exception as error:
+                    attempt.fail(owned, error)
+                    continue
+                attempt.jobs.append((future, owned))
+                self._dispatches.inc()
+        else:
+            executor = self._thread_pool()
+            for shard in live:
+                try:
+                    task = executor.submit(self._shard_task, shard, queries)
+                except Exception as error:
+                    attempt.fail((shard,), error)
+                    continue
+                attempt.jobs.append((task, (shard,)))
+                self._dispatches.inc()
+        return attempt
 
     def close(self) -> None:
         """Shut down the fan-out executors (idempotent; queries recreate them).
@@ -898,67 +959,127 @@ class ShardedEngine(QueryEngine):
                 "max_pattern_len to search longer patterns"
             )
 
-    def _finish(self, merged: List[Match], fan: _FanOut) -> List[Match]:
-        """Wrap a merged answer in :class:`PartialAnswer` when shards failed."""
-        if fan.failed:
-            return PartialAnswer(merged, fan.failed)
-        return merged
-
-    def _evaluate(self, request: SearchRequest) -> List[Match]:
-        """Fan the request out across shards and merge globally."""
+    def _check_request(self, request: SearchRequest) -> None:
+        """Reject patterns the chunk overlap cannot answer (``plan`` span)."""
         trace = request.trace
         if trace is None:
             self._check_pattern(request.pattern)
-        else:
-            with trace.span(
-                "plan", parent="evaluate", kind=self.kind, shards=self.shard_count
-            ):
-                self._check_pattern(request.pattern)
-        if request.top_k is not None:
-            return self._evaluate_top_k(request)
+            return
+        with trace.span(
+            "plan", parent="evaluate", kind=self.kind, shards=self.shard_count
+        ):
+            self._check_pattern(request.pattern)
 
-        fan = self._shard_answers(request)
-        # Each shard reports in position (document) order over disjoint
-        # owned ranges; a lazy heap-merge restores the global order.
+    def _shard_query(self, request: SearchRequest) -> SearchRequest:
+        """What each shard answers for ``request``: untraced, ``top_k`` widened.
+
+        Fetch k + overlap per chunk shard: the ownership filter can drop
+        at most ``overlap`` matches (one occurrence per overlap position),
+        so at least k owned candidates survive — and any member of the
+        global top-k is necessarily in its own shard's top-(k + overlap).
+        The budget stays with the window, which waits on the shards.
+        """
+        fetch = request.top_k
+        if fetch is not None and self._spec.mode == "chunks":
+            fetch += self._spec.overlap
+        if request.trace is None and fetch == request.top_k:
+            return request
+        return SearchRequest(request.pattern, tau=request.tau, top_k=fetch)
+
+    def _window_evaluator(self) -> WindowEvaluator:
+        return self._evaluate_window
+
+    def _evaluate_window(
+        self, requests: Sequence[SearchRequest]
+    ) -> List[Callable[[], List[Match]]]:
+        """Fan a window of requests out together; one lazy evaluator each.
+
+        A pattern longer than ``max_pattern_len`` fails on its own and is
+        never sent.  The rest share one :class:`_Window`: the first
+        evaluator called dispatches them all, each evaluator then waits
+        for (and merges) only its own request's answer.
+        """
+        rejected: List[Optional[Exception]] = []
+        for request in requests:
+            try:
+                self._check_request(request)
+            except PatternTooLongError as error:
+                rejected.append(error)
+            else:
+                rejected.append(None)
+        queries = [self._shard_query(request) for request in requests]
+        window = _Window(self, requests, queries, rejected)
+        return [partial(self._merge, window, slot) for slot in range(len(requests))]
+
+    def _evaluate(self, request: SearchRequest) -> List[Match]:
+        """One request: the window-of-one case of :meth:`_evaluate_window`."""
+        (evaluate,) = self._evaluate_window([request])
+        return evaluate()
+
+    def _merge(self, window: _Window, slot: int) -> List[Match]:
+        """One window request's answer: its shard replies decoded and merged.
+
+        A traced request records the window's shared ``fan_out`` span, one
+        ``shard`` span per shard with that shard's own evaluation time for
+        this request, and its ``merge`` span.
+        """
+        settled = window.settle(slot)
+        request = window.requests[slot]
+        trace = request.trace
+        if trace is not None:
+            trace.add(
+                "fan_out",
+                settled.fan_out_ms,
+                parent="evaluate",
+                executor=self._query_executor,
+                shards=self.shard_count,
+                requests=len(window.requests),
+                failed_shards=list(settled.failed),
+            )
+        answers: List[List[Match]] = []
+        for shard, reply in enumerate(settled.replies):
+            if reply is None:  # a failed shard of a partial answer
+                answers.append([])
+                continue
+            if self._query_executor == "process":
+                kind, ids, values, eval_ms = reply
+                found = matches_from_arrays(kind, ids, values)
+            else:
+                found, eval_ms = reply
+            matches = self._translate(shard, found)
+            answers.append(matches)
+            if trace is not None:
+                trace.add(
+                    "shard",
+                    float(eval_ms),
+                    parent="fan_out",
+                    shard=shard,
+                    attempt=settled.attempt,
+                    executor=self._query_executor,
+                    matches=len(matches),
+                )
         if trace is None:
-            merged = list(heapq.merge(*fan.answers, key=_reporting_key))
+            merged = self._merge_answers(request, answers)
         else:
             with trace.span("merge", parent="evaluate") as meta:
-                merged = list(heapq.merge(*fan.answers, key=_reporting_key))
+                merged = self._merge_answers(request, answers)
                 meta["matches"] = len(merged)
-        return self._finish(merged, fan)
+        if settled.failed:
+            return PartialAnswer(merged, settled.failed)
+        return merged
 
-    def _evaluate_top_k(self, request: SearchRequest) -> List[Match]:
-        # Fetch k + overlap per chunk shard: the ownership filter can drop
-        # at most `overlap` matches (one occurrence per overlap position),
-        # so at least k owned candidates survive — and any member of the
-        # global top-k is necessarily in its own shard's top-(k + overlap).
-        fetch = request.top_k + (
-            self._spec.overlap if self._spec.mode == "chunks" else 0
-        )
-        # The deadline budget (and the trace) ride along on the per-shard
-        # request.
-        shard_request = SearchRequest(
-            request.pattern,
-            tau=request.tau,
-            top_k=fetch,
-            timeout_ms=request.timeout_ms,
-            trace=request.trace,
-        )
-        fan = self._shard_answers(shard_request)
+    @staticmethod
+    def _merge_answers(
+        request: SearchRequest, answers: List[List[Match]]
+    ) -> List[Match]:
+        if request.top_k is None:
+            # Each shard reports in position (document) order over disjoint
+            # owned ranges; a lazy heap-merge restores the global order.
+            return list(heapq.merge(*answers, key=_reporting_key))
         # Per-shard lists arrive sorted by (-value, position); merging the
         # per-shard heaps and keeping the first k reproduces the unsharded
         # deterministic tie-break.
-        trace = request.trace
-        if trace is None:
-            top = list(islice(heapq.merge(*fan.answers, key=_ranking_key),
-                              request.top_k))
-        else:
-            with trace.span("merge", parent="evaluate") as meta:
-                top = list(islice(heapq.merge(*fan.answers, key=_ranking_key),
-                                  request.top_k))
-                meta["matches"] = len(top)
-        return self._finish(top, fan)
+        return list(islice(heapq.merge(*answers, key=_ranking_key), request.top_k))
 
     def _refine_allowed(self) -> bool:
         # Merged listing answers equal the unsharded engine's, so the

@@ -27,15 +27,24 @@ Design:
   O(array count), not O(index bytes), and every worker shares one
   physical copy.  No live index object (with its embedded locks and
   caches) ever crosses the process boundary.
-* **Array answers.**  A query's matches cross back as
-  ``(kind, ids, values, eval_ms)`` payloads — ndarrays plus the worker's
+* **One message per worker per window.**  The parent sends each worker
+  one ``(shards, queries, trace_ids)`` message carrying every request of a
+  service window for every shard that worker owns (:func:`query_worker`),
+  and reads back one reply: the IPC round trip is paid once per window,
+  not once per shard per request.
+* **Array answers.**  Each (shard, request) answer crosses back as a
+  ``(kind, ids, values, eval_ms)`` payload — ndarrays plus the worker's
   own evaluation wall-clock (:func:`repro.core.base.matches_to_arrays`
   for the arrays) instead of one pickled dataclass per match; the parent
   rebuilds the objects at the merge boundary, byte-identically (int64 /
   float64 round-trip exactly), and attaches ``eval_ms`` to the request's
-  ``shard`` trace span when the request is traced.
+  ``shard`` trace span when the request is traced.  A request-blaming
+  error (:class:`~repro.exceptions.ValidationError`,
+  :class:`~repro.exceptions.QueryError`) comes back in that request's
+  place, so a bad request fails only itself; any other error fails the
+  whole message.
 * **Tracing stays plain data.**  A traced request crosses the boundary
-  as its ``trace_id`` string inside the argument tuple — never the live
+  as its ``trace_id`` string inside the message — never the live
   :class:`~repro.obs.trace.Trace` object (which holds a lock); the
   worker-boundary lint rule keeps this honest.
 """
@@ -48,23 +57,27 @@ import gc
 import os
 import stat
 import time
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.base import matches_to_arrays, resolve_tau
-from ..exceptions import ValidationError, WorkerError
-from ..payload import IndexPayload
+from ..exceptions import QueryError, ValidationError, WorkerError
 
 #: Per-shard initialization spec: ``("archive", path, mmap)`` for shards
 #: that live on disk, ``("shm", block_name, manifest_span, layout)`` for
-#: in-memory shards exported through :mod:`repro.api.shm`, and the legacy
-#: ``("payload", index_payload)`` form that pickles the arrays themselves.
+#: in-memory shards exported through :mod:`repro.api.shm`.
 WorkerSpec = Union[
     Tuple[str, str, bool],
     Tuple[str, str, Tuple[int, int], Dict[str, Any]],
-    Tuple[str, IndexPayload],
 ]
+
+#: One request as a window message carries it: ``(pattern, tau, top_k)``.
+ShardQuery = Tuple[str, Optional[float], Optional[int]]
+
+#: One (shard, request) answer: ``(kind, ids, values, eval_ms)`` arrays, or
+#: the request-blaming error the shard raised for that request.
+ShardReply = Union[Tuple[str, np.ndarray, np.ndarray, float], Exception]
 
 #: The shard indexes owned by *this* worker process, keyed by shard
 #: ordinal (set by the pool initializer; empty in the parent and in
@@ -109,10 +122,6 @@ def _materialize(spec: WorkerSpec) -> Any:
         block, payload = attach_payload(name, manifest_span, layout)
         _WORKER_SHM.append(block)
         return index_from_payload(payload)
-    if spec[0] == "payload":
-        from .persistence import index_from_payload
-
-        return index_from_payload(spec[1])
     raise ValidationError(f"unknown worker spec {spec[0]!r}")
 
 
@@ -158,36 +167,51 @@ def initialize_worker(specs: Dict[int, WorkerSpec]) -> None:
 
 
 def query_worker(
-    arguments: Tuple[int, str, Optional[float], Optional[int], Optional[str]],
-) -> Tuple[str, np.ndarray, np.ndarray, float]:
-    """Answer one ``(shard, pattern, tau, top_k, trace_id)`` shard query.
+    arguments: Tuple[Sequence[int], Sequence[ShardQuery], Sequence[Optional[str]]],
+) -> List[List[ShardReply]]:
+    """Answer one window message: every query on every listed shard.
 
-    Mirrors ``Engine._evaluate`` exactly — ``top_k`` routes to the index's
-    heap extraction, plain requests resolve ``tau=None`` through the
-    shard's own ``tau_min`` — so a process-mode sharded engine answers
-    byte-identically to thread mode.  Exceptions (e.g. a ``ThresholdError``
-    for a ``tau`` below ``tau_min``) pickle through the future and
-    propagate in the parent, matching the thread-mode behaviour.
+    ``arguments`` is ``(shards, queries, trace_ids)``: the shard ordinals
+    this worker owns that the window needs, the window's
+    ``(pattern, tau, top_k)`` queries, and one ``trace_id`` per query
+    (``None`` when untraced) — plain payload data for error context, never
+    a live trace object.  Returns one reply list per shard, in ``shards``
+    order, holding one :data:`ShardReply` per query.
 
-    ``trace_id`` is the request's trace identifier (``None`` when
-    untraced) — plain payload data for log correlation and error context,
-    never a live trace object.  The returned ``eval_ms`` is the worker's
-    evaluation wall-clock; the parent attaches it to the request's
-    ``shard`` span.
+    Each evaluation mirrors ``Engine._evaluate`` exactly — ``top_k`` routes
+    to the index's heap extraction, plain requests resolve ``tau=None``
+    through the shard's own ``tau_min`` — so a process-mode sharded engine
+    answers byte-identically to thread mode.  A request-blaming error (e.g.
+    a ``ThresholdError`` for a ``tau`` below ``tau_min``) is returned in the
+    query's place; anything else (a shard this worker does not own, a
+    kernel bug) raises and fails the whole message.  Each answer carries
+    the worker's evaluation wall-clock ``eval_ms``, which the parent
+    attaches to the request's ``shard`` span.
     """
-    shard, pattern, tau, top_k, trace_id = arguments
-    index = _WORKER_INDEXES.get(shard)
-    if index is None:
-        suffix = f" (trace {trace_id})" if trace_id else ""
-        raise WorkerError(
-            f"shard worker asked for shard {shard} it does not own "
-            f"(owned: {sorted(_WORKER_INDEXES)}){suffix}"
-        )
-    start = time.perf_counter()
-    if top_k is not None:
-        matches = index.top_k(pattern, top_k, tau=tau)
-    else:
-        matches = index.query(pattern, resolve_tau(tau, float(index.tau_min)))
-    eval_ms = (time.perf_counter() - start) * 1000.0
-    kind, ids, values = matches_to_arrays(matches)
-    return kind, ids, values, eval_ms
+    shards, queries, trace_ids = arguments
+    replies: List[List[ShardReply]] = []
+    for shard in shards:
+        index = _WORKER_INDEXES.get(shard)
+        if index is None:
+            traced = [trace_id for trace_id in trace_ids if trace_id]
+            suffix = f" (traces {', '.join(traced)})" if traced else ""
+            raise WorkerError(
+                f"shard worker asked for shard {shard} it does not own "
+                f"(owned: {sorted(_WORKER_INDEXES)}){suffix}"
+            )
+        answers: List[ShardReply] = []
+        for pattern, tau, top_k in queries:
+            start = time.perf_counter()
+            try:
+                if top_k is not None:
+                    matches = index.top_k(pattern, top_k, tau=tau)
+                else:
+                    matches = index.query(pattern, resolve_tau(tau, float(index.tau_min)))
+            except (ValidationError, QueryError) as error:
+                answers.append(error)
+                continue
+            eval_ms = (time.perf_counter() - start) * 1000.0
+            kind, ids, values = matches_to_arrays(matches)
+            answers.append((kind, ids, values, eval_ms))
+        replies.append(answers)
+    return replies

@@ -14,8 +14,8 @@ Sites (each fired by exactly one call point):
 ==========================  =====================================================
 site                        fired at
 ==========================  =====================================================
-``worker-dispatch``         per shard, before the sharded engine dispatches the
-                            shard's query (thread or process fan-out)
+``worker-dispatch``         per shard, in shard order, before the sharded engine
+                            dispatches a window (thread or process fan-out)
 ``archive-load``            entry of ``load_index_payload`` — every archive open,
                             parent or (fork-inherited) worker side
 ``replica-call``            before a :class:`~repro.serving.ReplicaSet` replica
@@ -66,7 +66,7 @@ from .. import exceptions
 from ..exceptions import InjectedFaultError, ReproError, ValidationError
 from ..obs.metrics import MetricSample, MetricsRegistry
 
-#: Shard query dispatch (one firing per shard, in shard order).
+#: Shard window dispatch (one firing per shard, in shard order).
 SITE_WORKER_DISPATCH = "worker-dispatch"
 #: Archive open in :func:`repro.api.persistence.load_index_payload`.
 SITE_ARCHIVE_LOAD = "archive-load"

@@ -56,7 +56,8 @@ METRIC_TABLE: Dict[str, str] = {
     "cache_generation_count": "Current result-cache generation tag (bumped on index swaps).",
     # repro.api.sharding — ShardedEngine resilience
     "sharding_pool_recoveries_total": "Crashed worker pools discarded and rebuilt from retained shard specs.",
-    "sharding_partial_answers_total": "Fan-outs degraded to a PartialAnswer after retries were exhausted.",
+    "sharding_partial_answers_total": "Requests degraded to a PartialAnswer after retries were exhausted.",
+    "sharding_dispatches_total": "Window messages sent to shard worker processes plus tasks submitted to shard threads.",
     # repro.serving.service — AsyncSearchService
     "service_submitted_total": "Requests accepted into the micro-batch queue.",
     "service_completed_total": "Requests answered successfully (including partial answers).",

@@ -23,9 +23,12 @@ Span glossary (names are stable API, see README "Observability"):
 ``plan``           pattern checks / request normalization (child of evaluate)
 ``cache``          result-cache consultation (child of evaluate; meta hit)
 ``kernel``         index evaluation proper (child of cache; meta kind)
-``fan_out``        sharded fan-out (child of evaluate)
-``shard``          one shard's evaluation (child of fan_out; meta shard,
-                   attempt, executor mode, worker eval time)
+``fan_out``        sharded fan-out of the request's window (child of
+                   evaluate; the same duration on every traced request of
+                   the window; meta requests = window size)
+``shard``          one shard's evaluation of this request (child of
+                   fan_out; meta shard, attempt, executor mode; duration
+                   is the worker's eval time)
 ``merge``          heap-merge of shard answers (child of evaluate)
 ``serialize``      response payload construction (HTTP layer)
 

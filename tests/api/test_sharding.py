@@ -567,6 +567,7 @@ class TestResilienceConfig:
                 "worker_retry_backoff_s": 0.05,
                 "pool_recoveries": 0,
                 "partial_answers": 0,
+                "dispatches": 0,
             }
         finally:
             engine.close()

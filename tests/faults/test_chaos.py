@@ -12,6 +12,9 @@ rather than a particular failure:
   window plus one batch window;
 * a SIGKILLed worker pool recovers and subsequent answers are
   byte-identical;
+* a window of several requests — one shard fan-out for all of them —
+  recovers from a crash with one pool rebuild, degrades every request to
+  the same failed shards, and leaks no worker process or shm block;
 * no stale cache entry survives an index swap.
 
 Deterministic by construction: the plans pin seeds and ordinals, so CI
@@ -21,6 +24,8 @@ its own CI step).
 
 import asyncio
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -62,6 +67,53 @@ def _dispatch(engine, body, **service_kwargs):
             )
 
     return asyncio.run(go())
+
+
+def _dispatch_window(engine, bodies):
+    """Several POST /search at once, so they share one service window.
+
+    Returns the responses (in ``bodies`` order) and the service stats.
+    """
+
+    async def go():
+        async with AsyncSearchService(engine, max_wait_ms=20.0) as service:
+            app = SearchHttpApp(service)
+            responses = await asyncio.wait_for(
+                asyncio.gather(
+                    *(app.dispatch("POST", "/search", body) for body in bodies)
+                ),
+                timeout=HARD_WATCHDOG_S,
+            )
+            return responses, service.stats()
+
+    return asyncio.run(go())
+
+
+def _window_bodies(corpus, count=6):
+    backbone = corpus.most_likely_string()
+    return [
+        _search_body(backbone[start : start + 3], tau=0.2)
+        for start in range(0, 5 * count, 5)
+    ]
+
+
+def _leak_probe():
+    """Live multiprocessing children and ``/dev/shm`` entries right now."""
+    shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    return {child.pid for child in multiprocessing.active_children()}, shm
+
+
+def _assert_no_leaks(before):
+    children_before, shm_before = before
+    deadline = time.monotonic() + 15.0
+    while True:
+        children, shm = _leak_probe()
+        leaked = children - children_before
+        if not leaked or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not leaked, f"worker processes leaked: {sorted(leaked)}"
+    assert not shm - shm_before, f"shm blocks leaked: {sorted(shm - shm_before)}"
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +347,97 @@ class TestWorkerCrashRecovery:
             assert _dispatch(engine, body).body() == baseline.body()
         finally:
             engine.close()
+
+
+class TestWindowChaos:
+    """A service window of several requests is one fan-out: it fails and
+    recovers as a unit, and every request in it sees the same outcome."""
+
+    def test_crash_on_a_window_rebuilds_once_with_byte_identical_answers(
+        self, corpus
+    ):
+        before = _leak_probe()
+        engine = build_sharded_index(
+            corpus,
+            shards=2,
+            tau_min=0.1,
+            kind="general",
+            max_pattern_len=6,
+            cache_size=0,
+            query_executor="process",
+            worker_retries=2,
+        )
+        try:
+            bodies = _window_bodies(corpus)
+            # Warm the pool (workers spawn lazily on first dispatch, and a
+            # crash hook against a cold pool has nothing to kill).
+            baseline, stats = _dispatch_window(engine, bodies)
+            assert stats["max_batch_size"] == len(bodies)
+            assert all(response.status == 200 for response in baseline)
+
+            plan = FaultPlan(
+                specs=(
+                    FaultSpec(SITE_WORKER_DISPATCH, kind="crash", at=0, times=1),
+                ),
+                seed=99,
+            )
+            with inject_faults(plan) as injector:
+                recovered, stats = _dispatch_window(engine, bodies)
+            assert injector.stats()["fired"] == {SITE_WORKER_DISPATCH: 1}
+            assert stats["max_batch_size"] == len(bodies)
+            assert [response.body() for response in recovered] == [
+                response.body() for response in baseline
+            ]
+            assert engine.resilience_stats()["pool_recoveries"] == 1
+        finally:
+            engine.close()
+        _assert_no_leaks(before)
+
+    @pytest.mark.parametrize("query_executor", ["thread", "process"])
+    def test_partial_window_requests_share_the_failed_shards(
+        self, corpus, query_executor
+    ):
+        before = _leak_probe()
+        engine = build_sharded_index(
+            corpus,
+            shards=3,
+            tau_min=0.1,
+            kind="general",
+            max_pattern_len=6,
+            cache_size=0,
+            query_executor=query_executor,
+            partial=True,
+            worker_retries=0,
+        )
+        try:
+            bodies = _window_bodies(corpus)
+            baseline, _ = _dispatch_window(engine, bodies)
+            # Shard 1's dispatch crashes (SIGKILLing its worker process in
+            # process mode; the error form in thread mode).
+            plan = FaultPlan(
+                specs=(
+                    FaultSpec(SITE_WORKER_DISPATCH, kind="crash", at=1, times=1),
+                ),
+                seed=7,
+            )
+            with inject_faults(plan) as injector:
+                degraded, stats = _dispatch_window(engine, bodies)
+            assert injector.stats()["fired"] == {SITE_WORKER_DISPATCH: 1}
+            assert stats["max_batch_size"] == len(bodies)
+            for response, complete in zip(degraded, baseline):
+                assert response.status == 200
+                assert response.payload["partial"] is True
+                assert response.payload["failed_shards"] == [1]
+                whole = {
+                    json.dumps(match, sort_keys=True)
+                    for match in complete.payload["matches"]
+                }
+                for match in response.payload["matches"]:
+                    assert json.dumps(match, sort_keys=True) in whole
+            assert engine.resilience_stats()["partial_answers"] == len(bodies)
+        finally:
+            engine.close()
+        _assert_no_leaks(before)
 
 
 class TestCacheAcrossSwap:
