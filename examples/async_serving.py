@@ -2,8 +2,8 @@
 
 The production-shaped stack, bottom to top:
 
-1. build a sharded index offline and save it (a directory of version-2
-   archives carrying serialized RMQ payloads);
+1. build a sharded index offline and save it (a directory of shard
+   archives, each an uncompressed zip of the index payload's arrays);
 2. load it back with ``mmap=True`` (zero-copy cold start — the arrays are
    memory-mapped straight out of the archives) and
    ``query_executor="process"`` (one persistent worker process per shard,

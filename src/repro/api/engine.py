@@ -28,7 +28,6 @@ from ..strings.uncertain import UncertainString
 from .batch import WindowEvaluator, execute_batch
 from .cache import DEFAULT_CACHE_SIZE, CacheKey, ResultCache
 from .persistence import (
-    FORMAT_VERSION,
     index_from_payload,
     index_to_payload,
     is_sharded_archive,
@@ -304,37 +303,21 @@ class Engine(QueryEngine):
         self._cache.bump_generation()
 
     # -- persistence -------------------------------------------------------------------
-    def save(
-        self,
-        path: Union[str, Path],
-        *,
-        version: int = FORMAT_VERSION,
-        compress: Optional[bool] = None,
-        compact: bool = False,
-    ) -> Path:
-        """Serialize the engine to a versioned ``.npz`` archive.
+    def save(self, path: Union[str, Path], *, compact: bool = False) -> Path:
+        """Serialize the engine to an ``.npz`` archive.
 
-        The archive stores every numpy component (suffix arrays, LCP,
-        cumulative tables, per-length value arrays, links) plus a JSON
-        manifest with the format version, the plan and the indexed string,
-        so :func:`load_index` restores an engine whose answers are
-        byte-identical to this one without re-running construction.  The
-        default (version-3) archive is the index's
-        :class:`~repro.payload.IndexPayload` written as an uncompressed
-        zip — space-efficient RMQ payloads, memory-mappable; see
-        :func:`repro.api.persistence.save_index_payload` for the knobs
-        (``version=1|2`` writes the legacy layouts; ``compact=True``
-        writes narrowed dtypes + bit-packed booleans with byte-identical
-        answers on restore).
+        The archive is the index's :class:`~repro.payload.IndexPayload` —
+        every stored numpy component (suffix arrays, LCP, cumulative
+        tables, per-length value arrays, links, RMQ block positions) plus
+        a JSON manifest with the format version, the plan and the indexed
+        string — written as an uncompressed, memory-mappable zip, so
+        :func:`load_index` restores an engine whose answers are
+        byte-identical to this one without re-running construction.
+        ``compact=True`` writes narrowed dtypes and bit-packed booleans,
+        with byte-identical answers on restore (see
+        :func:`repro.api.persistence.save_index_payload`).
         """
-        return save_index_payload(
-            self._index,
-            self._plan,
-            path,
-            version=version,
-            compress=compress,
-            compact=compact,
-        )
+        return save_index_payload(self._index, self._plan, path, compact=compact)
 
     @classmethod
     def load(

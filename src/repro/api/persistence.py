@@ -1,53 +1,39 @@
-"""Index persistence: versioned ``.npz`` archives for every index variant.
+"""Index persistence: ``.npz`` archives for every index variant.
 
 Indexes are expensive to build (suffix-array construction plus the
 per-length RMQ tower) and cheap to *use*; a serving deployment wants to
-build offline and load hot.  :func:`save_index_payload` writes a single
-``.npz`` archive holding
+build offline and load hot.  :func:`save_index_payload` writes an
+index's :class:`~repro.payload.IndexPayload` (``index.to_payload()``) as
+one **uncompressed** zip archive:
 
-* every heavy numpy component — suffix array, LCP array, cumulative
-  probability tables, per-length ``C_i`` / relevance arrays, blocking
-  structures, link tables — exactly as the in-memory index holds them, and
-* a JSON **manifest** (format name + version, the index kind, constructor
-  configuration, the serialized input string / collection and the plan)
+* every stored array — suffix array, LCP array, cumulative probability
+  tables, per-length ``C_i`` / relevance arrays, link tables — as a
+  ``.npy`` member keyed by its payload path, and
+* a JSON **manifest** (format name and version, the index kind, the
+  payload's schema tree with per-array crc32 checksums, and the plan)
   under the reserved ``__manifest__`` key.
 
+There are no per-kind save/load special cases: any structure with
+``to_payload`` / ``from_payload`` round-trips.  RMQ structures are stored
+as their Fischer–Heun block positions (O(n / log n) words each); the
+sparse table over the block optima is rebuilt on load in O(n/b · log n)
+work.
+
 :func:`load_index_payload` restores the index without re-running
-construction.  Because every probability array round-trips bit-exactly, a
-loaded index returns **byte-identical** query results to the one that was
-saved.
+construction.  Every array round-trips bit-exactly, so a loaded index
+returns **byte-identical** query results to the one that was saved.
+``mmap=True`` maps every stored member read-only straight out of the
+archive file — zero copies, and any number of worker processes opening
+the same archive share one set of physical pages through the OS page
+cache (the space-conscious serving mode of Gabory et al.,
+arXiv:2403.14256).  A compressed member (an archive re-zipped by another
+tool) is read eagerly instead.
 
-Two archive versions exist (:data:`FORMAT_VERSION` is the current one):
-
-* **Version 1** (legacy) — ``np.savez_compressed`` archives holding only
-  the value arrays.  The RMQ structures, pure functions of their value
-  arrays, are *rebuilt* on load (O(n log n) per structure) — cheap enough
-  for one process, the dominant cold-start cost for a serving fleet.
-* **Version 2** (legacy) — additionally stores the serialized RMQ
-  payloads (:func:`repro.suffix.rmq.serialize_rmq`: full sparse tables,
-  block positions, summary tables), making cold start O(1) array
-  restores, and defaults to an **uncompressed** zip so the archive can
-  be served **memory-mapped**.  The cost: the serialized sparse tables
-  are O(n log n) words and dominate the archive.
-* **Version 3** (current) — *is* the payload schema
-  (:mod:`repro.payload`): ``index.to_payload()`` flattened into a zip of
-  ``.npy`` members plus a JSON manifest describing the schema tree.
-  There are no per-kind save/load special cases — any structure with
-  ``to_payload`` / ``from_payload`` round-trips — and the RMQ payloads
-  are space-efficient (Fischer–Heun block positions, O(n / log n) words;
-  the cheap top levels are rebuilt on load in O(n/b · log n) work), so a
-  v3 archive is a fraction of the v2 size while keeping the mmap-able
-  uncompressed layout: ``load_index_payload(path, mmap=True)`` maps
-  every stored ``.npy`` member read-only straight out of the archive
-  file — zero copies, and any number of worker processes opening the
-  same archive share one set of physical pages through the OS page cache
-  (the space-conscious serving mode of Gabory et al., arXiv:2403.14256).
-
-Version 1 and 2 archives keep loading through the frozen legacy loaders
-below (any RMQ whose payload is absent is rebuilt), and ``mmap=True``
-degrades gracefully on compressed members (they are decompressed
-eagerly).  Loading an archive with an unknown format or newer version
-fails loudly instead of misinterpreting bytes.
+Format :data:`FORMAT_VERSION` is the only one written or read.  Anything
+else — another file format, a newer version, or an archive of the retired
+formats 1 and 2 — fails with :class:`~repro.exceptions.ValidationError`
+instead of misinterpreting bytes; rebuild the index from its input to
+save it again.
 """
 
 from __future__ import annotations
@@ -57,12 +43,11 @@ import json
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.approximate import ApproximateSubstringIndex, Link
-from ..core.factors import MaximalFactor, TransformedString
+from ..core.approximate import ApproximateSubstringIndex
 from ..core.general_index import GeneralUncertainStringIndex
 from ..core.listing import UncertainStringListingIndex
 from ..core.simple_index import SimpleSpecialIndex
@@ -70,29 +55,15 @@ from ..core.special_index import SpecialUncertainStringIndex
 from ..exceptions import ValidationError
 from ..faults import SITE_ARCHIVE_LOAD, fire
 from ..payload import PAYLOAD_VERSION, IndexPayload, verify_manifest_checksums
-from ..strings.serialization import (
-    collection_from_manifest as _collection_from_manifest,
-    collection_to_manifest as _collection_to_manifest,
-    correlation_rules_from_manifest as _rules_from_manifest,
-    correlation_rules_to_manifest as _rules_to_manifest,
-    special_string_from_manifest as _special_from_manifest,
-    special_string_to_manifest as _special_to_manifest,
-    uncertain_string_from_manifest as _uncertain_from_manifest,
-    uncertain_string_to_manifest as _uncertain_to_manifest,
-)
-from ..suffix.rmq import RMQ_PAYLOAD_VERSION, deserialize_rmq, make_rmq, serialize_rmq
-from ..suffix.suffix_array import SuffixArray
-from ..suffix.suffix_tree import SuffixTree
 
 FORMAT_NAME = "repro-index"
 FORMAT_VERSION = 3
 
-#: Versions :func:`save_index_payload` can still *write* (v1 / v2 for
-#: compatibility testing and old-fleet rollouts, v3 the serving format).
-WRITABLE_VERSIONS = (1, 2, 3)
-
 #: Reserved archive key holding the JSON manifest (UTF-8 bytes).
 MANIFEST_KEY = "__manifest__"
+
+#: Member-name suffix of every array in an archive.
+_NPY = ".npy"
 
 #: Sharded engines persist as a *directory*: one ordinary ``.npz`` archive
 #: per shard plus this JSON manifest describing the partition, so every
@@ -119,8 +90,8 @@ def normalize_archive_path(path: Union[str, Path]) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# IndexPayload currency: the format-3 archive layout and the registry the
-# workers / parallel-construction paths use to rebuild indexes from payloads
+# IndexPayload currency: the archive layout and the registry the workers /
+# parallel-construction paths use to rebuild indexes from payloads
 # ---------------------------------------------------------------------------
 _CLASS_BY_KIND = {kind: cls for cls, kind in _KIND_BY_CLASS.items()}
 
@@ -171,405 +142,6 @@ def index_from_payload(payload: IndexPayload) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# TransformedString round-trip (legacy v1/v2 archive layout)
-# ---------------------------------------------------------------------------
-def _transformed_to_payload(
-    transformed: TransformedString, arrays: Dict[str, np.ndarray], prefix: str
-) -> Dict[str, Any]:
-    arrays[f"{prefix}probabilities"] = transformed.probabilities
-    arrays[f"{prefix}positions"] = transformed.positions
-    arrays[f"{prefix}documents"] = transformed.documents
-    return {
-        "text": transformed.text,
-        "tau_min": transformed.tau_min,
-        "separator": transformed.separator,
-        "source_length": transformed.source_length,
-        "document_count": transformed.document_count,
-    }
-
-
-def _transformed_from_payload(
-    entry: Dict[str, Any], arrays: Dict[str, np.ndarray], prefix: str
-) -> TransformedString:
-    """Rebuild the transformation by recovering its factors from the arrays.
-
-    Factors are delimited by the separator character, so the factor list —
-    and with it every invariant the constructor enforces — is recovered
-    exactly; the constructor then reassembles text and arrays identical to
-    the saved ones.
-    """
-    text: str = entry["text"]
-    separator: str = entry["separator"]
-    probabilities = arrays[f"{prefix}probabilities"]
-    positions = arrays[f"{prefix}positions"]
-    documents = arrays[f"{prefix}documents"]
-    factors: List[MaximalFactor] = []
-    start = 0
-    for index, character in enumerate(text):
-        if character != separator:
-            continue
-        if index > start:
-            document = int(documents[start])
-            factors.append(
-                MaximalFactor(
-                    start=int(positions[start]),
-                    characters=text[start:index],
-                    probabilities=tuple(float(v) for v in probabilities[start:index]),
-                    document=document if document >= 0 else 0,
-                )
-            )
-        start = index + 1
-    return TransformedString(
-        factors,
-        tau_min=entry["tau_min"],
-        source_length=entry["source_length"],
-        document_count=entry["document_count"],
-        separator=separator,
-    )
-
-
-# ---------------------------------------------------------------------------
-# RMQ payloads (version 2 archives; absent keys mean "rebuild on load")
-# ---------------------------------------------------------------------------
-def _save_rmq(arrays: Dict[str, np.ndarray], prefix: str, rmq: Any) -> None:
-    """Store one RMQ's serialized payload under ``prefix``-ed archive keys."""
-    for name, payload in serialize_rmq(rmq).items():
-        arrays[f"{prefix}{name}"] = payload
-
-
-def _save_rmq_map(
-    arrays: Dict[str, np.ndarray], prefix: str, rmq_map: Dict[int, Any]
-) -> None:
-    """Store a per-length RMQ dict (keys ``{prefix}{length}_{name}``)."""
-    for length, rmq in rmq_map.items():
-        _save_rmq(arrays, f"{prefix}{length}_", rmq)
-
-
-def _restore_rmq(
-    values: np.ndarray,
-    arrays: Dict[str, np.ndarray],
-    prefix: str,
-    *,
-    implementation: str = "sparse",
-) -> Any:
-    """Restore (v2) or rebuild (v1) the RMQ stored under ``prefix``.
-
-    When the archive carries the serialized payload the structure is
-    restored without preprocessing; otherwise — a version-1 archive — it
-    is rebuilt from the value array exactly as the original loader did.
-    """
-    payload = {
-        key[len(prefix):]: value
-        for key, value in arrays.items()
-        if key.startswith(prefix)
-    }
-    if payload:
-        return deserialize_rmq(values, payload, mode="max")
-    return make_rmq(values, mode="max", implementation=implementation)
-
-
-# ---------------------------------------------------------------------------
-# Per-kind save / load
-# ---------------------------------------------------------------------------
-def _save_special(
-    index: SpecialUncertainStringIndex,
-    arrays: Dict[str, np.ndarray],
-    include_rmq: bool = True,
-) -> Dict[str, Any]:
-    arrays["suffix_array"] = index._suffix_array.array
-    arrays["prefix"] = index._prefix
-    for length, values in index._short_values.items():
-        arrays[f"short_values_{length}"] = values
-    for length, maxima in index._block_maxima.items():
-        arrays[f"block_maxima_{length}"] = maxima
-    if include_rmq:
-        _save_rmq_map(arrays, "rmq_short_", index._short_rmq)
-        _save_rmq_map(arrays, "rmq_block_", index._block_rmq)
-    return {
-        "string": _special_to_manifest(index._string),
-        "correlations": _rules_to_manifest(index._correlations),
-        "max_short_length": index._max_short_length,
-        "short_lengths": sorted(index._short_values),
-        "block_lengths": sorted(index._block_maxima),
-        "long_pattern_mode": index._long_pattern_mode,
-        "rmq_implementation": index._rmq_implementation,
-    }
-
-
-def _load_special(config: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> SpecialUncertainStringIndex:
-    index = SpecialUncertainStringIndex.__new__(SpecialUncertainStringIndex)
-    index._string = _special_from_manifest(config["string"])
-    index._correlations = _rules_from_manifest(config["correlations"])
-    index._long_pattern_mode = config["long_pattern_mode"]
-    index._rmq_implementation = config["rmq_implementation"]
-    index._suffix_array = SuffixArray(index._string.text, array=arrays["suffix_array"])
-    index._prefix = arrays["prefix"]
-    index._max_short_length = int(config["max_short_length"])
-    implementation = config["rmq_implementation"]
-    index._short_values = {
-        int(length): arrays[f"short_values_{length}"] for length in config["short_lengths"]
-    }
-    index._short_rmq = {
-        length: _restore_rmq(
-            values, arrays, f"rmq_short_{length}_", implementation=implementation
-        )
-        for length, values in index._short_values.items()
-    }
-    index._block_maxima = {
-        int(length): arrays[f"block_maxima_{length}"] for length in config["block_lengths"]
-    }
-    index._block_rmq = {
-        length: _restore_rmq(
-            maxima, arrays, f"rmq_block_{length}_", implementation=implementation
-        )
-        for length, maxima in index._block_maxima.items()
-    }
-    return index
-
-
-def _save_simple(
-    index: SimpleSpecialIndex,
-    arrays: Dict[str, np.ndarray],
-    include_rmq: bool = True,
-) -> Dict[str, Any]:
-    arrays["suffix_array"] = index._suffix_array.array
-    arrays["prefix"] = index._prefix
-    return {
-        "string": _special_to_manifest(index._string),
-        "correlations": _rules_to_manifest(index._correlations),
-    }
-
-
-def _load_simple(config: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> SimpleSpecialIndex:
-    index = SimpleSpecialIndex.__new__(SimpleSpecialIndex)
-    index._string = _special_from_manifest(config["string"])
-    index._correlations = _rules_from_manifest(config["correlations"])
-    index._suffix_array = SuffixArray(index._string.text, array=arrays["suffix_array"])
-    index._prefix = arrays["prefix"]
-    return index
-
-
-def _save_general(
-    index: GeneralUncertainStringIndex,
-    arrays: Dict[str, np.ndarray],
-    include_rmq: bool = True,
-) -> Dict[str, Any]:
-    arrays["suffix_array"] = index._suffix_array.array
-    arrays["lcp"] = index._lcp
-    arrays["prefix"] = index._prefix
-    arrays["rank_positions"] = index._rank_positions
-    for length, values in index._short_values.items():
-        arrays[f"short_values_{length}"] = values
-    for length, values in index._block_values.items():
-        arrays[f"block_values_{length}"] = values
-    for length, maxima in index._block_maxima.items():
-        arrays[f"block_maxima_{length}"] = maxima
-    if include_rmq:
-        _save_rmq_map(arrays, "rmq_short_", index._short_rmq)
-        _save_rmq_map(arrays, "rmq_block_", index._block_rmq)
-    return {
-        "string": _uncertain_to_manifest(index._string),
-        "tau_min": index._tau_min,
-        "transformed": _transformed_to_payload(index._transformed, arrays, "transformed_"),
-        "max_short_length": index._max_short_length,
-        "short_lengths": sorted(index._short_values),
-        "block_lengths": sorted(index._block_maxima),
-        "long_pattern_mode": index._long_pattern_mode,
-        "rmq_implementation": index._rmq_implementation,
-    }
-
-
-def _load_general(config: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> GeneralUncertainStringIndex:
-    index = GeneralUncertainStringIndex.__new__(GeneralUncertainStringIndex)
-    index._string = _uncertain_from_manifest(config["string"])
-    index._tau_min = float(config["tau_min"])
-    index._long_pattern_mode = config["long_pattern_mode"]
-    index._rmq_implementation = config["rmq_implementation"]
-    index._needs_verification = bool(index._string.correlations)
-    index._transformed = _transformed_from_payload(
-        config["transformed"], arrays, "transformed_"
-    )
-    index._suffix_array = SuffixArray(
-        index._transformed.text, array=arrays["suffix_array"]
-    )
-    index._lcp = arrays["lcp"]
-    index._prefix = arrays["prefix"]
-    index._rank_positions = arrays["rank_positions"]
-    index._max_short_length = int(config["max_short_length"])
-    implementation = config["rmq_implementation"]
-    index._short_values = {
-        int(length): arrays[f"short_values_{length}"] for length in config["short_lengths"]
-    }
-    index._short_rmq = {
-        length: _restore_rmq(
-            values, arrays, f"rmq_short_{length}_", implementation=implementation
-        )
-        for length, values in index._short_values.items()
-    }
-    index._block_values = {
-        int(length): arrays[f"block_values_{length}"] for length in config["block_lengths"]
-    }
-    index._block_maxima = {
-        int(length): arrays[f"block_maxima_{length}"] for length in config["block_lengths"]
-    }
-    index._block_rmq = {
-        length: _restore_rmq(
-            maxima, arrays, f"rmq_block_{length}_", implementation=implementation
-        )
-        for length, maxima in index._block_maxima.items()
-    }
-    return index
-
-
-def _save_listing(
-    index: UncertainStringListingIndex,
-    arrays: Dict[str, np.ndarray],
-    include_rmq: bool = True,
-) -> Dict[str, Any]:
-    arrays["suffix_array"] = index._suffix_array.array
-    arrays["lcp"] = index._lcp
-    arrays["prefix"] = index._prefix
-    arrays["rank_positions"] = index._rank_positions
-    arrays["rank_documents"] = index._rank_documents
-    for length, values in index._relevance.items():
-        arrays[f"relevance_{length}"] = values
-    if include_rmq:
-        _save_rmq_map(arrays, "rmq_relevance_", index._relevance_rmq)
-    return {
-        "collection": _collection_to_manifest(index._collection),
-        "tau_min": index._tau_min,
-        "metric": index._metric,
-        "transformed": _transformed_to_payload(index._transformed, arrays, "transformed_"),
-        "max_short_length": index._max_short_length,
-        "relevance_lengths": sorted(index._relevance),
-        "rmq_implementation": index._rmq_implementation,
-    }
-
-
-def _load_listing(config: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> UncertainStringListingIndex:
-    index = UncertainStringListingIndex.__new__(UncertainStringListingIndex)
-    index._collection = _collection_from_manifest(config["collection"])
-    index._tau_min = float(config["tau_min"])
-    index._metric = config["metric"]
-    index._rmq_implementation = config["rmq_implementation"]
-    index._needs_verification = any(
-        bool(document.correlations) for document in index._collection
-    )
-    index._transformed = _transformed_from_payload(
-        config["transformed"], arrays, "transformed_"
-    )
-    index._suffix_array = SuffixArray(
-        index._transformed.text, array=arrays["suffix_array"]
-    )
-    index._lcp = arrays["lcp"]
-    index._prefix = arrays["prefix"]
-    index._rank_positions = arrays["rank_positions"]
-    index._rank_documents = arrays["rank_documents"]
-    index._max_short_length = int(config["max_short_length"])
-    implementation = config["rmq_implementation"]
-    index._relevance = {
-        int(length): arrays[f"relevance_{length}"]
-        for length in config["relevance_lengths"]
-    }
-    index._relevance_rmq = {
-        length: _restore_rmq(
-            values, arrays, f"rmq_relevance_{length}_", implementation=implementation
-        )
-        for length, values in index._relevance.items()
-    }
-    return index
-
-
-def _save_approximate(
-    index: ApproximateSubstringIndex,
-    arrays: Dict[str, np.ndarray],
-    include_rmq: bool = True,
-) -> Dict[str, Any]:
-    arrays["suffix_array"] = index._suffix_array.array
-    arrays["lcp"] = index._tree.lcp
-    arrays["prefix"] = index._prefix
-    arrays["rank_positions"] = index._rank_positions
-    arrays["link_origin_left"] = np.asarray(
-        [link.origin_left for link in index._links], dtype=np.int64
-    )
-    arrays["link_origin_right"] = np.asarray(
-        [link.origin_right for link in index._links], dtype=np.int64
-    )
-    arrays["link_origin_depth"] = np.asarray(
-        [link.origin_depth for link in index._links], dtype=np.int64
-    )
-    arrays["link_target_depth"] = np.asarray(
-        [link.target_depth for link in index._links], dtype=np.int64
-    )
-    arrays["link_position"] = np.asarray(
-        [link.position for link in index._links], dtype=np.int64
-    )
-    arrays["link_probability"] = np.asarray(
-        [link.probability for link in index._links], dtype=np.float64
-    )
-    if include_rmq and index._link_rmq is not None:
-        _save_rmq(arrays, "rmq_links_", index._link_rmq)
-    return {
-        "string": _uncertain_to_manifest(index._string),
-        "tau_min": index._tau_min,
-        "epsilon": index._epsilon,
-        "transformed": _transformed_to_payload(index._transformed, arrays, "transformed_"),
-        "link_count": len(index._links),
-    }
-
-
-def _load_approximate(config: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> ApproximateSubstringIndex:
-    index = ApproximateSubstringIndex.__new__(ApproximateSubstringIndex)
-    index._string = _uncertain_from_manifest(config["string"])
-    index._tau_min = float(config["tau_min"])
-    index._epsilon = float(config["epsilon"])
-    index._transformed = _transformed_from_payload(
-        config["transformed"], arrays, "transformed_"
-    )
-    index._suffix_array = SuffixArray(
-        index._transformed.text, array=arrays["suffix_array"]
-    )
-    index._tree = SuffixTree(index._suffix_array, lcp=arrays["lcp"])
-    index._prefix = arrays["prefix"]
-    index._rank_positions = arrays["rank_positions"]
-    index._links = [
-        Link(
-            origin_left=int(arrays["link_origin_left"][i]),
-            origin_right=int(arrays["link_origin_right"][i]),
-            origin_depth=int(arrays["link_origin_depth"][i]),
-            target_depth=int(arrays["link_target_depth"][i]),
-            position=int(arrays["link_position"][i]),
-            probability=float(arrays["link_probability"][i]),
-        )
-        for i in range(int(config["link_count"]))
-    ]
-    index._link_origin_left = arrays["link_origin_left"]
-    index._link_probabilities = arrays["link_probability"]
-    if len(index._links) > 0:
-        index._link_rmq = _restore_rmq(index._link_probabilities, arrays, "rmq_links_")
-    else:
-        index._link_rmq = None
-    return index
-
-
-_SAVERS = {
-    "special": _save_special,
-    "simple": _save_simple,
-    "general": _save_general,
-    "listing": _save_listing,
-    "approximate": _save_approximate,
-}
-
-_LOADERS = {
-    "special": _load_special,
-    "simple": _load_simple,
-    "general": _load_general,
-    "listing": _load_listing,
-    "approximate": _load_approximate,
-}
-
-
-# ---------------------------------------------------------------------------
 # Archive assembly
 # ---------------------------------------------------------------------------
 def _plan_manifest(plan: Any) -> Dict[str, Any]:
@@ -595,23 +167,16 @@ def save_index_payload(
     plan: Optional[Any],
     path: Union[str, Path],
     *,
-    version: int = FORMAT_VERSION,
-    compress: Optional[bool] = None,
     compact: bool = False,
 ) -> Path:
-    """Write ``index`` (and optionally its plan) to a versioned ``.npz`` archive.
+    """Write ``index`` (and optionally its plan) to an ``.npz`` archive.
 
-    ``version`` selects the archive format: ``3`` (default) writes the
-    index's :class:`~repro.payload.IndexPayload` — stored arrays as
-    ``.npy`` zip members keyed by payload path, the schema tree in the
-    JSON manifest — as an **uncompressed** zip so the archive is
-    memory-mappable; ``2`` and ``1`` reproduce the legacy layouts (full
-    RMQ tables, and compressed rebuild-on-load respectively) for
-    compatibility testing and old-fleet rollouts.  ``compress`` overrides
-    the per-version default (compressed v2/v3 archives remain valid —
-    ``mmap=True`` just degrades to eager decompression for them).
+    The archive holds the index's :class:`~repro.payload.IndexPayload` —
+    stored arrays as ``.npy`` zip members keyed by payload path, the
+    schema tree in the JSON manifest — as an uncompressed zip, so it is
+    memory-mappable.
 
-    ``compact=True`` (version-3 only) writes the dtype-minimized payload
+    ``compact=True`` writes the dtype-minimized payload
     (:meth:`~repro.payload.IndexPayload.compact`): narrowed integers and
     bit-packed booleans on disk, with the logical dtypes recorded in the
     manifest so the inspector and loaders know what was transformed.
@@ -619,104 +184,84 @@ def save_index_payload(
     integer arrays directly and booleans are re-expanded at the single
     consumption boundary.
     """
-    if version not in WRITABLE_VERSIONS:
-        raise ValidationError(
-            f"cannot write archive version {version}; supported: {WRITABLE_VERSIONS}"
-        )
-    if compress is None:
-        compress = version < 2
     path = normalize_archive_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
-    if compact and version < 3:
-        raise ValidationError(
-            f"compact archives require format version >= 3, got {version}"
-        )
-    if version >= 3:
-        payload = index_to_payload(index)
-        if compact:
-            payload = payload.compact()
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": version,
-            "kind": payload_kind(payload),
-            "payload_version": PAYLOAD_VERSION,
-            "payload": payload.manifest(),
-        }
-        if plan is not None:
-            manifest["plan"] = _plan_manifest(plan)
-        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
-        with zipfile.ZipFile(path, "w", compression=compression) as archive:
-            _write_npy_member(
-                archive, MANIFEST_KEY, np.frombuffer(manifest_bytes, dtype=np.uint8)
-            )
-            for key, array in payload.flatten().items():
-                _write_npy_member(archive, key, array)
-        return path
-
-    # Legacy v1 / v2 layouts (frozen).
-    kind = _KIND_BY_CLASS.get(type(index))
-    if kind is None:
-        raise ValidationError(
-            f"cannot serialize a {type(index).__name__}; supported index "
-            f"classes: {sorted(cls.__name__ for cls in _KIND_BY_CLASS)}"
-        )
-    arrays: Dict[str, np.ndarray] = {}
-    config = _SAVERS[kind](index, arrays, include_rmq=version >= 2)
-    if MANIFEST_KEY in arrays:
-        raise ValidationError(f"{MANIFEST_KEY} is a reserved archive key")
-
+    payload = index_to_payload(index)
+    if compact:
+        payload = payload.compact()
     manifest = {
         "format": FORMAT_NAME,
-        "version": version,
-        "kind": kind,
-        "config": config,
+        "version": FORMAT_VERSION,
+        "kind": payload_kind(payload),
+        "payload_version": PAYLOAD_VERSION,
+        "payload": payload.manifest(),
     }
-    if version >= 2:
-        manifest["rmq_payload_version"] = RMQ_PAYLOAD_VERSION
     if plan is not None:
         manifest["plan"] = _plan_manifest(plan)
-    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    arrays[MANIFEST_KEY] = np.frombuffer(payload, dtype=np.uint8)
-
-    writer = np.savez_compressed if compress else np.savez
-    with path.open("wb") as handle:
-        writer(handle, **arrays)
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+        _write_npy_member(
+            archive, MANIFEST_KEY, np.frombuffer(manifest_bytes, dtype=np.uint8)
+        )
+        for key, array in payload.flatten().items():
+            _write_npy_member(archive, key, array)
     return path
 
 
-def _extract_manifest(archive: Any, path: Path) -> Dict[str, Any]:
-    """Decode and validate the manifest entry of an open archive."""
-    if MANIFEST_KEY not in archive:
+def _manifest_int(
+    path: Path, manifest: Dict[str, Any], key: str, default: Optional[int] = None
+) -> int:
+    """The integer ``manifest[key]``; anything else raises ``ValidationError``."""
+    value = manifest.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{path} has a non-integer {key!r} in its manifest: {value!r}")
+    return value
+
+
+def _extract_manifest(arrays: Dict[str, np.ndarray], path: Path) -> Dict[str, Any]:
+    """Decode and validate the manifest member of an archive.
+
+    The one gate in front of every archive read (:func:`load_index_payload`,
+    :func:`read_manifest` and the inspector): anything but a format-3
+    manifest of this package raises :class:`ValidationError`.
+    """
+    if MANIFEST_KEY not in arrays:
         raise ValidationError(f"{path} is not a repro index archive (no manifest)")
-    manifest = json.loads(bytes(archive[MANIFEST_KEY].tolist()).decode("utf-8"))
+    try:
+        manifest = json.loads(bytes(arrays[MANIFEST_KEY].tolist()).decode("utf-8"))
+    except (TypeError, ValueError) as error:
+        raise ValidationError(f"{path} has an unreadable manifest: {error}") from error
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{path} has a manifest that is not a JSON object")
     if manifest.get("format") != FORMAT_NAME:
         raise ValidationError(
             f"{path} has format {manifest.get('format')!r}, expected {FORMAT_NAME!r}"
         )
-    if int(manifest.get("version", -1)) > FORMAT_VERSION:
+    version = _manifest_int(path, manifest, "version")
+    if version < FORMAT_VERSION:
+        raise ValidationError(
+            f"{path} uses retired archive format version {version}; only version "
+            f"{FORMAT_VERSION} is readable — rebuild the index from its input and "
+            "save it again"
+        )
+    if version > FORMAT_VERSION:
         raise ValidationError(
             f"{path} was written by a newer format version "
-            f"({manifest.get('version')} > {FORMAT_VERSION}); upgrade the package"
+            f"({version} > {FORMAT_VERSION}); upgrade the package"
         )
-    if int(manifest.get("rmq_payload_version", RMQ_PAYLOAD_VERSION)) > RMQ_PAYLOAD_VERSION:
-        raise ValidationError(
-            f"{path} carries a newer RMQ payload version "
-            f"({manifest.get('rmq_payload_version')} > {RMQ_PAYLOAD_VERSION}); "
-            "upgrade the package"
-        )
-    if int(manifest.get("payload_version", PAYLOAD_VERSION)) > PAYLOAD_VERSION:
+    payload_version = _manifest_int(path, manifest, "payload_version", PAYLOAD_VERSION)
+    if payload_version > PAYLOAD_VERSION:
         raise ValidationError(
             f"{path} carries a newer payload schema version "
-            f"({manifest.get('payload_version')} > {PAYLOAD_VERSION}); "
-            "upgrade the package"
+            f"({payload_version} > {PAYLOAD_VERSION}); upgrade the package"
         )
+    if not isinstance(manifest.get("payload"), dict):
+        raise ValidationError(f"{path} has no payload schema tree in its manifest")
     return manifest
 
 
 # ---------------------------------------------------------------------------
-# Memory-mapped archive reading (zero-copy serving)
+# Archive reading: one zip pass, memory-mapping stored members on request
 # ---------------------------------------------------------------------------
 def _mmap_member(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
     """Map one *stored* ``.npy`` zip member read-only, without copying.
@@ -766,33 +311,45 @@ def _mmap_member(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
     )
 
 
-def _mmap_archive_arrays(path: Path) -> Dict[str, np.ndarray]:
-    """Open every array of an ``.npz`` archive, memory-mapping stored members.
+def _read_archive(
+    path: Path, *, mmap: bool, manifest_only: bool = False
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """The validated manifest and the arrays of an index archive.
 
-    Stored (uncompressed) members — the version-2 default — come back as
-    read-only :class:`numpy.memmap` views into the archive file; compressed
-    members (legacy version-1 archives, or v2 saved with ``compress=True``)
-    are decompressed eagerly, so the call succeeds on any valid archive.
+    One pass over the zip members: with ``mmap=True`` a stored member
+    comes back as a read-only :class:`numpy.memmap` view into the archive
+    file; every other member is read onto the heap.  ``manifest_only``
+    skips every array member.  A file that is not a zip of ``.npy``
+    members raises :class:`ValidationError`, as does a manifest
+    :func:`_extract_manifest` rejects.
     """
     arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        for info in archive.infolist():
-            if not info.filename.endswith(".npy"):
-                continue
-            key = info.filename[: -len(".npy")]
-            if info.compress_type == zipfile.ZIP_STORED:
-                arrays[key] = _mmap_member(path, info)
-            else:
-                with archive.open(info) as member:
-                    arrays[key] = np.lib.format.read_array(member, allow_pickle=False)
-    return arrays
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for info in archive.infolist():
+                if not info.filename.endswith(_NPY):
+                    continue
+                key = info.filename[: -len(_NPY)]
+                if manifest_only and key != MANIFEST_KEY:
+                    continue
+                if mmap and info.compress_type == zipfile.ZIP_STORED:
+                    arrays[key] = _mmap_member(path, info)
+                else:
+                    with archive.open(info) as member:
+                        arrays[key] = np.lib.format.read_array(member, allow_pickle=False)
+    except ValidationError:
+        raise
+    except (zipfile.BadZipFile, ValueError) as error:
+        raise ValidationError(f"{path} is not a repro index archive: {error}") from error
+    manifest = _extract_manifest(arrays, path)
+    del arrays[MANIFEST_KEY]
+    return manifest, arrays
 
 
 def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and validate the JSON manifest of a saved index archive."""
     path = normalize_archive_path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        return _extract_manifest(archive, path)
+    return _read_archive(path, mmap=False, manifest_only=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +366,6 @@ def save_sharded_payload(
     spec: Any,
     plan: Any,
     path: Union[str, Path],
-    *,
-    version: int = FORMAT_VERSION,
 ) -> Path:
     """Write a sharded engine to a directory of shard archives + manifest.
 
@@ -836,12 +391,12 @@ def save_sharded_payload(
     shard_files: List[str] = []
     for ordinal, engine in enumerate(shard_engines):
         name = f"shard-{ordinal:04d}.npz"
-        save_index_payload(engine.index, engine.plan, path / name, version=version)
+        save_index_payload(engine.index, engine.plan, path / name)
         shard_files.append(name)
     manifest = {
         "format": SHARDED_FORMAT_NAME,
         "version": SHARDED_FORMAT_VERSION,
-        "archive_version": version,
+        "archive_version": FORMAT_VERSION,
         "kind": plan.kind,
         "spec": {
             "mode": spec.mode,
@@ -890,11 +445,6 @@ def read_sharded_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 class ShardedArchive:
     """Named result of :func:`load_sharded_payload`.
 
-    PR 4 grew the old 2-tuple return into a 4-tuple, silently breaking
-    every unpacking call site; this type makes the next format change
-    additive instead.  Tuple unpacking keeps working (iteration yields the
-    four fields in the historical order), but prefer the named fields.
-
     Attributes
     ----------
     payloads:
@@ -914,18 +464,13 @@ class ShardedArchive:
     plan: Any
     shard_paths: List[Path]
 
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.payloads, self.spec, self.plan, self.shard_paths))
-
 
 def load_sharded_payload(
     path: Union[str, Path], *, mmap: bool = False
 ) -> ShardedArchive:
     """Restore a sharded archive as a :class:`ShardedArchive`.
 
-    The result unpacks as the historical
-    ``(payloads, spec, plan, shard_paths)`` 4-tuple and exposes the same
-    data as named fields.  ``mmap=True`` opens every shard archive
+    ``mmap=True`` opens every shard archive
     memory-mapped (see :func:`load_index_payload`) — the mode the process
     workers use so every process's view of a shard shares the same
     physical pages.
@@ -971,18 +516,17 @@ def load_index_payload(
 
     With ``mmap=True`` the heavy arrays are opened as read-only memory
     maps into the archive file instead of copied onto the heap: cold start
-    does no array materialization at all (version-2 archives additionally
-    skip the RMQ rebuild via their serialized payloads), and concurrent
-    worker processes mapping the same archive share one physical copy of
-    the data through the OS page cache.  Compressed members degrade to an
-    eager load, so the flag is safe on any valid archive.
+    does no array materialization at all, and concurrent worker processes
+    mapping the same archive share one physical copy of the data through
+    the OS page cache.  Compressed members degrade to an eager read, so
+    the flag is safe on any valid archive.
 
-    ``verify`` controls per-array crc32 checking against the checksums a
-    format-3 manifest records (see :func:`repro.payload.array_checksum`);
-    a corrupt member raises :class:`~repro.exceptions.ValidationError`.
-    The default verifies eager loads and skips memory-mapped ones —
-    checksumming would fault in every page and defeat the zero-copy cold
-    start — but ``verify=True`` forces the check even under ``mmap``.
+    ``verify`` controls per-array crc32 checking against the checksums the
+    manifest records (see :func:`repro.payload.array_checksum`); a corrupt
+    member raises :class:`~repro.exceptions.ValidationError`.  The default
+    verifies eager loads and skips memory-mapped ones — checksumming would
+    fault in every page and defeat the zero-copy cold start — but
+    ``verify=True`` forces the check even under ``mmap``.
 
     The plan is rebuilt from the manifest (kind, reason, profile) so a
     loaded engine still explains itself; the reason notes the archive it
@@ -995,37 +539,19 @@ def load_index_payload(
     # inherited an installed plan (see repro.faults).
     fire(SITE_ARCHIVE_LOAD)
     path = normalize_archive_path(path)
-    if mmap:
-        try:
-            arrays = _mmap_archive_arrays(path)
-        except zipfile.BadZipFile as error:
-            raise ValidationError(f"{path} is not a repro index archive: {error}")
-        manifest = _extract_manifest(arrays, path)
-        arrays.pop(MANIFEST_KEY, None)
-    else:
-        # One pass over the archive: manifest and arrays together.
-        with np.load(path, allow_pickle=False) as archive:
-            manifest = _extract_manifest(archive, path)
-            arrays = {key: archive[key] for key in archive.files if key != MANIFEST_KEY}
-    kind = manifest["kind"]
-    if int(manifest.get("version", 0)) >= 3:
-        # Format 3: the archive *is* the payload schema — reassemble the
-        # payload from the manifest's schema tree and the (possibly
-        # memory-mapped) arrays, then let the index rebuild itself.  No
-        # per-kind special cases.
-        if verify or (verify is None and not mmap):
-            verify_manifest_checksums(manifest["payload"], arrays)
-        payload = IndexPayload.from_manifest(manifest["payload"], arrays)
-        index = index_from_payload(payload)
-    else:
-        if kind not in _LOADERS:
-            raise ValidationError(f"{path} holds unknown index kind {kind!r}")
-        index = _LOADERS[kind](manifest["config"], arrays)
+    manifest, arrays = _read_archive(path, mmap=mmap)
+    # The archive *is* the payload schema: reassemble the payload from the
+    # manifest's schema tree and the (possibly memory-mapped) arrays, then
+    # let the index rebuild itself.
+    if verify or (verify is None and not mmap):
+        verify_manifest_checksums(manifest["payload"], arrays)
+    payload = IndexPayload.from_manifest(manifest["payload"], arrays)
+    index = index_from_payload(payload)
 
     saved_plan = manifest.get("plan") or {}
     source_note = f" [loaded from {path.name}, mmap]" if mmap else f" [loaded from {path.name}]"
     plan = IndexPlan(
-        kind=kind,
+        kind=payload_kind(payload),
         tau_min=float(saved_plan.get("tau_min", getattr(index, "tau_min", 0.0))),
         reason=saved_plan.get("reason", "") + source_note,
         options={},

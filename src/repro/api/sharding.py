@@ -103,7 +103,6 @@ from .batch import WindowEvaluator
 from .cache import DEFAULT_CACHE_SIZE, ResultCache
 from .engine import Engine, QueryEngine, build_index
 from .persistence import (
-    FORMAT_VERSION,
     index_from_payload,
     index_to_payload,
     load_sharded_payload,
@@ -1090,13 +1089,9 @@ class ShardedEngine(QueryEngine):
         )
 
     # -- persistence -------------------------------------------------------------------
-    def save(
-        self, path: Union[str, Path], *, version: int = FORMAT_VERSION
-    ) -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Serialize the ensemble to a directory of shard archives + manifest."""
-        return save_sharded_payload(
-            self._engines, self._spec, self._plan, path, version=version
-        )
+        return save_sharded_payload(self._engines, self._spec, self._plan, path)
 
     @classmethod
     def load(

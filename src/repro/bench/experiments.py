@@ -846,49 +846,38 @@ def shard_build(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
 
 
 def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
-    """Coalesced async serving vs naive sequential, plus cold-start timings.
+    """Coalesced async serving vs naive sequential QPS.
 
-    Two serving questions per collection size, four series:
-
-    * **QPS** — the same repeated-pattern request stream (every pattern
-      asked at every threshold of the τ grid, replayed by 8 simulated
-      users) answered (a) naively, one blocking ``engine.search`` per
-      request, and (b) through :class:`~repro.serving.AsyncSearchService`,
-      which coalesces the concurrent submissions into micro-batched
-      ``search_many`` calls — deduplication and same-pattern threshold
-      refinement amortize across the simulated users.  Result caching is
-      disabled on both sides, so the gap measures *coalescing*, not cache
-      hits.
-    * **Cold start** — the same engine saved as a legacy version-1 archive
-      (compressed, RMQ rebuilt on load) and as a version-2 archive
-      (serialized RMQ payloads, loaded with ``mmap=True``): time for
-      ``load_index`` to return a servable engine.
+    The same repeated-pattern request stream (every pattern asked at every
+    threshold of the τ grid, replayed by 8 simulated users) is answered
+    (a) naively, one blocking ``engine.search`` per request, and (b)
+    through :class:`~repro.serving.AsyncSearchService`, which coalesces
+    the concurrent submissions into micro-batched ``search_many`` calls —
+    deduplication and same-pattern threshold refinement amortize across
+    the simulated users.  Result caching is disabled on both sides, so the
+    gap measures *coalescing*, not cache hits.
     """
     import asyncio
-    import tempfile
-    from pathlib import Path
 
-    from ..api.engine import Engine, load_index
+    from ..api.engine import Engine
     from ..api.requests import SearchRequest
     from ..serving import AsyncSearchService
 
     users = 8
     table = FigureTable(
         figure_id="serving-throughput",
-        title="AsyncSearchService: coalesced vs naive QPS, and cold-start time",
+        title="AsyncSearchService: coalesced vs naive QPS",
         x_label="collection positions",
         y_label="see series label",
         notes=(
             f"listing engine, theta={scale.thetas[-1]}, tau_min={scale.tau_min}, "
             f"each pattern at taus {scale.tau_grid}, {users} simulated users, "
-            "caches disabled; cold start averaged over 2 loads"
+            "caches disabled"
         ),
     )
     theta = scale.thetas[-1]
     naive_series = Series("naive sequential (req/s)")
     coalesced_series = Series("coalesced service (req/s)")
-    cold_v1_series = Series("cold start v1 rebuild (ms)")
-    cold_v2_series = Series("cold start v2 mmap (ms)")
     for n in scale.collection_sizes:
         work = listing_workload(
             n,
@@ -925,25 +914,7 @@ def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         )
         naive_series.add(n, len(requests) / max(naive_elapsed, 1e-9))
         coalesced_series.add(n, len(requests) / max(coalesced_elapsed, 1e-9))
-
-        with tempfile.TemporaryDirectory() as scratch:
-            v2_path = engine.save(Path(scratch) / "v2", version=2)
-            v1_path = engine.save(Path(scratch) / "v1", version=1)
-            cold_v1_series.add(
-                n,
-                1000.0
-                * time_callable(lambda: load_index(v1_path), repeats=2, warmup=1),
-            )
-            cold_v2_series.add(
-                n,
-                1000.0
-                * time_callable(
-                    lambda: load_index(v2_path, mmap=True), repeats=2, warmup=1
-                ),
-            )
-    table.series.extend(
-        [naive_series, coalesced_series, cold_v1_series, cold_v2_series]
-    )
+    table.series.extend([naive_series, coalesced_series])
     return table
 
 
@@ -1042,7 +1013,7 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
     """What the observability layer costs: QPS/latency per telemetry mode.
 
     The same engine, profile, and in-process HTTP transport as
-    ``network-serving`` (single replica), run three times:
+    ``network-serving`` (single replica), in three modes:
 
     * **mode 0 — tracing off**: the always-on metrics registry only (every
       counter in the serving stack goes through ``repro.obs``); no trace
@@ -1055,11 +1026,19 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
       appended at each stage and trees are assembled and echoed per
       response.
 
-    Six series over the mode index: QPS and p50/p99 latency, plus QPS and
-    p99 expressed as a ratio to mode 0 — the regression record for "the
-    observability layer is (near) free until you turn it on".
+    One service serves all three modes, interleaved round by round, and
+    each mode's QPS pools its rounds (total requests over total elapsed
+    time).  A single short run's QPS swings by ±25% with where the OS
+    schedules a fresh service's executor thread, so one service per mode
+    measured thread placement as much as telemetry cost.
+
+    Six series over the mode index: QPS and p50/p99 latency (the median
+    round's), plus QPS and p99 expressed as a ratio to mode 0 — the
+    regression record for "the observability layer is (near) free until
+    you turn it on".
     """
     import asyncio
+    import statistics
 
     from ..api.engine import Engine
     from ..obs import SlowQueryLog
@@ -1068,6 +1047,7 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
 
     concurrency = 8
     requests = 100 * scale.query_repeats
+    rounds = 9
     table = FigureTable(
         figure_id="obs-overhead",
         title="Observability overhead: QPS and latency per telemetry mode",
@@ -1076,9 +1056,11 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
         notes=(
             f"listing engine, theta={scale.thetas[-1]}, tau_min={scale.tau_min}, "
             f"n={scale.fixed_collection_size}; closed-loop load generator, "
-            f"{requests} requests, concurrency {concurrency}, taus {scale.tau_grid}, "
-            "in-process HTTP transport, caches disabled; one warm-up run per mode "
-            "is discarded"
+            f"{requests} requests per run, concurrency {concurrency}, taus "
+            f"{scale.tau_grid}, in-process HTTP transport, caches disabled; one "
+            f"service runs the modes interleaved over {rounds} rounds after one "
+            "discarded warm-up round; QPS pools each mode's rounds, latencies "
+            "are the median round's"
         ),
     )
     theta = scale.thetas[-1]
@@ -1102,57 +1084,65 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
             debug_trace=debug_trace,
         )
 
-    def run_mode(debug_trace: bool, scrape: bool, slow_log_capacity: int) -> "dict":
-        slow_log = SlowQueryLog(slow_log_capacity) if slow_log_capacity else None
+    async def run_mode(app: SearchHttpApp, debug_trace: bool, scrape: bool) -> "dict":
+        stop = asyncio.Event()
 
-        async def go() -> "dict":
-            async with AsyncSearchService(
-                engine, max_wait_ms=1.0, max_batch=concurrency,
-                max_pending=4 * concurrency,
-            ) as service:
-                app = SearchHttpApp(service, slow_log=slow_log)
-                stop = asyncio.Event()
+        async def scraper() -> None:
+            # 100 scrapes/s — already orders of magnitude denser than a
+            # real Prometheus interval, without turning the experiment
+            # into a benchmark of the scraper itself.
+            while not stop.is_set():
+                await app.dispatch("GET", "/metrics")
+                await asyncio.sleep(0.01)
 
-                async def scraper() -> None:
-                    # 100 scrapes/s — already orders of magnitude denser
-                    # than a real Prometheus interval, without turning the
-                    # experiment into a benchmark of the scraper itself.
-                    while not stop.is_set():
-                        await app.dispatch("GET", "/metrics")
-                        await asyncio.sleep(0.01)
+        task = asyncio.ensure_future(scraper()) if scrape else None
+        try:
+            report = await run_load(app.dispatch, make_profile(debug_trace))
+        finally:
+            stop.set()
+            if task is not None:
+                await task
+        return report.to_dict()
 
-                task = asyncio.ensure_future(scraper()) if scrape else None
-                try:
-                    report = await run_load(app.dispatch, make_profile(debug_trace))
-                finally:
-                    stop.set()
-                    if task is not None:
-                        await task
-                return report.to_dict()
+    # (mode, debug_trace, scrape, slow-log capacity)
+    modes = ((0, False, False, 0), (1, False, True, 0), (2, True, True, 8))
 
-        asyncio.run(go())  # warm-up: JIT caches, thread pools, allocator
-        return asyncio.run(go())
+    async def measure() -> "Dict[int, List[dict]]":
+        async with AsyncSearchService(
+            engine, max_wait_ms=1.0, max_batch=concurrency,
+            max_pending=4 * concurrency,
+        ) as service:
+            apps = {
+                mode: SearchHttpApp(
+                    service, slow_log=SlowQueryLog(capacity) if capacity else None
+                )
+                for mode, _, _, capacity in modes
+            }
+            reports: Dict[int, List[dict]] = {mode: [] for mode, *_ in modes}
+            for round_index in range(rounds + 1):
+                for mode, debug_trace, scrape, _ in modes:
+                    report = await run_mode(apps[mode], debug_trace, scrape)
+                    if round_index:  # round 0 warms caches, threads, allocator
+                        reports[mode].append(report)
+            return reports
 
-    modes = (
-        (0, dict(debug_trace=False, scrape=False, slow_log_capacity=0)),
-        (1, dict(debug_trace=False, scrape=True, slow_log_capacity=0)),
-        (2, dict(debug_trace=True, scrape=True, slow_log_capacity=8)),
-    )
+    reports = asyncio.run(measure())
     qps_series = Series("QPS (req/s)")
     p50_series = Series("p50 latency (ms)")
     p99_series = Series("p99 latency (ms)")
     qps_ratio = Series("QPS vs tracing-off (ratio)")
     p99_ratio = Series("p99 vs tracing-off (ratio)")
     baseline: Dict[str, float] = {}
-    for mode, kwargs in modes:
-        report = run_mode(**kwargs)
-        qps = report["qps"]
-        p99 = report["latency_ms"]["p99"]
+    for mode, *_ in modes:
+        runs = reports[mode]
+        elapsed = sum(run["elapsed_s"] for run in runs)
+        qps = sum(run["requests"] for run in runs) / elapsed if elapsed > 0 else 0.0
+        p99 = statistics.median(run["latency_ms"]["p99"] for run in runs)
         if mode == 0:
             baseline["qps"] = qps
             baseline["p99"] = p99
         qps_series.add(mode, qps)
-        p50_series.add(mode, report["latency_ms"]["p50"])
+        p50_series.add(mode, statistics.median(run["latency_ms"]["p50"] for run in runs))
         p99_series.add(mode, p99)
         qps_ratio.add(mode, qps / baseline["qps"] if baseline["qps"] else 0.0)
         p99_ratio.add(mode, p99 / baseline["p99"] if baseline["p99"] else 0.0)
@@ -1162,95 +1152,12 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
     return table
 
 
-def archive_size(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
-    """Archive format v2 vs v3: bytes on disk and mmap cold-start time.
-
-    Reference workload: the paper's headline structure — a
-    :class:`~repro.core.special_index.SpecialUncertainStringIndex` with
-    its sparse-table RMQ tower — over a synthetic special uncertain
-    string (4-letter alphabet, uniform [0.5, 1) probabilities, seeded per
-    size).  This is the workload where the format change matters most:
-    a v2 archive serializes every level's full O(n log n)-word sparse
-    table, a v3 archive only the Fischer–Heun block positions
-    (O(n / log n) words per structure), so v3 is expected to be a small
-    fraction of v2 — the CI perf smoke guards v3 ≤ 0.6 × v2 — while cold
-    start stays flat (the summary tables rebuilt on load are
-    O(n/b · log n) gathers).
-
-    Five series over the string sizes of the scale: archive bytes for
-    both versions, their ratio, and the median ``load_index(mmap=True)``
-    wall-clock for both (plus the v1 rebuild-on-load time for context).
-    """
-    import tempfile
-    import time as time_module
-    from pathlib import Path
-
-    import numpy as np
-
-    from ..api.engine import build_index, load_index
-    from ..strings.special import SpecialUncertainString
-
-    table = FigureTable(
-        figure_id="archive-size",
-        title="Archive v2 vs v3: size on disk and mmap cold start",
-        x_label="string positions",
-        y_label="see series label",
-        notes=(
-            "special index (sparse RMQ tower) over a synthetic special "
-            "uncertain string, alphabet ACGT, probabilities ~U[0.5, 1); "
-            "cold start = min of 5 load_index calls after 1 warmup "
-            "(mmap=True for v2/v3, eager rebuild for v1)"
-        ),
-    )
-    v2_bytes = Series("archive v2 (bytes)")
-    v3_bytes = Series("archive v3 (bytes)")
-    ratio = Series("v3 / v2 size (x)")
-    cold_v1 = Series("cold start v1 rebuild (ms)")
-    cold_v2 = Series("cold start v2 mmap (ms)")
-    cold_v3 = Series("cold start v3 mmap (ms)")
-
-    def best_load_ms(path: Path, mmap: bool) -> float:
-        # Min-of-5 after a warmup: the standard noise-robust cold-start
-        # estimator — scheduling hiccups and page-cache churn only ever
-        # inflate a sample, so the minimum is the cleanest observation.
-        load_index(path, mmap=mmap)
-        samples = []
-        for _ in range(5):
-            started = time_module.perf_counter()
-            load_index(path, mmap=mmap)
-            samples.append((time_module.perf_counter() - started) * 1000.0)
-        return min(samples)
-
-    for n in scale.string_sizes:
-        rng = np.random.default_rng(1234 + n)
-        characters = rng.choice(list("ACGT"), size=n)
-        probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
-        string = SpecialUncertainString(
-            [(c, float(p)) for c, p in zip(characters, probabilities)]
-        )
-        engine = build_index(string)
-        with tempfile.TemporaryDirectory() as scratch:
-            v1_path = engine.save(Path(scratch) / "v1", version=1)
-            v2_path = engine.save(Path(scratch) / "v2", version=2)
-            v3_path = engine.save(Path(scratch) / "v3", version=3)
-            size_v2 = v2_path.stat().st_size
-            size_v3 = v3_path.stat().st_size
-            v2_bytes.add(n, float(size_v2))
-            v3_bytes.add(n, float(size_v3))
-            ratio.add(n, size_v3 / size_v2)
-            cold_v1.add(n, best_load_ms(v1_path, mmap=False))
-            cold_v2.add(n, best_load_ms(v2_path, mmap=True))
-            cold_v3.add(n, best_load_ms(v3_path, mmap=True))
-    table.series.extend([v2_bytes, v3_bytes, ratio, cold_v1, cold_v2, cold_v3])
-    return table
-
-
 def memory_frontier(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     """The in-RAM half of the space frontier: compact payloads + shm workers.
 
-    Reference workload: the same synthetic special uncertain string the
-    ``archive-size`` experiment uses (alphabet ACGT, probabilities
-    ~U[0.5, 1), seeded per size).  Three questions, one series each:
+    Reference workload: a synthetic special uncertain string (alphabet
+    ACGT, probabilities ~U[0.5, 1), seeded per size).  Three questions,
+    one series each:
 
     * **In-RAM footprint** — ``build_index(...)`` vs
       ``build_index(..., compact=True)``: dtype-minimized stored arrays
@@ -1386,7 +1293,6 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], FigureTable]] = {
     "serving-throughput": serving_throughput,
     "network-serving": network_serving,
     "observability-overhead": observability_overhead,
-    "archive-size": archive_size,
     "memory-frontier": memory_frontier,
 }
 

@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Un
 import numpy as np
 
 from .._validation import check_threshold
+from ..exceptions import ValidationError
 from ..payload import IndexPayload
 
 #: Smallest threshold substituted when a ``top_k`` caller passes ``tau=None``
@@ -385,26 +386,21 @@ def top_values_above_threshold(
 
 
 def restore_child_rmq(
-    payload: IndexPayload,
-    name: str,
-    values: np.ndarray,
-    *,
-    implementation: str = "sparse",
+    payload: IndexPayload, name: str, values: np.ndarray
 ) -> "SupportsRangeMaximum":
-    """Restore (or rebuild) the RMQ stored as child ``name`` of ``payload``.
+    """Restore the RMQ stored as child ``name`` of ``payload``.
 
-    When the child payload is present the structure restores in
-    O(n/b · log n) work through :func:`repro.suffix.rmq.rmq_from_payload`;
-    an absent child — a payload assembled from a legacy version-1 archive —
-    falls back to rebuilding from the value array, exactly as the original
-    loader did.
+    The structure restores in O(n/b · log n) work through
+    :func:`repro.suffix.rmq.rmq_from_payload`.  A payload without that
+    child (a truncated or hand-edited archive manifest) raises
+    :class:`~repro.exceptions.ValidationError`.
     """
-    from ..suffix.rmq import make_rmq, rmq_from_payload
+    from ..suffix.rmq import rmq_from_payload
 
     child = payload.children.get(name)
-    if child is not None:
-        return rmq_from_payload(values, child)
-    return make_rmq(values, mode="max", implementation=implementation)
+    if child is None:
+        raise ValidationError(f"{payload.schema!r} payload has no {name!r} RMQ child")
+    return rmq_from_payload(values, child)
 
 
 class PayloadSerializable:
@@ -499,8 +495,6 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
         planner-substitutable indexes (e.g. special vs simple) agree.
         """
         if k <= 0:
-            from ..exceptions import ValidationError
-
             raise ValidationError(f"k must be positive, got {k}")
         # An explicit tau below the construction threshold is an error, the
         # same one the overriding indexes raise — the clamp below is only a

@@ -333,15 +333,12 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         index._prefix = payload.arrays["prefix"]
         index._rank_positions = payload.arrays["rank_positions"]
         index._max_short_length = int(meta["max_short_length"])
-        implementation = meta["rmq_implementation"]
         index._short_values = {
             int(length): payload.arrays[f"short_values_{length}"]
             for length in meta["short_lengths"]
         }
         index._short_rmq = {
-            length: restore_child_rmq(
-                payload, f"rmq_short_{length}", values, implementation=implementation
-            )
+            length: restore_child_rmq(payload, f"rmq_short_{length}", values)
             for length, values in index._short_values.items()
         }
         index._block_values = {
@@ -353,9 +350,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             for length in meta["block_lengths"]
         }
         index._block_rmq = {
-            length: restore_child_rmq(
-                payload, f"rmq_block_{length}", maxima, implementation=implementation
-            )
+            length: restore_child_rmq(payload, f"rmq_block_{length}", maxima)
             for length, maxima in index._block_maxima.items()
         }
         return index

@@ -377,18 +377,12 @@ class UncertainStringListingIndex(PayloadSerializable):
         index._rank_positions = payload.arrays["rank_positions"]
         index._rank_documents = payload.arrays["rank_documents"]
         index._max_short_length = int(meta["max_short_length"])
-        implementation = meta["rmq_implementation"]
         index._relevance = {
             int(length): payload.arrays[f"relevance_{length}"]
             for length in meta["relevance_lengths"]
         }
         index._relevance_rmq = {
-            length: restore_child_rmq(
-                payload,
-                f"rmq_relevance_{length}",
-                values,
-                implementation=implementation,
-            )
+            length: restore_child_rmq(payload, f"rmq_relevance_{length}", values)
             for length, values in index._relevance.items()
         }
         return index

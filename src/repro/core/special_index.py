@@ -247,8 +247,7 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
     def from_payload(cls, payload: IndexPayload) -> "SpecialUncertainStringIndex":
         """Restore an index from :meth:`to_payload` output (no construction).
 
-        A missing RMQ child (legacy version-1 archives) is rebuilt from its
-        value array; present children restore through
+        Every RMQ child restores through
         :func:`repro.suffix.rmq.rmq_from_payload` in O(n/b · log n) work.
         """
         expect_schema(payload, SPECIAL_INDEX_SCHEMA)
@@ -267,11 +266,8 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             int(length): payload.arrays[f"short_values_{length}"]
             for length in meta["short_lengths"]
         }
-        implementation = meta["rmq_implementation"]
         index._short_rmq = {
-            length: restore_child_rmq(
-                payload, f"rmq_short_{length}", values, implementation=implementation
-            )
+            length: restore_child_rmq(payload, f"rmq_short_{length}", values)
             for length, values in index._short_values.items()
         }
         index._block_maxima = {
@@ -279,9 +275,7 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             for length in meta["block_lengths"]
         }
         index._block_rmq = {
-            length: restore_child_rmq(
-                payload, f"rmq_block_{length}", maxima, implementation=implementation
-            )
+            length: restore_child_rmq(payload, f"rmq_block_{length}", maxima)
             for length, maxima in index._block_maxima.items()
         }
         return index

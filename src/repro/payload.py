@@ -11,9 +11,8 @@ Everything that moves an index across a boundary speaks payload:
 
 * ``to_payload()`` / ``from_payload()`` on the five index kinds and both
   RMQ implementations define *in one place* what each structure is made of;
-* :mod:`repro.api.persistence` archive format 3 is exactly the payload
-  schema written as a zip of ``.npy`` members (memory-mappable when
-  uncompressed);
+* a :mod:`repro.api.persistence` archive is exactly the payload schema
+  written as an uncompressed (memory-mappable) zip of ``.npy`` members;
 * :mod:`repro.api.workers` ships payloads — not pickled index objects —
   to initialize process workers, and the parallel shard *construction*
   path returns ``(payload, plan)`` pairs from its worker processes;
@@ -25,9 +24,8 @@ persisted truth — they are written to archives and shipped across process
 boundaries.  **Derived** arrays (``derived``) are runtime-only
 acceleration structures that ``from_payload`` rebuilds cheaply (e.g. the
 block-summary sparse table of a restored RMQ); they count toward the
-in-memory footprint but are never serialized — which is exactly how the
-format-3 archives drop the O(n log n)-word sparse tables the format-2
-archives still shipped.
+in-memory footprint but are never serialized — which is how archives
+avoid storing O(n log n)-word sparse tables.
 """
 
 from __future__ import annotations
@@ -106,8 +104,6 @@ SCHEMA_REGISTRY: Dict[str, str] = {
     "index/listing": "document-listing index over an uncertain collection",
     "rmq/sparse": "compact block-position RMQ (restores CompactRMQ)",
     "rmq/block": "block RMQ; the summary table is rebuilt on restore",
-    "rmq/sparse-table": "legacy full sparse-table RMQ (version-2 archives)",
-    "rmq/block-table": "legacy block RMQ with stored summary table",
     "transformed": "maximal-factor transformation of a general string",
 }
 

@@ -8,15 +8,12 @@ from .generalized import (
 from .lcp import LCPArray, build_lcp_array, naive_lcp_array
 from .pattern_search import count_occurrences, occurrence_positions, suffix_range
 from .rmq import (
-    RMQ_PAYLOAD_VERSION,
     BlockRMQ,
     CompactRMQ,
     SparseTableRMQ,
-    deserialize_rmq,
     make_rmq,
     rmq_from_payload,
     rmq_to_payload,
-    serialize_rmq,
 )
 from .suffix_array import (
     SuffixArray,
@@ -33,19 +30,16 @@ __all__ = [
     "DEFAULT_SEPARATOR",
     "GeneralizedSuffixStructure",
     "LCPArray",
-    "RMQ_PAYLOAD_VERSION",
     "SparseTableRMQ",
     "SuffixArray",
     "SuffixTree",
     "build_lcp_array",
     "build_suffix_array",
     "count_occurrences",
-    "deserialize_rmq",
     "inverse_suffix_array",
     "make_rmq",
     "rmq_from_payload",
     "rmq_to_payload",
-    "serialize_rmq",
     "naive_lcp_array",
     "naive_suffix_array",
     "occurrence_positions",

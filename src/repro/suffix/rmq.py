@@ -20,14 +20,14 @@ minimum queries.  Queries return the **position** of the optimum, matching
 how the paper uses RMQ (the value is then validated against the cumulative
 probability array).
 
-Both implementations are pure functions of their value array, so they can
-be **serialized** — :func:`serialize_rmq` extracts the preprocessed arrays
-(the sparse table; the block-optimum positions plus the summary table) and
-:func:`deserialize_rmq` restores the structure in O(1) work over the array
-views, without re-running the O(n log n) preprocessing.  The payload layout
-is versioned (:data:`RMQ_PAYLOAD_VERSION`) so the persistence layer can
-evolve it without misreading old archives.  The restore path accepts
-read-only (memory-mapped) arrays: queries never write.
+Both implementations are pure functions of their value array, so their
+payloads (:func:`rmq_to_payload`) store only the leftmost-optimum position
+of every ``~log2 n``-wide block — O(n / log n) words, Fischer–Heun style.
+:func:`rmq_from_payload` rebuilds the sparse table over the block optima
+(O(n/b · log n) work) instead of re-running the O(n log n)
+preprocessing; a sparse table restores as :class:`CompactRMQ`, which
+answers identically.  The restore path accepts read-only (memory-mapped)
+arrays: queries never write.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 # Python work is only allowed in construction and the *_scalar references.
 
 import math
-from typing import Dict, Literal, Optional, Sequence, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,20 +45,11 @@ from ..payload import IndexPayload
 
 Mode = Literal["max", "min"]
 
-#: Version of the array payload produced by :func:`serialize_rmq`; bumped
-#: whenever the set or meaning of the payload arrays changes.
-RMQ_PAYLOAD_VERSION = 1
-
-#: Payload schemas (:mod:`repro.payload`).  ``rmq/sparse`` and
-#: ``rmq/block`` are the space-efficient Fischer–Heun-style payloads of
-#: :meth:`SparseTableRMQ.to_payload` / :meth:`BlockRMQ.to_payload` — block
-#: optimum positions only, O(n / block_size) words; the ``*-table``
-#: schemas describe the legacy version-2 archive layout (full serialized
-#: tables) so :func:`rmq_from_payload` can restore either.
+#: Payload schemas (:mod:`repro.payload`) of :meth:`SparseTableRMQ.to_payload`
+#: / :meth:`BlockRMQ.to_payload`: block optimum positions only,
+#: O(n / block_size) words.
 RMQ_SCHEMA_SPARSE = "rmq/sparse"
 RMQ_SCHEMA_BLOCK = "rmq/block"
-RMQ_SCHEMA_SPARSE_TABLE = "rmq/sparse-table"
-RMQ_SCHEMA_BLOCK_TABLE = "rmq/block-table"
 
 
 def _prepare_values(values: Sequence[float], mode: Mode) -> np.ndarray:
@@ -153,6 +144,30 @@ def _block_optimum_positions(
     return np.arange(block_count, dtype=np.int64) * block_size + offsets
 
 
+def _checked_block_positions(
+    values: np.ndarray, block_size: int, mode: Mode, stored: Optional[np.ndarray]
+) -> np.ndarray:
+    """``stored`` block optimum positions, shape-checked; computed when ``None``.
+
+    Stored positions come from a payload written over the same ``values``
+    (see :func:`rmq_from_payload`).  Only their shape is validated;
+    contents are trusted — archives are gated by per-array checksums, and
+    the fuzz suite pins restored structures to answer identically to
+    rebuilt ones.  Memory-mapped positions are used as-is, zero-copy.
+    """
+    if stored is None:
+        return _block_optimum_positions(values, block_size, mode)
+    positions = _as_position_array(stored)
+    block_count = (len(values) + block_size - 1) // block_size
+    if positions.shape != (block_count,):
+        raise ValidationError(
+            f"serialized block positions have shape {positions.shape}, "
+            f"expected ({block_count},) for length {len(values)} and "
+            f"block_size {block_size}"
+        )
+    return positions
+
+
 def _prefer_current_batch(
     values: np.ndarray, mode: Mode, current: np.ndarray, candidate: np.ndarray
 ) -> np.ndarray:
@@ -235,33 +250,6 @@ class SparseTableRMQ:
             self._table[k][:width] = np.where(choose_left, left, right)
             self._table[k][width:] = self._table[k - 1][width:]
 
-    @classmethod
-    def from_table(
-        cls, values: Sequence[float], table: np.ndarray, *, mode: Mode = "max"
-    ) -> "SparseTableRMQ":
-        """Restore a sparse table from a serialized payload without rebuilding.
-
-        ``table`` must be the ``(levels, n)`` index table a previous
-        construction over the same ``values`` produced (see
-        :func:`serialize_rmq`); only its shape is validated — archives are
-        gated by the persistence manifest, and the fuzz suite pins restored
-        structures to answer identically to rebuilt ones.  ``table`` may be
-        a read-only memory map; it is used as-is, zero-copy.
-        """
-        self = cls.__new__(cls)
-        self._values = _prepare_values(values, mode)
-        self._mode = mode
-        table = np.asarray(table, dtype=np.int64)
-        n = len(self._values)
-        expected = (max(1, n.bit_length()), n)
-        if table.shape != expected:
-            raise ValidationError(
-                f"serialized sparse table has shape {table.shape}, expected "
-                f"{expected} for an array of length {n}"
-            )
-        self._table = table
-        return self
-
     @property
     def mode(self) -> Mode:
         """Whether this structure answers max or min queries."""
@@ -271,13 +259,6 @@ class SparseTableRMQ:
     def values(self) -> np.ndarray:
         """The underlying array (read-only view)."""
         view = self._values.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def table(self) -> np.ndarray:
-        """The ``(levels, n)`` sparse table (read-only view; serialization)."""
-        view = self._table.view()
         view.flags.writeable = False
         return view
 
@@ -357,6 +338,8 @@ class BlockRMQ:
     The array is partitioned into blocks of ``block_size`` elements
     (default ``max(1, ⌈log2 n⌉)``); a :class:`SparseTableRMQ` is kept over
     the per-block optima and queries scan at most two partial blocks.
+    Passing ``block_positions`` (a payload's stored optima, see
+    :func:`rmq_from_payload`) skips the block scan.
 
     Examples
     --------
@@ -371,6 +354,7 @@ class BlockRMQ:
         *,
         mode: Mode = "max",
         block_size: int | None = None,
+        block_positions: Optional[np.ndarray] = None,
     ):
         self._values = _prepare_values(values, mode)
         self._mode = mode
@@ -379,55 +363,11 @@ class BlockRMQ:
             block_size = default_block_size(n)
         if block_size <= 0:
             raise ValidationError(f"block_size must be positive, got {block_size}")
-        self._block_size = block_size
-        self._block_positions = _block_optimum_positions(self._values, block_size, mode)
-        self._summary = SparseTableRMQ(self._values[self._block_positions], mode=mode)
-
-    @classmethod
-    def from_parts(
-        cls,
-        values: Sequence[float],
-        *,
-        block_size: int,
-        block_positions: np.ndarray,
-        summary_table: Optional[np.ndarray] = None,
-        mode: Mode = "max",
-    ) -> "BlockRMQ":
-        """Restore a block RMQ from a serialized payload without rebuilding.
-
-        ``block_positions`` (and ``summary_table`` when given) must come
-        from a previous construction over the same ``values`` (see
-        :func:`serialize_rmq`).  Shapes are validated; contents are
-        trusted, exactly as :meth:`SparseTableRMQ.from_table` documents.
-        With ``summary_table=None`` — the space-efficient payload of
-        :meth:`to_payload` — the summary sparse table is *rebuilt* over the
-        block optima: O(n/b · log(n/b)) work and words, a deterministic
-        function of ``values[block_positions]``, so the restored structure
-        answers identically either way.
-        """
-        self = cls.__new__(cls)
-        self._values = _prepare_values(values, mode)
-        self._mode = mode
-        if block_size <= 0:
-            raise ValidationError(f"block_size must be positive, got {block_size}")
         self._block_size = int(block_size)
-        n = len(self._values)
-        block_positions = _as_position_array(block_positions)
-        block_count = (n + self._block_size - 1) // self._block_size
-        if block_positions.shape != (block_count,):
-            raise ValidationError(
-                f"serialized block positions have shape {block_positions.shape}, "
-                f"expected ({block_count},) for length {n} and "
-                f"block_size {self._block_size}"
-            )
-        self._block_positions = block_positions
-        if summary_table is None:
-            self._summary = SparseTableRMQ(self._values[block_positions], mode=mode)
-        else:
-            self._summary = SparseTableRMQ.from_table(
-                self._values[block_positions], summary_table, mode=mode
-            )
-        return self
+        self._block_positions = _checked_block_positions(
+            self._values, self._block_size, mode, block_positions
+        )
+        self._summary = SparseTableRMQ(self._values[self._block_positions], mode=mode)
 
     @property
     def mode(self) -> Mode:
@@ -516,10 +456,9 @@ class BlockRMQ:
     def to_payload(self) -> IndexPayload:
         """Space-efficient payload: block positions only (summary rebuilt).
 
-        The version-2 archives serialized the summary sparse table too;
-        it is a deterministic O(n/b · log(n/b))-word function of
-        ``values[block_positions]``, so :func:`rmq_from_payload` rebuilds
-        it instead (reported here as a *derived* array: counted in memory
+        The summary sparse table is a deterministic O(n/b · log(n/b))-word
+        function of ``values[block_positions]``, so :func:`rmq_from_payload`
+        rebuilds it (reported here as a *derived* array: counted in memory
         accounting, absent from archives).
         """
         return IndexPayload(
@@ -574,21 +513,10 @@ class CompactRMQ:
         if block_size <= 0:
             raise ValidationError(f"block_size must be positive, got {block_size}")
         self._block_size = int(block_size)
-        block_count = (n + self._block_size - 1) // self._block_size
-        if block_positions is None:
-            block_positions = _block_optimum_positions(
-                self._values, self._block_size, mode
-            )
-        else:
-            block_positions = _as_position_array(block_positions)
-            if block_positions.shape != (block_count,):
-                raise ValidationError(
-                    f"serialized block positions have shape {block_positions.shape}, "
-                    f"expected ({block_count},) for length {n} and "
-                    f"block_size {self._block_size}"
-                )
-        self._block_positions = block_positions
-        self._summary = SparseTableRMQ(self._values[block_positions], mode=mode)
+        self._block_positions = _checked_block_positions(
+            self._values, self._block_size, mode, block_positions
+        )
+        self._summary = SparseTableRMQ(self._values[self._block_positions], mode=mode)
 
     @property
     def mode(self) -> Mode:
@@ -714,66 +642,7 @@ def make_rmq(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (persistence payloads, version RMQ_PAYLOAD_VERSION)
-# ---------------------------------------------------------------------------
-def serialize_rmq(rmq) -> Dict[str, np.ndarray]:
-    """Extract the preprocessed arrays that reconstruct ``rmq`` in O(1).
-
-    Returns a flat ``name -> ndarray`` mapping (the persistence layer
-    prefixes the names into its archive keys).  The value array itself is
-    **not** included — every index already persists it, and the restore
-    side passes it back to :func:`deserialize_rmq`.
-    """
-    if isinstance(rmq, SparseTableRMQ):
-        return {"table": rmq._table}
-    if isinstance(rmq, CompactRMQ):
-        # A CompactRMQ (the restore form of a format-3 sparse payload) has
-        # no full table; writing the legacy format rebuilds one.  Sparse
-        # construction is a pure function of the values, so a version-2
-        # archive written this way restores to the exact table the original
-        # SparseTableRMQ held.
-        return {"table": SparseTableRMQ(rmq._values, mode=rmq._mode)._table}
-    if isinstance(rmq, BlockRMQ):
-        return {
-            "block_positions": rmq._block_positions,
-            "summary_table": rmq._summary._table,
-            "block_size": np.array([rmq._block_size], dtype=np.int64),
-        }
-    raise ValidationError(
-        f"cannot serialize a {type(rmq).__name__}; expected SparseTableRMQ, "
-        "CompactRMQ or BlockRMQ"
-    )
-
-
-def deserialize_rmq(
-    values: Sequence[float], payload: Dict[str, np.ndarray], *, mode: Mode = "max"
-):
-    """Restore the RMQ structure :func:`serialize_rmq` extracted.
-
-    The implementation flavour is recovered from the payload shape (a
-    sparse table carries ``table``; a block structure carries
-    ``block_positions`` / ``summary_table`` / ``block_size``), so callers
-    only need to hand back the value array the structure was built over.
-    Payload arrays may be read-only memory maps — queries never write.
-    """
-    if "table" in payload:
-        return SparseTableRMQ.from_table(values, payload["table"], mode=mode)
-    if {"block_positions", "summary_table", "block_size"} <= set(payload):
-        return BlockRMQ.from_parts(
-            values,
-            block_size=int(np.asarray(payload["block_size"]).reshape(-1)[0]),
-            block_positions=payload["block_positions"],
-            summary_table=payload["summary_table"],
-            mode=mode,
-        )
-    raise ValidationError(
-        f"unrecognized RMQ payload with keys {sorted(payload)}; expected "
-        "'table' (sparse) or 'block_positions'/'summary_table'/'block_size' (block)"
-    )
-
-
-# ---------------------------------------------------------------------------
-# IndexPayload currency (format-3 archives, worker IPC, space accounting)
+# IndexPayload currency (archives, worker IPC, space accounting)
 # ---------------------------------------------------------------------------
 def rmq_to_payload(rmq) -> IndexPayload:
     """The :class:`~repro.payload.IndexPayload` describing ``rmq``.
@@ -794,46 +663,26 @@ def rmq_from_payload(values: Sequence[float], payload: IndexPayload):
 
     ``values`` is the array the structure was built over — the payload
     deliberately excludes it, since every index persists its value arrays
-    itself.  Four schemas are understood:
+    itself.  Two schemas are understood:
 
     * :data:`RMQ_SCHEMA_SPARSE` — block positions of a sparse table;
       restores a :class:`CompactRMQ` (identical answers, O(n/b log n)
       words instead of O(n log n));
     * :data:`RMQ_SCHEMA_BLOCK` — block positions of a :class:`BlockRMQ`;
-      the summary table is rebuilt;
-    * :data:`RMQ_SCHEMA_SPARSE_TABLE` / :data:`RMQ_SCHEMA_BLOCK_TABLE` —
-      the legacy full-table layouts of version-2 archives, restored
-      zero-copy exactly as :func:`deserialize_rmq` does.
+      the summary table is rebuilt.
 
     Payload arrays may be read-only memory maps — queries never write.
     """
+    if payload.schema not in (RMQ_SCHEMA_SPARSE, RMQ_SCHEMA_BLOCK):
+        raise ValidationError(
+            f"unrecognized RMQ payload schema {payload.schema!r}; expected one of "
+            f"{[RMQ_SCHEMA_SPARSE, RMQ_SCHEMA_BLOCK]}"
+        )
     mode = payload.meta.get("mode", "max")
+    block_size = int(payload.meta["block_size"])
+    positions = payload.arrays["block_positions"]
     if payload.schema == RMQ_SCHEMA_SPARSE:
         return CompactRMQ(
-            values,
-            mode=mode,
-            block_size=int(payload.meta["block_size"]),
-            block_positions=payload.arrays["block_positions"],
+            values, mode=mode, block_size=block_size, block_positions=positions
         )
-    if payload.schema == RMQ_SCHEMA_BLOCK:
-        return BlockRMQ.from_parts(
-            values,
-            block_size=int(payload.meta["block_size"]),
-            block_positions=payload.arrays["block_positions"],
-            summary_table=None,
-            mode=mode,
-        )
-    if payload.schema == RMQ_SCHEMA_SPARSE_TABLE:
-        return SparseTableRMQ.from_table(values, payload.arrays["table"], mode=mode)
-    if payload.schema == RMQ_SCHEMA_BLOCK_TABLE:
-        return BlockRMQ.from_parts(
-            values,
-            block_size=int(payload.meta["block_size"]),
-            block_positions=payload.arrays["block_positions"],
-            summary_table=payload.arrays["summary_table"],
-            mode=mode,
-        )
-    raise ValidationError(
-        f"unrecognized RMQ payload schema {payload.schema!r}; expected one of "
-        f"{[RMQ_SCHEMA_SPARSE, RMQ_SCHEMA_BLOCK, RMQ_SCHEMA_SPARSE_TABLE, RMQ_SCHEMA_BLOCK_TABLE]}"
-    )
+    return BlockRMQ(values, mode=mode, block_size=block_size, block_positions=positions)

@@ -15,8 +15,8 @@ Output is plain text, one section per payload node::
       rmq_short_1/  rmq/sparse  (version 1)
         ...
 
-Legacy (version 1/2) archives have no payload manifest; the inspector
-prints their member table and config keys instead.
+Files that are not format-3 index archives are reported on stderr with
+exit status 1.
 """
 
 from __future__ import annotations
@@ -76,18 +76,10 @@ def describe_archive(path: Path) -> List[str]:
     """The inspector's report for one archive, as output lines."""
     manifest = read_manifest(path)
     members = _member_table(path)
-    lines: List[str] = []
-    version = int(manifest.get("version", 0))
-    lines.append(f"{path.name}: format version {version}, kind {manifest.get('kind')!r}")
-    if version < 3 or "payload" not in manifest:
-        lines.append("  (legacy archive: no payload manifest; raw members below)")
-        for key, (dtype, shape, nbytes) in sorted(members.items()):
-            lines.append(f"  {key:<40} {dtype:<10} {shape!s:<16} {_format_bytes(nbytes)}")
-        config = manifest.get("config", {})
-        if config:
-            lines.append(f"  config keys: {sorted(config)}")
-        return lines
-
+    lines = [
+        f"{path.name}: format version {manifest['version']}, "
+        f"kind {manifest.get('kind')!r}"
+    ]
     stored_total = 0
     for prefix, node in _walk_manifest(manifest["payload"]):
         indent = "  " * (prefix.count("/") + 1)
@@ -127,8 +119,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = normalize_archive_path(raw)
         try:
             lines = describe_archive(path)
-        except (OSError, ValueError, ValidationError, zipfile.BadZipFile) as error:
-            # ValueError: np.load on bytes that are neither zip nor npy.
+        except (OSError, ValidationError, ValueError, zipfile.BadZipFile) as error:
+            # ValueError / BadZipFile: a damaged member header past the manifest.
             print(f"{raw}: {error}", file=sys.stderr)
             status = 1
             continue

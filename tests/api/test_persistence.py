@@ -2,6 +2,7 @@
 
 import json
 import random
+import zipfile
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from repro.strings import (
     UncertainString,
     UncertainStringCollection,
 )
-from tests.conftest import make_random_special_string, make_random_uncertain_string
+from tests.conftest import (
+    make_random_special_string,
+    make_random_uncertain_string,
+    rezip_archive,
+    write_malformed_archives,
+)
 
 
 @pytest.fixture
@@ -207,14 +213,15 @@ def _random_probe(engine, rng: random.Random):
 class TestFuzzRoundTrip:
     """Randomized build → save → load_index → identical answers.
 
-    Parameterized over all five index kinds *and* the sharded manifest:
-    arrays round-trip bit-exactly, so a loaded engine's answers must equal
-    the original's, match for match.
+    Parameterized over all five index kinds, eager and memory-mapped
+    loads, *and* the sharded manifest: arrays round-trip bit-exactly, so a
+    loaded engine's answers must equal the original's, match for match.
     """
 
     @pytest.mark.parametrize("kind", ["special", "simple", "general", "approximate", "listing"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_engine_fuzz_round_trip(self, tmp_path, kind, seed):
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_engine_fuzz_round_trip(self, tmp_path, kind, seed, mmap):
         rng = random.Random(seed * 1000 + hash(kind) % 1000)
         data = _random_input_for(kind, rng)
         kwargs = {"kind": kind}
@@ -224,7 +231,7 @@ class TestFuzzRoundTrip:
             kwargs["epsilon"] = 0.05
         engine = build_index(data, **kwargs)
         assert engine.kind == kind
-        loaded = load_index(engine.save(tmp_path / f"fuzz-{kind}-{seed}"))
+        loaded = load_index(engine.save(tmp_path / f"fuzz-{kind}-{seed}"), mmap=mmap)
         assert loaded.kind == kind
         for _ in range(10):
             pattern, tau, k = _random_probe(engine, rng)
@@ -281,9 +288,9 @@ class TestFuzzRoundTrip:
 
 
 class TestShardedArchiveResult:
-    """load_sharded_payload returns a named result; tuple unpacking survives."""
+    """load_sharded_payload returns a named result."""
 
-    def test_named_fields_and_tuple_unpacking_agree(self, tmp_path):
+    def test_named_fields(self, tmp_path):
         from repro.api import ShardedArchive, load_sharded_payload
 
         engine = build_sharded_index("BANANA" * 5, shards=2, max_pattern_len=4)
@@ -291,12 +298,13 @@ class TestShardedArchiveResult:
         engine.close()
         archive = load_sharded_payload(path)
         assert isinstance(archive, ShardedArchive)
-        # The PR-4 4-tuple shape keeps unpacking, field for field.
-        payloads, spec, plan, shard_paths = load_sharded_payload(path)
-        assert len(archive.payloads) == len(payloads) == 2
-        assert archive.spec == spec
-        assert archive.plan.kind == plan.kind == "special"
-        assert [p.name for p in archive.shard_paths] == [p.name for p in shard_paths]
+        assert len(archive.payloads) == 2
+        assert archive.spec == engine.spec
+        assert archive.plan.kind == "special"
+        assert [p.name for p in archive.shard_paths] == [
+            "shard-0000.npz",
+            "shard-0001.npz",
+        ]
         assert all(p.suffix == ".npz" for p in archive.shard_paths)
 
 
@@ -307,14 +315,20 @@ class TestShardedManifest:
         manifest = read_sharded_manifest(path)
         assert manifest["format"] == "repro-sharded-index"
         assert manifest["version"] == 1
+        assert manifest["archive_version"] == FORMAT_VERSION
         assert manifest["kind"] == "special"
         assert manifest["spec"]["shard_count"] == 2
         assert manifest["spec"]["overlap"] == 3
         assert len(manifest["shards"]) == 2
         # Each shard archive is an ordinary, individually loadable archive.
         for name in manifest["shards"]:
-            shard_engine = load_index(path / name)
-            assert shard_engine.kind == "special"
+            assert read_manifest(path / name)["version"] == FORMAT_VERSION
+            for mmap in (False, True):
+                shard_engine = load_index(path / name, mmap=mmap)
+                assert shard_engine.kind == "special"
+        loaded = load_index(path, mmap=True)
+        assert loaded.query("ANAN", tau=0.5) == engine.query("ANAN", tau=0.5)
+        loaded.close()
         engine.close()
 
     def test_resave_with_fewer_shards_removes_stale_archives(self, tmp_path):
@@ -360,6 +374,22 @@ class TestShardedManifest:
         with pytest.raises(ValidationError):
             load_index(path)
         engine.close()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_retired_shard_archive_rejected(self, tmp_path, mmap):
+        # One shard archive left over in a retired format fails the whole
+        # ensemble's load, naming that shard.
+        engine = build_sharded_index("BANANA" * 5, shards=2, max_pattern_len=4)
+        path = engine.save(tmp_path / "retired-shard")
+        engine.close()
+        shard = path / read_sharded_manifest(path)["shards"][1]
+        manifest = read_manifest(shard)
+        manifest["version"] = 2
+        rezip_archive(shard, manifest=manifest)
+        with pytest.raises(
+            ValidationError, match=r"shard-0001\.npz uses retired archive format version 2"
+        ):
+            load_index(path, mmap=mmap)
 
     def test_loaded_plan_mentions_directory(self, tmp_path):
         engine = build_sharded_index("BANANA" * 5, shards=2, max_pattern_len=4)
@@ -421,59 +451,27 @@ class TestManifest:
 
 
 class TestFormatVersions:
-    """v1 (compressed, rebuild-on-load), v2 (full RMQ tables, mmap-able)
-    and v3 (the payload schema, space-efficient RMQ payloads)."""
+    """Format 3, the payload schema as an uncompressed zip, is the only
+    archive format; retired, newer and malformed archives fail loudly."""
 
-    @pytest.mark.parametrize("kind", ["special", "simple", "general", "approximate", "listing"])
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_all_versions_fuzz_round_trip(self, tmp_path, kind, version, seed):
-        rng = random.Random(seed * 77 + version + hash(kind) % 1000)
-        data = _random_input_for(kind, rng)
-        kwargs = {"kind": kind}
-        if kind in ("general", "approximate", "listing"):
-            kwargs["tau_min"] = 0.1
-        if kind == "approximate":
-            kwargs["epsilon"] = 0.05
-        engine = build_index(data, **kwargs)
-        path = engine.save(tmp_path / f"v{version}-{kind}", version=version)
-        assert read_manifest(path)["version"] == version
-        for mmap in (False, True):
-            loaded = load_index(path, mmap=mmap)
-            assert loaded.kind == kind
-            for _ in range(8):
-                pattern, tau, k = _random_probe(engine, rng)
-                assert engine.query(pattern, tau=tau) == loaded.query(pattern, tau=tau)
-                assert engine.top_k(pattern, k, tau=tau) == loaded.top_k(
-                    pattern, k, tau=tau
-                )
-
-    def test_v2_archives_carry_rmq_payloads(self, tmp_path, general_string):
-        engine = build_index(general_string, tau_min=0.1)
-        v2 = engine.save(tmp_path / "v2", version=2)
-        v1 = engine.save(tmp_path / "v1", version=1)
-        with np.load(v2, allow_pickle=False) as archive:
-            v2_keys = set(archive.files)
-        with np.load(v1, allow_pickle=False) as archive:
-            v1_keys = set(archive.files)
-        assert any(key.startswith("rmq_") for key in v2_keys)
-        assert not any(key.startswith("rmq_") for key in v1_keys)
-        # v2 is a strict superset: the value arrays are unchanged.
-        assert v1_keys <= v2_keys
-        manifest = read_manifest(v2)
-        assert manifest["rmq_payload_version"] == 1
-
-    def test_v3_archives_are_smaller_than_v2(self, tmp_path, general_string):
-        # The headline of the format: v3 ships block positions instead of
-        # full RMQ tables, so the archive shrinks (dramatically so for
-        # sparse-table indexes; see the archive-size bench).
-        engine = build_index(general_string, tau_min=0.1, rmq_implementation="sparse")
-        v2 = engine.save(tmp_path / "v2", version=2)
-        v3 = engine.save(tmp_path / "v3", version=3)
-        assert v3.stat().st_size < v2.stat().st_size
-        manifest = read_manifest(v3)
-        assert manifest["version"] == 3
-        assert manifest["payload"]["schema"] == "index/general"
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_archive_is_a_fraction_of_the_in_ram_index(self, tmp_path, n):
+        # Special index with the sparse RMQ tower: in RAM every RMQ holds
+        # its O(n log n)-word table, the archive only the O(n / log n)
+        # block positions, so the archive is a small fraction of nbytes().
+        rng = np.random.default_rng(1234 + n)
+        characters = rng.choice(list("ACGT"), size=n)
+        probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
+        string = SpecialUncertainString(
+            [(c, float(p)) for c, p in zip(characters, probabilities)]
+        )
+        engine = build_index(string, kind="special", rmq_implementation="sparse")
+        path = engine.save(tmp_path / f"size-{n}")
+        assert path.stat().st_size <= 0.6 * engine.nbytes()
+        with zipfile.ZipFile(path) as archive:
+            members = {name.rsplit("/", 1)[-1] for name in archive.namelist()}
+        assert "block_positions.npy" in members
+        assert not members & {"table.npy", "summary_table.npy"}
 
     def test_mmap_load_returns_memory_mapped_arrays(self, tmp_path, general_string):
         engine = build_index(general_string, tau_min=0.1)
@@ -496,98 +494,88 @@ class TestFormatVersions:
         )
         assert "mmap" in loaded.plan.reason
 
-    def test_v2_mmap_load_maps_rmq_tables(self, tmp_path, general_string):
-        # Legacy v2 archives keep their zero-copy table restore.
-        engine = build_index(general_string, tau_min=0.1)
-        path = engine.save(tmp_path / "mapped-v2", version=2)
-        loaded = load_index(path, mmap=True)
-        rmq = next(iter(loaded.index._short_rmq.values()))
-        table = rmq._table if hasattr(rmq, "_table") else rmq._summary._table
-        assert isinstance(table, np.memmap) or isinstance(table.base, np.memmap)
-
     def test_mmap_on_compressed_archive_degrades_gracefully(
         self, tmp_path, general_string
     ):
+        # Archives are written stored; one re-zipped with deflate by
+        # another tool still loads, its members read eagerly.
         engine = build_index(general_string, tau_min=0.1)
-        path = engine.save(tmp_path / "compressed", version=1)
-        loaded = load_index(path, mmap=True)
-        for tau in (0.1, 0.3):
-            assert loaded.query("QP", tau=tau) == engine.query("QP", tau=tau)
-
-    def test_sharded_version_forwarding(self, tmp_path):
-        engine = build_sharded_index(
-            "banana" * 10, shards=2, max_pattern_len=6
-        )
-        path = engine.save(tmp_path / "sharded-v1", version=1)
-        manifest = read_sharded_manifest(path)
-        assert manifest["archive_version"] == 1
-        for name in manifest["shards"]:
-            assert read_manifest(path / name)["version"] == 1
-        loaded = load_index(path, mmap=True)
-        assert loaded.query("anan", tau=0.5) == engine.query("anan", tau=0.5)
-        loaded.close()
-        engine.close()
-
-    def test_unknown_write_version_rejected(self, tmp_path, general_string):
-        engine = build_index(general_string, tau_min=0.1)
-        with pytest.raises(ValidationError):
-            engine.save(tmp_path / "nope", version=4)
-
-    def test_cross_version_resave_matrix(self, tmp_path, general_string):
-        """Load any version, re-save as any version: answers never change.
-
-        Notably v3 → v2: the restored CompactRMQ structures have no full
-        sparse tables, so the v2 writer rebuilds them — and the rebuilt
-        archive must still answer byte-identically.
-        """
-        engine = build_index(general_string, tau_min=0.1, rmq_implementation="sparse")
-        probes = [("QP", 0.1), ("P", 0.25), ("QPP", 0.4)]
-        expected = {probe: engine.query(probe[0], tau=probe[1]) for probe in probes}
-        for source_version in (1, 2, 3):
-            source = engine.save(
-                tmp_path / f"src-v{source_version}", version=source_version
+        path = engine.save(tmp_path / "compressed")
+        rezip_archive(path, compression=zipfile.ZIP_DEFLATED)
+        with zipfile.ZipFile(path) as archive:
+            assert all(
+                info.compress_type == zipfile.ZIP_DEFLATED for info in archive.infolist()
             )
-            for mmap in (False, True):
-                loaded = load_index(source, mmap=mmap)
-                for target_version in (1, 2, 3):
-                    target = loaded.save(
-                        tmp_path / f"re-v{source_version}-{target_version}-{mmap}",
-                        version=target_version,
-                    )
-                    assert read_manifest(target)["version"] == target_version
-                    reloaded = load_index(target)
-                    for (pattern, tau), answer in expected.items():
-                        assert reloaded.query(pattern, tau=tau) == answer
-                        assert reloaded.top_k(pattern, 3) == loaded.top_k(pattern, 3)
+        for mmap in (False, True):
+            loaded = load_index(path, mmap=mmap)
+            assert not isinstance(loaded.index._prefix, np.memmap)
+            for tau in (0.1, 0.3):
+                assert loaded.query("QP", tau=tau) == engine.query("QP", tau=tau)
 
-    def test_newer_rmq_payload_version_rejected(self, tmp_path, general_string):
+    @pytest.mark.parametrize("kind", ["special", "simple", "general", "approximate", "listing"])
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_resave_of_a_loaded_index_is_member_identical(
+        self, tmp_path, kind, compact, mmap
+    ):
+        # Restored CompactRMQ structures (the special index's default
+        # sparse RMQ) write back the payload they were restored from, and
+        # narrowed arrays are written back as loaded, so a load → save
+        # cycle changes no archive byte.
+        rng = random.Random(7)
+        kwargs = {"kind": kind}
+        if kind in ("general", "approximate", "listing"):
+            kwargs["tau_min"] = 0.1
+        if kind == "approximate":
+            kwargs["epsilon"] = 0.05
+        engine = build_index(_random_input_for(kind, rng), **kwargs)
+        original = engine.save(tmp_path / "original", compact=compact)
+        loaded = load_index(original, mmap=mmap)
+        resaved = loaded.save(tmp_path / "resaved", compact=compact)
+        with zipfile.ZipFile(original) as first, zipfile.ZipFile(resaved) as second:
+            assert first.namelist() == second.namelist()
+            for name in first.namelist():
+                if name != "__manifest__.npy":  # the plan reason notes its source
+                    assert first.read(name) == second.read(name), name
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_retired_versions_rejected(self, tmp_path, general_string, version, mmap):
         engine = build_index(general_string, tau_min=0.1)
-        path = engine.save(tmp_path / "future-rmq")
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        manifest = json.loads(bytes(arrays["__manifest__"].tolist()).decode("utf-8"))
-        manifest["rmq_payload_version"] = 99
-        arrays["__manifest__"] = np.frombuffer(
-            json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-        )
-        np.savez(path, **arrays)
-        with pytest.raises(ValidationError):
-            load_index_payload(path)
+        path = engine.save(tmp_path / f"retired-v{version}")
+        manifest = read_manifest(path)
+        manifest["version"] = version
+        rezip_archive(path, manifest=manifest)
+        with pytest.raises(ValidationError, match=f"retired archive format version {version}"):
+            load_index(path, mmap=mmap)
+        with pytest.raises(ValidationError, match=f"version {version}"):
+            read_manifest(path)
 
-    def test_compress_override(self, tmp_path, general_string):
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_missing_rmq_child_rejected(self, tmp_path, general_string, mmap):
         engine = build_index(general_string, tau_min=0.1)
-        stored = engine.save(tmp_path / "stored")
-        compressed = engine.save(tmp_path / "small", compress=True)
-        assert compressed.stat().st_size < stored.stat().st_size
-        a = load_index(stored)
-        b = load_index(compressed, mmap=True)  # degrades to eager, same answers
-        assert a.query("QP", tau=0.2) == b.query("QP", tau=0.2)
+        path = engine.save(tmp_path / "no-rmq")
+        manifest = read_manifest(path)
+        children = manifest["payload"]["children"]
+        victim = next(name for name in children if name.startswith("rmq_"))
+        del children[victim]
+        rezip_archive(path, manifest=manifest)
+        with pytest.raises(ValidationError, match=victim):
+            load_index(path, mmap=mmap)
 
-    def test_mmap_on_garbage_raises_validation_error(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"this is not a zip archive at all")
+    @pytest.mark.parametrize(
+        "case", ["garbage", "bare-npy", "list-manifest", "string-version"]
+    )
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_malformed_archives_raise_validation_error(self, tmp_path, case, mmap):
+        engine = build_index(make_random_special_string(30, seed=7))
+        path = write_malformed_archives(tmp_path, engine)[case]
         with pytest.raises(ValidationError):
-            load_index_payload(path, mmap=True)
+            load_index(path, mmap=mmap)
+        with pytest.raises(ValidationError):
+            load_index_payload(path, mmap=mmap)
+        with pytest.raises(ValidationError):
+            read_manifest(path)
 
 
 class TestChecksumVerification:

@@ -1,6 +1,6 @@
 """Fast perf smoke: the hot-path optimizations must not regress.
 
-Six guards, all at the small scale so the step stays fast:
+The guards, all at the small scale so the step stays fast:
 
 * the vectorized reporting kernel is at worst 1.5x slower than the scalar
   baseline on the largest small-grid workload (a generous margin — on real
@@ -9,23 +9,19 @@ Six guards, all at the small scale so the step stays fast:
 * the coalescing ``AsyncSearchService`` beats naive sequential serving on
   a repeated-pattern workload (the dedupe + refinement amortization is a
   work reduction, not a timing race, so the margin can be strict);
-* mmap-loaded archives stay within a bounded factor of the legacy
-  rebuild-on-load path;
-* a version-3 archive is at most 0.6x the version-2 bytes on the
-  reference sparse-tower workload, with mmap cold start no slower than
-  v2's (modulo a noise tolerance) — the acceptance margins of the
-  payload-schema archive format;
 * the HTTP serving tier driven in-process (no sockets) sustains load at
   every replica count, and adding a replica never *costs* throughput
   beyond a noise margin — replica routing must be overhead-free even
-  where single-core CI cannot show a parallel speedup;
+  where single-core CI cannot show a parallel speedup — and scraping the
+  metrics registry stays cheap;
 * the compacted in-RAM representation is at most 0.6x the wide bytes at
   every size, and the shared-memory worker spec stays O(array count) —
   spawning a process pool must never pickle per-worker index bytes.
 
-The full sweeps stay in the default-scale benchmark runs
-(``python -m repro.bench --figure query-kernel --figure serving-throughput
---figure archive-size --json``).
+The archive's size margin is a deterministic test in
+``tests/api/test_persistence.py``.  The full sweeps stay in the
+default-scale benchmark runs (``python -m repro.bench --figure
+query-kernel --figure serving-throughput --json``).
 """
 
 from repro.bench.experiments import (
@@ -77,7 +73,7 @@ class TestShardBuildSmoke:
 class TestServingSmoke:
     """The serving-throughput acceptance margins, at smoke scale."""
 
-    def test_coalescing_beats_naive_and_mmap_beats_rebuild(self):
+    def test_coalescing_beats_naive(self):
         table = serving_throughput(SMALL_SCALE)
         naive = table.series_by_label("naive sequential (req/s)")
         coalesced = table.series_by_label("coalesced service (req/s)")
@@ -88,60 +84,6 @@ class TestServingSmoke:
         assert coalesced.values[-1] > naive.values[-1], (
             f"coalesced {coalesced.values[-1]:.0f} req/s did not beat "
             f"naive {naive.values[-1]:.0f} req/s"
-        )
-        # No cold-start assertion here: since the block-optimum scan was
-        # vectorized, the v1 rebuild is cheap at smoke scale and the
-        # listing engine's load time is dominated by the shared
-        # collection-manifest parse, so racing the two sides would only
-        # measure runner noise.  The cold-start guard lives in
-        # TestArchiveSizeSmoke, on the sparse-tower workload where the
-        # RMQ payload actually dominates (and the committed default-scale
-        # BENCH_serving_throughput.json still shows v2 mmap ahead of the
-        # v1 rebuild at every size).
-
-
-class TestArchiveSizeSmoke:
-    """The archive-v3 acceptance margins, at smoke scale.
-
-    One :func:`archive_size` run feeds both assertions (the experiment
-    builds an engine and saves three archives per size, so re-running it
-    per assertion would double the step's cost).
-    """
-
-    def test_v3_size_and_cold_start_margins(self):
-        from repro.bench.experiments import archive_size
-
-        table = archive_size(SMALL_SCALE)
-        v2 = table.series_by_label("archive v2 (bytes)")
-        v3 = table.series_by_label("archive v3 (bytes)")
-        cold_v1 = table.series_by_label("cold start v1 rebuild (ms)")
-        cold_v2 = table.series_by_label("cold start v2 mmap (ms)")
-        cold_v3 = table.series_by_label("cold start v3 mmap (ms)")
-        assert v2.xs == v3.xs == list(SMALL_SCALE.string_sizes)
-        # The acceptance margin: v3 stores Fischer–Heun block positions
-        # instead of full sparse tables, so on the reference workload it
-        # must be at most 0.6x the v2 bytes (in practice ~0.1-0.2x).
-        for n, size_v2, size_v3 in zip(v2.xs, v2.values, v3.values):
-            assert size_v3 <= 0.6 * size_v2, (
-                f"v3 archive ({size_v3:.0f} B) is more than 0.6x the v2 "
-                f"archive ({size_v2:.0f} B) at n={n}"
-            )
-        # Cold start must not regress: restoring from block positions plus
-        # an O(n/b log n) summary rebuild has to stay in the same league
-        # as v2's zero-copy table restore.  At smoke scale every load is
-        # a few milliseconds, so the margin (1.5x over min-of-5 timings —
-        # the noise-robust cold-start estimator) is a regression bound;
-        # the committed default scale (BENCH_archive_size.json) shows v3
-        # within ~10% of v2 and both 2-3x faster than the v1 rebuild.
-        assert cold_v3.values[-1] <= cold_v2.values[-1] * 1.5, (
-            f"v3 mmap cold start {cold_v3.values[-1]:.2f}ms is more than "
-            f"1.5x the v2 mmap cold start {cold_v2.values[-1]:.2f}ms"
-        )
-        # And it stays in the same league as the legacy rebuild-everything
-        # path (same tolerance) — the reason the serialized payloads exist.
-        assert cold_v3.values[-1] <= cold_v1.values[-1] * 1.5, (
-            f"v3 mmap cold start {cold_v3.values[-1]:.2f}ms is more than "
-            f"1.5x the v1 rebuild-on-load {cold_v1.values[-1]:.2f}ms"
         )
 
 
@@ -184,9 +126,11 @@ class TestNetworkServingSmoke:
         tracing off — every counter already routed through ``repro.obs``;
         mode 1 adds a ``/metrics`` scraper under load; mode 2 traces every
         request.  The budget is 10% for exposition; at smoke scale a
-        single run is noise-dominated (±15% run-to-run on shared
-        runners), so the guard takes the best of two runs and allows 5
-        extra points of noise on top of the budget.  The committed
+        single load run is noise-dominated (±15% run-to-run on shared
+        runners), so the experiment pools nine rounds of the three modes
+        interleaved on one service, and the guard takes the best of two
+        experiments and allows 5 extra points of noise on top of the
+        budget.  The committed
         default-scale BENCH_obs_overhead.json records the real deltas.
         Full tracing is opt-in per request, so its guard is only that the
         traced path stays within 2.5x — a hang/regression tripwire, not a

@@ -8,9 +8,14 @@ reproducible randomized inputs for oracle-comparison tests.
 
 from __future__ import annotations
 
+import io
+import json
 import random
-from typing import Callable, Dict, List
+import zipfile
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
 import pytest
 
 from repro.strings import (
@@ -76,6 +81,57 @@ def make_random_special_string(
             for _ in range(length)
         ]
     )
+
+
+def rezip_archive(
+    path: Path,
+    *,
+    manifest: Optional[Any] = None,
+    compression: int = zipfile.ZIP_STORED,
+) -> Path:
+    """Rewrite an index archive member for member.
+
+    ``manifest`` (any JSON value) replaces the ``__manifest__`` member;
+    ``compression`` is the zip method every member is rewritten with.
+    """
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    if manifest is not None:
+        buffer = io.BytesIO()
+        raw = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+        np.lib.format.write_array(buffer, raw)
+        members["__manifest__.npy"] = buffer.getvalue()
+    with zipfile.ZipFile(path, "w", compression=compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return path
+
+
+def write_malformed_archives(directory: Path, engine: Any) -> Dict[str, Path]:
+    """Files named ``*.npz`` that are not readable index archives, by case.
+
+    ``garbage`` is not a zip; ``bare-npy`` is a lone ``.npy`` file;
+    ``list-manifest`` and ``string-version`` are saved archives whose
+    manifest is a JSON list, or carries the version as a string.
+    """
+    from repro.api import read_manifest
+
+    garbage = directory / "garbage.npz"
+    garbage.write_bytes(b"this is not a zip archive at all")
+    bare = directory / "bare-npy.npz"
+    with bare.open("wb") as handle:
+        np.save(handle, np.arange(3))
+    listed = rezip_archive(engine.save(directory / "list-manifest"), manifest=[1, 2, 3])
+    stringly = engine.save(directory / "string-version")
+    manifest = read_manifest(stringly)
+    manifest["version"] = str(manifest["version"])
+    rezip_archive(stringly, manifest=manifest)
+    return {
+        "garbage": garbage,
+        "bare-npy": bare,
+        "list-manifest": listed,
+        "string-version": stringly,
+    }
 
 
 @pytest.fixture

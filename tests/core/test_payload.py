@@ -247,6 +247,16 @@ class TestRMQPayloadRoundTrip:
         with pytest.raises(ValidationError):
             rmq_from_payload(np.zeros(3), IndexPayload("rmq/quantum"))
 
+    def test_block_positions_of_the_wrong_shape_rejected(self, rmq_flavour):
+        values = np.random.default_rng(3).random(40)
+        original = (
+            SparseTableRMQ(values) if rmq_flavour == "sparse" else BlockRMQ(values)
+        )
+        payload = rmq_to_payload(original)
+        payload.arrays["block_positions"] = payload.arrays["block_positions"][:-1]
+        with pytest.raises(ValidationError, match="block positions have shape"):
+            rmq_from_payload(values, payload)
+
 
 def _build_engine(kind, rng):
     if kind in ("special", "simple"):

@@ -1,13 +1,17 @@
-"""The archive inspector CLI: schema tree, compact notes, legacy fallback."""
+"""The archive inspector CLI: schema tree, compact notes, error status."""
 
 import runpy
 import sys
 
 import pytest
 
-from repro.api import build_index
+from repro.api import build_index, read_manifest
 from repro.tools.inspect import main
-from tests.conftest import make_random_special_string, make_random_uncertain_string
+from tests.conftest import (
+    make_random_special_string,
+    rezip_archive,
+    write_malformed_archives,
+)
 
 
 @pytest.fixture
@@ -34,13 +38,15 @@ def test_compact_archive_notes_transformed_dtypes(tmp_path, capsys, special_engi
     assert "uint8" in out
 
 
-def test_legacy_archive_falls_back_to_member_table(tmp_path, capsys):
-    engine = build_index(make_random_uncertain_string(20, 0.3, seed=6), tau_min=0.1)
-    path = engine.save(tmp_path / "legacy", version=1)
-    assert main([str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "legacy archive" in out
-    assert "config keys:" in out
+def test_retired_archive_version_is_an_error(tmp_path, capsys, special_engine):
+    path = special_engine.save(tmp_path / "retired")
+    manifest = read_manifest(path)
+    manifest["version"] = 2
+    rezip_archive(path, manifest=manifest)
+    assert main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "retired archive format version 2" in captured.err
 
 
 def test_multiple_archives_and_error_status(tmp_path, capsys, special_engine):
@@ -67,3 +73,20 @@ def test_module_entry_point(tmp_path, monkeypatch, capsys, special_engine):
         runpy.run_module("repro.tools.inspect", run_name="__main__")
     assert excinfo.value.code == 0
     assert "stored total:" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules.*:RuntimeWarning")
+def test_module_entry_point_rejects_malformed_archives(
+    tmp_path, monkeypatch, capsys, special_engine
+):
+    malformed = write_malformed_archives(tmp_path, special_engine)
+    monkeypatch.setattr(sys, "argv", ["inspect", *map(str, malformed.values())])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("repro.tools.inspect", run_name="__main__")
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # One error line per file, none of them a traceback.
+    assert len(captured.err.splitlines()) == len(malformed)
+    for path in malformed.values():
+        assert str(path) in captured.err
