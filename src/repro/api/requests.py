@@ -18,6 +18,7 @@ the sequence protocol, paging and counting behave identically for both.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
@@ -29,6 +30,11 @@ if TYPE_CHECKING:
     from ..obs.trace import Trace
 
 Match = Union[Occurrence, ListingMatch]
+
+#: Largest accepted ``timeout_ms``: the longest wait ``threading`` can
+#: express (``threading.TIMEOUT_MAX`` seconds, about 292 years on 64-bit
+#: platforms).  A longer budget would overflow the executors' waits.
+TIMEOUT_MS_MAX = threading.TIMEOUT_MAX * 1000.0
 
 
 class PartialAnswer(List[Match]):
@@ -70,8 +76,9 @@ class SearchRequest:
         answers above the threshold are reported in position (document)
         order.
     timeout_ms:
-        Optional end-to-end deadline budget in milliseconds.  ``None``
-        (default) means unbounded.  A budgeted request raises
+        Optional end-to-end deadline budget in milliseconds, a finite
+        number in ``(0, TIMEOUT_MS_MAX]``.  ``None`` (default) means
+        unbounded.  A budgeted request raises
         :class:`~repro.exceptions.DeadlineExceededError` (HTTP 504) once
         the budget is spent instead of waiting: the serving tier stops
         waiting for the answer, and a sharded engine stops waiting on its
@@ -98,9 +105,11 @@ class SearchRequest:
             check_threshold(self.tau)
         if self.top_k is not None and self.top_k <= 0:
             raise ValidationError(f"top_k must be positive, got {self.top_k}")
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
+        # Written so that NaN fails too: every comparison with it is false.
+        if self.timeout_ms is not None and not 0 < self.timeout_ms <= TIMEOUT_MS_MAX:
             raise ValidationError(
-                f"timeout_ms must be positive (or None), got {self.timeout_ms}"
+                f"timeout_ms must be a finite number of milliseconds in "
+                f"(0, {TIMEOUT_MS_MAX:.6g}] (or None), got {self.timeout_ms}"
             )
 
     def resolve_tau(self, tau_min: float) -> float:

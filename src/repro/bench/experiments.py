@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.approximate import ApproximateSubstringIndex
+from ..core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH
 from ..core.baseline import OnlineDynamicProgrammingMatcher
 from ..core.factors import transform_uncertain_string
 from ..core.simple_index import SimpleSpecialIndex
@@ -69,6 +70,10 @@ class ExperimentScale:
     #: Reported-occurrence counts exercised by the ``query-kernel``
     #: experiment (scalar vs vectorized reporting throughput).
     kernel_occ_targets: Tuple[int, ...] = (100, 10_000)
+    #: Range widths of the ``query-kernel`` scan-vs-frontier sweep, the
+    #: measurement that fixes :data:`~repro.core.base.SCAN_WIDTH` and
+    #: :data:`~repro.core.base.TOP_K_SCAN_WIDTH`.
+    kernel_scan_widths: Tuple[int, ...] = (1 << 10, TOP_K_SCAN_WIDTH, SCAN_WIDTH)
     #: Worker counts exercised by the ``shard-build`` experiment.
     shard_build_workers: Tuple[int, ...] = (1, 2, 4)
     #: Replica counts exercised by the ``network-serving`` experiment.
@@ -115,6 +120,7 @@ DEFAULT_SCALE = ExperimentScale(
     tau_min_panel_size=4000,
     query_repeats=3,
     kernel_occ_targets=(100, 10_000, 1_000_000),
+    kernel_scan_widths=tuple(1 << e for e in (6, 8, 10, 12, 14, 15, 16, 17, 18)),
     shard_build_workers=(1, 2, 4),
 )
 
@@ -745,28 +751,51 @@ def sharding_scaling(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
 
 
 def query_kernel(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
-    """Vectorized vs scalar reporting kernel: reported occurrences per second.
+    """Threshold reporting kernels: throughput and the scan/frontier crossover.
 
-    Measures the tentpole of the vectorized query pipeline in isolation:
-    :func:`~repro.core.base.report_above_threshold` (batched frontier over
-    ``rmq.query_batch``) against
-    :func:`~repro.core.base.report_above_threshold_scalar` (one Python-level
-    RMQ probe per reported occurrence), on a random value array with the
-    threshold chosen so that exactly ``occ`` entries are reported.
+    Two measurements share the table:
+
+    * **Throughput** (x = occ): the public
+      :func:`~repro.core.base.report_above_threshold` against
+      :func:`~repro.core.base.report_above_threshold_scalar` (one
+      Python-level RMQ probe per reported occurrence), on a random value
+      array with the threshold chosen so that exactly ``occ`` entries are
+      reported.
+    * **Width sweep** (x = range width): the two private paths behind each
+      public kernel — one vectorized scan of the range, and the RMQ
+      frontier on :class:`~repro.suffix.rmq.SparseTableRMQ` and on
+      :class:`~repro.suffix.rmq.CompactRMQ` — at zero output (one
+      frontier round) and at full output (every entry above the
+      threshold), for reporting and for top-k at ``k`` 10 and 50 with
+      ``include_ties``.  The zero-output reporting ratio fixes
+      :data:`~repro.core.base.SCAN_WIDTH`; the full-output top-k ratio at
+      ``k = 10`` fixes :data:`~repro.core.base.TOP_K_SCAN_WIDTH`.  Each
+      cell is the best of five batch means.
     """
     import numpy as np
 
-    from ..core.base import report_above_threshold, report_above_threshold_scalar
-    from ..suffix.rmq import SparseTableRMQ
+    from ..core.base import (
+        _report_frontier,
+        _report_scan,
+        _top_values_frontier,
+        _top_values_scan,
+        report_above_threshold,
+        report_above_threshold_scalar,
+    )
+    from ..suffix.rmq import SparseTableRMQ, rmq_from_payload
 
     table = FigureTable(
         figure_id="query-kernel",
         title="Threshold reporting kernel: scalar vs vectorized throughput",
-        x_label="occ (reported occurrences)",
+        x_label="occ (reported occurrences); range width for the sweep series",
         y_label="see series label",
         notes=(
             "SparseTableRMQ over uniform random values, full-range query, "
-            "threshold set for exactly occ reported entries"
+            "threshold set for exactly occ reported entries; sweep series: "
+            "one range of the given width over uniform random values, "
+            "threshold above every value (zero output) or below (full "
+            "output), reporting and top-k (include_ties) kernels, "
+            f"SCAN_WIDTH={SCAN_WIDTH}, TOP_K_SCAN_WIDTH={TOP_K_SCAN_WIDTH}"
         ),
     )
     rng = np.random.default_rng(17)
@@ -798,6 +827,62 @@ def query_kernel(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         vectorized_series.add(occ, occ / max(vectorized_elapsed, 1e-12))
         speedup_series.add(occ, scalar_elapsed / max(vectorized_elapsed, 1e-12))
     table.series.extend([scalar_series, vectorized_series, speedup_series])
+
+    def best_us(run: Callable[[], object], batch: int) -> float:
+        """Best of five batch means, in microseconds per call."""
+        return 1e6 * min(
+            time_callable(run, repeats=batch, warmup=1) for _ in range(5)
+        )
+
+    values = rng.random(max(scale.kernel_scan_widths) + 1)
+    sparse = SparseTableRMQ(values)
+    compact = rmq_from_payload(values, sparse.to_payload())
+    # Label prefix -> (scan, frontier), each answering (left, right, threshold).
+    kernels = {
+        "": (
+            lambda left, right, threshold: _report_scan(values, left, right, threshold),
+            lambda rmq, left, right, threshold: _report_frontier(
+                rmq, values, left, right, threshold
+            ),
+        )
+    }
+    for k in (10, 50):
+        kernels[f"top-k k={k}, "] = (
+            lambda left, right, threshold, k=k: _top_values_scan(
+                values, left, right, k, threshold, True
+            ),
+            lambda rmq, left, right, threshold, k=k: _top_values_frontier(
+                rmq, values, left, right, k, threshold, True
+            ),
+        )
+    ratios = {
+        ("", "zero"): Series("zero-output scan / sparse frontier round (x)"),
+        ("top-k k=10, ", "full"): Series(
+            "top-k k=10, full-output scan / sparse frontier (x)"
+        ),
+    }
+    for prefix, (scan, frontier) in kernels.items():
+        for output, threshold, batch in (("zero", 2.0, 20), ("full", -1.0, 3)):
+            timings = {
+                "scan": Series(f"{prefix}scan, {output} output (us)"),
+                "sparse": Series(f"{prefix}sparse frontier, {output} output (us)"),
+                "compact": Series(f"{prefix}compact frontier, {output} output (us)"),
+            }
+            for width in scale.kernel_scan_widths:
+                # Start off index 0, as a suffix range usually does.
+                left, right = 1, width
+                runs = {
+                    "scan": lambda: scan(left, right, threshold),
+                    "sparse": lambda: frontier(sparse, left, right, threshold),
+                    "compact": lambda: frontier(compact, left, right, threshold),
+                }
+                cells = {name: best_us(run, batch) for name, run in runs.items()}
+                for name, cell in cells.items():
+                    timings[name].add(width, cell)
+                if (prefix, output) in ratios:
+                    ratios[prefix, output].add(width, cells["scan"] / cells["sparse"])
+            table.series.extend(timings.values())
+    table.series.extend(ratios.values())
     return table
 
 
@@ -856,14 +941,24 @@ def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     deduplication and same-pattern threshold refinement amortize across
     the simulated users.  Result caching is disabled on both sides, so the
     gap measures *coalescing*, not cache hits.
+
+    Like a long-lived server, one service per size is started outside the
+    timed region.  Each round then answers the stream once naively and
+    once through the service, alternating which side goes first; after
+    one discarded warm-up round, each side's QPS pools its rounds (total
+    requests over total elapsed time).  The service's start and stop cost
+    stays visible as its own series, which times ``asyncio.run`` of a
+    fresh service answering one storm.
     """
     import asyncio
+    import time as time_module
 
     from ..api.engine import Engine
     from ..api.requests import SearchRequest
     from ..serving import AsyncSearchService
 
     users = 8
+    rounds = 30
     table = FigureTable(
         figure_id="serving-throughput",
         title="AsyncSearchService: coalesced vs naive QPS",
@@ -872,12 +967,16 @@ def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         notes=(
             f"listing engine, theta={scale.thetas[-1]}, tau_min={scale.tau_min}, "
             f"each pattern at taus {scale.tau_grid}, {users} simulated users, "
-            "caches disabled"
+            f"caches disabled; one warm service per size, {rounds} rounds of "
+            "naive then coalesced or the reverse, after a discarded warm-up "
+            "round, QPS pooled over the rounds; cold start = a fresh service "
+            "started, answering one storm and stopped"
         ),
     )
     theta = scale.thetas[-1]
     naive_series = Series("naive sequential (req/s)")
     coalesced_series = Series("coalesced service (req/s)")
+    cold_series = Series("coalesced, cold service start+stop (req/s)")
     for n in scale.collection_sizes:
         work = listing_workload(
             n,
@@ -895,26 +994,48 @@ def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
             for tau in scale.tau_grid
         ]
 
-        def run_naive() -> None:
-            for request in requests:
-                engine.search(request).count
-
-        async def storm() -> None:
-            async with AsyncSearchService(
+        def new_service() -> AsyncSearchService:
+            return AsyncSearchService(
                 engine,
                 max_wait_ms=2.0,
                 max_batch=len(requests),
                 max_pending=len(requests),
-            ) as service:
-                await asyncio.gather(*(service.submit(r) for r in requests))
+            )
 
-        naive_elapsed = time_callable(run_naive, repeats=scale.query_repeats)
-        coalesced_elapsed = time_callable(
-            lambda: asyncio.run(storm()), repeats=scale.query_repeats
+        async def storm(service: AsyncSearchService) -> None:
+            await asyncio.gather(*(service.submit(r) for r in requests))
+
+        async def cold_storm() -> None:
+            async with new_service() as service:
+                await storm(service)
+
+        async def warm_rounds() -> Tuple[float, float]:
+            elapsed = {"naive": 0.0, "coalesced": 0.0}
+            async with new_service() as service:
+                for round_index in range(rounds + 1):
+                    # Alternate which side goes first, so a drift in host
+                    # speed within a round charges both sides alike.
+                    sides = ("naive", "coalesced")
+                    for side in sides if round_index % 2 else sides[::-1]:
+                        started = time_module.perf_counter()
+                        if side == "naive":
+                            for request in requests:
+                                engine.search(request).count
+                        else:
+                            await storm(service)
+                        if round_index:  # round 0 warms threads, allocator, numpy
+                            elapsed[side] += time_module.perf_counter() - started
+            return elapsed["naive"], elapsed["coalesced"]
+
+        naive_elapsed, coalesced_elapsed = asyncio.run(warm_rounds())
+        cold_elapsed = time_callable(
+            lambda: asyncio.run(cold_storm()), repeats=scale.query_repeats
         )
-        naive_series.add(n, len(requests) / max(naive_elapsed, 1e-9))
-        coalesced_series.add(n, len(requests) / max(coalesced_elapsed, 1e-9))
-    table.series.extend([naive_series, coalesced_series])
+        timed_requests = rounds * len(requests)
+        naive_series.add(n, timed_requests / max(naive_elapsed, 1e-9))
+        coalesced_series.add(n, timed_requests / max(coalesced_elapsed, 1e-9))
+        cold_series.add(n, len(requests) / max(cold_elapsed, 1e-9))
+    table.series.extend([naive_series, coalesced_series, cold_series])
     return table
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -91,6 +94,44 @@ def format_csv(table: FigureTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def environment_stamp() -> Dict[str, object]:
+    """Where a bench ran: cores, Python and numpy versions, source commit.
+
+    ``nproc`` counts the CPUs this process may run on (its affinity mask,
+    as the ``nproc`` tool does), falling back to the host's count where
+    the platform has no affinity call.  The commit is ``git describe
+    --always --dirty`` of the checkout the package runs from — the
+    ``HEAD`` hash, suffixed ``-dirty`` when the working tree has
+    uncommitted changes, so a ``-dirty`` stamp names the base commit plus
+    edits not yet committed (a file regenerated for a change and committed
+    with it reads ``<parent>-dirty``) — and ``"unknown"`` outside a git
+    checkout (an installed package).
+    """
+    import numpy
+
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = "unknown"
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:
+        nproc = os.cpu_count()
+    return {
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "commit": commit,
+    }
+
+
 def figure_table_to_dict(
     table: FigureTable,
     *,
@@ -100,8 +141,9 @@ def figure_table_to_dict(
     """Machine-readable form of one :class:`FigureTable`.
 
     Carries the experiment name, its parameters (the table's labelling
-    metadata), the wall-clock seconds of the run and every measured series
-    — the record a perf-trajectory tool can diff across commits.
+    metadata), the environment it ran in (:func:`environment_stamp`), the
+    wall-clock seconds of the run and every measured series — the record a
+    perf-trajectory tool can diff across commits.
     """
     payload: Dict[str, object] = {
         "experiment": table.figure_id,
@@ -112,6 +154,7 @@ def figure_table_to_dict(
             "y_label": table.y_label,
             "notes": table.notes,
         },
+        "environment": environment_stamp(),
         "wall_clock_seconds": wall_clock_seconds,
         "series": [
             {

@@ -12,13 +12,18 @@ efficient indexes (Algorithm 2 / Algorithm 4 of the paper): repeatedly
 extract the maximum of a value array inside a suffix range and recurse on
 both sides until the maximum drops below the threshold.  The production
 kernels — :func:`report_above_threshold` and
-:func:`top_values_above_threshold` — are *vectorized*: they drive the whole
-frontier of live sub-ranges through ``rmq.query_batch`` and return numpy
-rank arrays, so no Python-level RMQ probe runs per reported occurrence.
-The original per-probe implementations remain as
+:func:`top_values_above_threshold` — return numpy rank arrays and dispatch
+on the range width, which is known before any RMQ probe runs: a range no
+wider than a measured crossover (:data:`SCAN_WIDTH` for reporting,
+:data:`TOP_K_SCAN_WIDTH` for top-k) is answered by one vectorized pass over
+``values[left : right + 1]``, a wider one by a batched *frontier* that
+drives every live sub-range through one ``rmq.query_batch`` call per round.
+Either way no Python-level RMQ probe runs per reported occurrence, and the
+``O(m + occ)`` bound holds (a scan touches at most a constant number of
+entries).  The original per-probe implementations remain as
 :func:`report_above_threshold_scalar` /
 :func:`top_values_above_threshold_scalar`, the reference the property-based
-equivalence suite pins the vectorized kernels against.
+equivalence suite pins both vectorized paths against.
 """
 
 from __future__ import annotations
@@ -150,6 +155,21 @@ def report_above_threshold_scalar(
             stack.append((best + 1, high))
 
 
+#: Widest range :func:`report_above_threshold` answers with one vectorized
+#: scan of ``values[left : right + 1]``; wider ranges run the RMQ frontier.
+#: (Top-k has its own crossover, :data:`TOP_K_SCAN_WIDTH`.)  It is the
+#: largest power of two at which a zero-output scan costs no more than one
+#: zero-output frontier round on :class:`~repro.suffix.rmq.SparseTableRMQ`,
+#: the cheapest RMQ per round (``query-kernel`` width sweep,
+#: ``BENCH_query_kernel.json``, 2-vCPU Xeon, numpy 2.4: 17 vs 22 µs at 2**16,
+#: 31 vs 22 µs at 2**17, 114 vs 24 µs at 2**18).  Below it the scan wins at
+#: every output size: a reporting frontier pays one round per level of the
+#: recursion, and :class:`~repro.suffix.rmq.CompactRMQ` rounds cost about 3x
+#: the sparse table's.  Scanning at most this many entries is constant work,
+#: so the kernels keep Algorithm 2's ``O(m + occ)`` bound.
+SCAN_WIDTH = 1 << 16
+
+
 def report_above_threshold(
     rmq: SupportsRangeMaximum,
     values: np.ndarray,
@@ -159,18 +179,16 @@ def report_above_threshold(
 ) -> np.ndarray:
     """Indices in ``[left, right]`` whose value exceeds ``threshold``.
 
-    Vectorized reporting kernel (Algorithm 2, batched): instead of probing
-    the RMQ once per reported index, the whole *frontier* of live
-    sub-ranges is answered by one :meth:`query_batch` call per round.
-    Every round reports all frontier maxima above the threshold and splits
-    their ranges; the number of Python-level rounds is the depth of the
-    reporting recursion (logarithmic in the output size for typical value
-    distributions) while the total RMQ work stays ``O(occ)``.
+    Vectorized reporting kernel (Algorithm 2): a range no wider than
+    :data:`SCAN_WIDTH` is scanned in one pass; a wider one runs the batched
+    RMQ frontier, whose total work is ``O(occ)`` RMQ probes in a number of
+    Python-level rounds equal to the depth of the reporting recursion.
 
     Returns the reported indices as an ``int64`` array.  The set of
-    indices is exactly what :func:`report_above_threshold_scalar` yields,
-    but the order is frontier (breadth-first) order — callers sort by
-    position/document before reporting, so no public answer depends on it.
+    indices is exactly what :func:`report_above_threshold_scalar` yields;
+    the order is rank order at or below :data:`SCAN_WIDTH` and frontier
+    (breadth-first) order above it — callers sort by position/document
+    before reporting, so no public answer depends on it.
 
     Parameters
     ----------
@@ -186,6 +204,30 @@ def report_above_threshold(
     """
     if left > right:
         return np.empty(0, dtype=np.int64)
+    if right - left + 1 <= SCAN_WIDTH:
+        return _report_scan(values, left, right, threshold)
+    return _report_frontier(rmq, values, left, right, threshold)
+
+
+def _report_scan(
+    values: np.ndarray, left: int, right: int, threshold: float
+) -> np.ndarray:
+    """Rank-ordered indices of ``[left, right]`` above ``threshold``, by one scan."""
+    return np.flatnonzero(values[left : right + 1] > threshold) + left
+
+
+def _report_frontier(
+    rmq: SupportsRangeMaximum,
+    values: np.ndarray,
+    left: int,
+    right: int,
+    threshold: float,
+) -> np.ndarray:
+    """Algorithm 2 batched: one :meth:`query_batch` per frontier round.
+
+    Every round reports all frontier maxima above the threshold and splits
+    their ranges; ``left <= right`` is the caller's precondition.
+    """
     lows = np.array([left], dtype=np.int64)
     highs = np.array([right], dtype=np.int64)
     reported: List[np.ndarray] = []
@@ -206,12 +248,15 @@ def report_above_threshold(
     return np.concatenate(reported)
 
 
-#: Bound on the extra entries :func:`top_values_above_threshold` extracts to
-#: resolve value ties at the ``k``-th place.  Tie classes up to this size get
-#: a deterministic tie-break; beyond it (realistically only runs of certain
-#: characters, where every window ties at probability 1.0) the selection
-#: within the boundary tie class is unspecified — the alternative would be
-#: O(occ) work on every ``top_k`` over deterministic text.
+#: Bound on the extra entries :func:`top_values_above_threshold` returns to
+#: resolve value ties at the ``k``-th place.  Tie classes up to this size are
+#: kept whole; a larger boundary tie class (realistically only runs of
+#: certain characters, where every window ties at probability 1.0) is cut
+#: after this many extra entries.  At or below :data:`TOP_K_SCAN_WIDTH` the
+#: scan sees the whole range, so the kept members are the smallest ranks on
+#: every RMQ.  Above it the frontier stops extracting at the bound — the
+#: alternative would be O(occ) work on every ``top_k`` over deterministic
+#: text — and only the leftmost-optimum RMQs still keep the smallest ranks.
 TIE_EXTRACTION_LIMIT = 1024
 
 
@@ -276,13 +321,47 @@ def _sort_by_value_then_rank(
     """Concatenate popped chunks and sort by ``(-value, rank)``.
 
     Shared by the in-loop stop check and the final truncation of
-    :func:`top_values_above_threshold`, so the early-stop bound and the
+    :func:`_top_values_frontier`, so the early-stop bound and the
     returned prefix always use the same ordering.
     """
     ranks = np.concatenate(rank_chunks)
     ordered_values = np.concatenate(value_chunks)
     order = np.lexsort((ranks, -ordered_values))
     return ranks[order], ordered_values[order]
+
+
+def _cut_top(
+    sorted_ranks: np.ndarray, sorted_vals: np.ndarray, k: int, include_ties: bool
+) -> np.ndarray:
+    """The returned prefix of ``(-value, rank)``-sorted candidates.
+
+    The first ``k``, extended under ``include_ties`` through the boundary
+    tie class (the contiguous run equal to the ``k``-th value) up to
+    ``k + TIE_EXTRACTION_LIMIT`` entries.
+    """
+    keep_count = min(k, len(sorted_ranks))
+    if include_ties and len(sorted_ranks) > keep_count:
+        boundary = sorted_vals[keep_count - 1]
+        tie_end = int(np.searchsorted(-sorted_vals, -boundary, side="right"))
+        keep_count = min(
+            k + TIE_EXTRACTION_LIMIT, max(keep_count, tie_end), len(sorted_ranks)
+        )
+    return sorted_ranks[:keep_count]
+
+
+#: Widest range :func:`top_values_above_threshold` answers with one scan.
+#: Lower than :data:`SCAN_WIDTH`: a top-k scan costs a gather and an
+#: ``np.partition`` over every entry above the threshold, while the top-k
+#: frontier stops after ``O(log k)`` rounds whatever the width, so the scan's
+#: worst case is a full output at a small ``k``.  At ``k = 10`` a full-output
+#: scan meets the sparse-table frontier at about 2**16, where the winner
+#: depends on where the range's maxima fall (``query-kernel`` width sweep,
+#: ``BENCH_query_kernel.json``, same runner: 315 vs 336 µs at 2**16, and
+#: 0.8-1.6x over repeated runs; 924 vs 342 µs at 2**17).  This is one power
+#: of two lower, where the scan costs about half to two thirds of the
+#: frontier (150 vs 235 µs); at ``k = 50`` and at zero output the scan wins
+#: at every width up to 2**16.
+TOP_K_SCAN_WIDTH = 1 << 15
 
 
 def top_values_above_threshold(
@@ -297,29 +376,72 @@ def top_values_above_threshold(
 ) -> np.ndarray:
     """Indices of the ``k`` largest values above ``threshold`` in ``[left, right]``.
 
-    Batched variant of :func:`top_values_above_threshold_scalar`: the
-    frontier of candidate ranges lives in parallel numpy arrays, every
-    round pops the best ``p`` frontier entries at once (``p`` doubling each
-    round, so the number of Python-level rounds is ``O(log k)``) and
-    answers all of their children with a single :meth:`query_batch` call.
-    The extraction stops as soon as no frontier maximum can still reach the
-    result, using the same threshold / ``k``-th-value / tie rules as the
-    scalar reference.
+    Vectorized variant of :func:`top_values_above_threshold_scalar`.  A
+    range no wider than :data:`TOP_K_SCAN_WIDTH` is scanned in one pass: the
+    entries above the threshold that tie or beat the ``k``-th largest are
+    sorted by ``(-value, rank)``.  A wider range runs the batched frontier:
+    candidate ranges live in parallel numpy arrays, every round pops the
+    best ``p`` frontier entries at once (``p`` doubling each round, so the
+    number of Python-level rounds is ``O(log k)``) and answers all of their
+    children with a single :meth:`query_batch` call, stopping as soon as no
+    frontier maximum can still reach the result.  Both paths apply the
+    scalar reference's threshold / ``k``-th-value / tie rules.
 
-    Returns an ``int64`` array of indices sorted by ``(-value, index)``.
-    With an RMQ whose ``query`` returns the *leftmost* optimum (the sparse
-    table does), this is exactly the scalar heap's pop order; block RMQs
-    may discover a within-tie-class member in a different order, but with
+    Returns an ``int64`` array of indices sorted by ``(-value, index)``: the
+    first ``k``, plus under ``include_ties`` the rest of the boundary tie
+    class up to :data:`TIE_EXTRACTION_LIMIT` extra entries.  The scan
+    returns exactly that prefix of the whole range's ``(-value, index)``
+    order on every RMQ; so does the frontier with an RMQ whose ``query``
+    returns the *leftmost* optimum (the sparse table and
+    :class:`~repro.suffix.rmq.CompactRMQ` do), which is also the scalar
+    heap's pop order.  Above :data:`TOP_K_SCAN_WIDTH` a block RMQ may
+    discover a within-tie-class member in a different order, but with
     ``include_ties`` the returned *set* is identical whenever the boundary
     tie class fits the :data:`TIE_EXTRACTION_LIMIT` budget — the same
-    caveat the scalar version documents.  Without ``include_ties`` a tie
-    class straddling the ``k`` boundary is truncated to its smallest-index
-    members here versus heap-discovery-order members in the scalar
-    reference (identical values either way); every index calls with
-    ``include_ties=True``, where both kernels keep the whole class.
+    caveat the scalar version documents.  Every index calls with
+    ``include_ties=True``.
     """
     if left > right or k <= 0:
         return np.empty(0, dtype=np.int64)
+    if right - left + 1 <= TOP_K_SCAN_WIDTH:
+        return _top_values_scan(values, left, right, k, threshold, include_ties)
+    return _top_values_frontier(rmq, values, left, right, k, threshold, include_ties)
+
+
+def _top_values_scan(
+    values: np.ndarray,
+    left: int,
+    right: int,
+    k: int,
+    threshold: float,
+    include_ties: bool,
+) -> np.ndarray:
+    """:func:`top_values_above_threshold` by one scan of ``[left, right]``."""
+    window = values[left : right + 1]
+    ranks = np.flatnonzero(window > threshold)
+    vals = window[ranks]
+    if ranks.size > k:
+        # Only entries tying or beating the k-th largest value can be kept.
+        kth = np.partition(vals, ranks.size - k)[ranks.size - k]
+        keep = vals >= kth
+        ranks, vals = ranks[keep], vals[keep]
+    order = np.lexsort((ranks, -vals))
+    return _cut_top(ranks[order] + left, vals[order], k, include_ties)
+
+
+def _top_values_frontier(
+    rmq: SupportsRangeMaximum,
+    values: np.ndarray,
+    left: int,
+    right: int,
+    k: int,
+    threshold: float,
+    include_ties: bool,
+) -> np.ndarray:
+    """:func:`top_values_above_threshold` by the batched RMQ frontier.
+
+    ``left <= right`` and ``k > 0`` are the caller's preconditions.
+    """
     limit = k + TIE_EXTRACTION_LIMIT if include_ties else k
 
     lows = np.array([left], dtype=np.int64)
@@ -339,20 +461,16 @@ def top_values_above_threshold(
                 popped_ranks, popped_vals
             )
             frontier_max = vals.max()
-            if count >= limit:
-                bound_val = sorted_vals[limit - 1]
-                if frontier_max < bound_val:
-                    break
-                if frontier_max == bound_val:
-                    # Only a same-valued entry at a smaller index could still
-                    # displace the current limit-boundary entry.
-                    tied = vals == frontier_max
-                    if int(args[tied].min()) > int(sorted_ranks[limit - 1]):
-                        break
-            elif frontier_max < sorted_vals[k - 1]:
+            if frontier_max < sorted_vals[k - 1]:
                 # Strictly below the k-th value: nothing left to report
                 # (equal values continue — they are boundary ties).
                 break
+            if count >= limit and frontier_max == sorted_vals[limit - 1]:
+                # Only a same-valued entry at a smaller index could still
+                # displace the current limit-boundary entry.
+                tied = vals == frontier_max
+                if int(args[tied].min()) > int(sorted_ranks[limit - 1]):
+                    break
         pop = min(pop_budget, args.size)
         pop_budget *= 2
         order = np.lexsort((args, -vals))
@@ -375,14 +493,7 @@ def top_values_above_threshold(
     if count == 0:
         return np.empty(0, dtype=np.int64)
     sorted_ranks, sorted_vals = _sort_by_value_then_rank(popped_ranks, popped_vals)
-    keep_count = min(k, len(sorted_ranks))
-    if include_ties and len(sorted_ranks) > keep_count:
-        # Extend through the boundary tie class (values sorted descending,
-        # so the tie class is the contiguous run equal to the k-th value).
-        boundary = sorted_vals[keep_count - 1]
-        tie_end = int(np.searchsorted(-sorted_vals, -boundary, side="right"))
-        keep_count = min(limit, max(keep_count, tie_end), len(sorted_ranks))
-    return sorted_ranks[:keep_count]
+    return _cut_top(sorted_ranks, sorted_vals, k, include_ties)
 
 
 def restore_child_rmq(

@@ -363,10 +363,8 @@ class SearchHttpApp:
                 return self._metrics()
             if path == "/search":
                 if method == "GET":
-                    params = {
-                        name: _single(parse_qs(split.query), name)
-                        for name in parse_qs(split.query)
-                    }
+                    query = parse_qs(split.query)
+                    params = {name: _single(query, name) for name in query}
                     return await self._search(params, headers)
                 if method == "POST":
                     return await self._search(self._decode_body(body), headers)

@@ -48,6 +48,19 @@ class TestSearchRequest:
         with pytest.raises(ValidationError):
             SearchRequest("a", top_k=0)
 
+    @pytest.mark.parametrize("timeout_ms", [float("nan"), float("inf"), 1e13])
+    def test_non_finite_or_overlarge_timeout_rejected(self, timeout_ms):
+        # NaN slips past a plain ``<= 0`` check, and budgets beyond
+        # threading.TIMEOUT_MAX overflowed the sharded executors' waits.
+        with pytest.raises(ValidationError, match=r"timeout_ms must be a finite"):
+            SearchRequest("a", timeout_ms=timeout_ms)
+
+    def test_largest_timeout_accepted(self):
+        from repro.api.requests import TIMEOUT_MS_MAX
+
+        assert SearchRequest("a", timeout_ms=9e12).timeout_ms == 9e12
+        assert SearchRequest("a", timeout_ms=TIMEOUT_MS_MAX).timeout_ms == TIMEOUT_MS_MAX
+
     def test_coerce_overrides(self):
         base = SearchRequest("ab", tau=0.2)
         assert SearchRequest.coerce(base) is base

@@ -6,6 +6,13 @@ The guards, all at the small scale so the step stays fast:
   baseline on the largest small-grid workload (a generous margin — on real
   workloads it is several times *faster*; the margin only guards against a
   vectorization regression without flaking on noisy CI runners);
+* the range scans have not become slower at the widths where the
+  kernels still use them: at ``SCAN_WIDTH`` a zero-output reporting scan
+  costs at most 1.5x one zero-output sparse-table frontier round
+  (measured ~0.6-0.8x), and at ``TOP_K_SCAN_WIDTH`` a full-output top-k
+  scan at k=10 costs at most 1.5x the sparse-table frontier (measured
+  ~0.4-0.65x).  The guards are one-sided: a scan that became relatively
+  *cheaper*, which would move a crossover up, does not fail them;
 * the coalescing ``AsyncSearchService`` beats naive sequential serving on
   a repeated-pattern workload (the dedupe + refinement amortization is a
   work reduction, not a timing race, so the margin can be strict);
@@ -24,31 +31,57 @@ default-scale benchmark runs (``python -m repro.bench --figure
 query-kernel --figure serving-throughput --json``).
 """
 
+import pytest
+
 from repro.bench.experiments import (
     SMALL_SCALE,
     query_kernel,
     serving_throughput,
     shard_build,
 )
+from repro.core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH
 
 
 class TestQueryKernelSmoke:
-    def test_vectorized_not_slower_than_margin(self):
-        table = query_kernel(SMALL_SCALE)
+    @pytest.fixture(scope="class")
+    def table(self):
+        return query_kernel(SMALL_SCALE)
+
+    def test_vectorized_not_slower_than_margin(self, table):
         scalar = table.series_by_label("scalar (occ/s)")
         vectorized = table.series_by_label("vectorized (occ/s)")
         assert scalar.xs == vectorized.xs == list(SMALL_SCALE.kernel_occ_targets)
-        # Assert on the largest workload of the small grid: tiny batches pay
-        # fixed numpy overhead per frontier round, so the vectorized win
-        # only shows from a few hundred occurrences up — which is also the
-        # only regime where reporting throughput matters.
+        # Assert on the largest workload of the small grid, the regime
+        # where reporting throughput matters.
         assert vectorized.values[-1] >= scalar.values[-1] / 1.5, (
             f"vectorized kernel {vectorized.values[-1]:.0f} occ/s is more than "
             f"1.5x slower than scalar {scalar.values[-1]:.0f} occ/s"
         )
 
-    def test_speedup_series_is_consistent(self):
-        table = query_kernel(SMALL_SCALE)
+    # Each sweep cell is the best of five batch means, so the scan guards
+    # hold on a noisy runner; 1.5x leaves room above the measured ratios.
+
+    def test_scan_width_crossover_holds(self, table):
+        ratio = table.series_by_label("zero-output scan / sparse frontier round (x)")
+        at_scan_width = dict(zip(ratio.xs, ratio.values))[SCAN_WIDTH]
+        assert at_scan_width <= 1.5, (
+            f"a zero-output scan at SCAN_WIDTH={SCAN_WIDTH} costs "
+            f"{at_scan_width:.2f}x one sparse frontier round: the scan got "
+            "slower, re-run the query-kernel sweep"
+        )
+
+    def test_top_k_scan_width_crossover_holds(self, table):
+        ratio = table.series_by_label(
+            "top-k k=10, full-output scan / sparse frontier (x)"
+        )
+        at_scan_width = dict(zip(ratio.xs, ratio.values))[TOP_K_SCAN_WIDTH]
+        assert at_scan_width <= 1.5, (
+            f"a full-output top-k scan at TOP_K_SCAN_WIDTH={TOP_K_SCAN_WIDTH} "
+            f"costs {at_scan_width:.2f}x the sparse frontier: the scan got "
+            "slower, re-run the query-kernel sweep"
+        )
+
+    def test_speedup_series_is_consistent(self, table):
         scalar = table.series_by_label("scalar (occ/s)")
         vectorized = table.series_by_label("vectorized (occ/s)")
         speedup = table.series_by_label("speedup (x)")

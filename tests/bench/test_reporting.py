@@ -83,6 +83,43 @@ class TestJsonArtifacts:
         assert labels == ["theta=0.1", "theta=0.3"]
         assert payload["series"][0]["points"][0] == {"x": 1000.0, "value": 0.5}
 
+    def test_payload_stamps_environment(self, sample_table):
+        import os
+        import platform
+
+        import numpy
+
+        from repro.bench.reporting import figure_table_to_dict
+
+        environment = figure_table_to_dict(sample_table)["environment"]
+        if hasattr(os, "sched_getaffinity"):
+            assert environment["nproc"] == len(os.sched_getaffinity(0))
+        else:
+            assert environment["nproc"] == os.cpu_count()
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == numpy.__version__
+        assert isinstance(environment["commit"], str) and environment["commit"]
+
+    def test_nproc_follows_the_affinity_mask(self, sample_table, monkeypatch):
+        import os
+
+        from repro.bench import reporting
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert reporting.environment_stamp()["nproc"] == 1
+
+    def test_commit_unknown_outside_a_git_checkout(self, sample_table, monkeypatch):
+        import subprocess
+
+        from repro.bench import reporting
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        payload = reporting.figure_table_to_dict(sample_table)
+        assert payload["environment"]["commit"] == "unknown"
+
     def test_artifact_name_sanitizes_dashes(self):
         from repro.bench.reporting import json_artifact_name
 
@@ -100,4 +137,5 @@ class TestJsonArtifacts:
         assert path == tmp_path / "BENCH_fig7a.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["experiment"] == "fig7a"
+        assert set(payload["environment"]) == {"nproc", "python", "numpy", "commit"}
         assert payload["series"][1]["points"] == [{"x": 1000.0, "value": 0.6}]

@@ -34,7 +34,7 @@ from repro.serving import (
     SearchHttpServer,
     status_for_exception,
 )
-from repro.serving.http import HttpResponse, match_to_json
+from repro.serving.http import HttpResponse, _parse_search, match_to_json
 from tests.conftest import make_random_uncertain_string
 
 
@@ -321,6 +321,51 @@ class TestDeadlinesOverHttp:
         negative, not_a_number = _with_app(listing_engine, handler)
         assert negative.status == 400
         assert not_a_number.status == 400
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["nan", "inf", "1e13", float("nan"), 1e13],
+        ids=["nan-query", "inf-query", "1e13-query", "nan-json", "1e13-json"],
+    )
+    def test_parse_rejects_non_finite_or_overlarge_timeout(self, raw):
+        with pytest.raises(ValidationError, match=r"timeout_ms must be a finite"):
+            _parse_search({"pattern": "A", "timeout_ms": raw})
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_non_finite_or_overlarge_timeout_is_400_on_sharded_engines(
+        self, executor
+    ):
+        # Regression: NaN answered 504 (every deadline comparison is
+        # false), and budgets beyond threading.TIMEOUT_MAX answered 500
+        # from the executors' overflowing waits.
+        from repro.api import build_sharded_index
+
+        engine = build_sharded_index(
+            make_random_uncertain_string(40, 0.3, seed=23),
+            shards=2,
+            tau_min=0.1,
+            kind="general",
+            max_pattern_len=4,
+            query_executor=executor,
+            cache_size=0,
+        )
+        try:
+
+            async def handler(app):
+                return [
+                    await app.dispatch(
+                        "GET", f"/search?pattern=A&tau=0.2&timeout_ms={raw}"
+                    )
+                    for raw in ("nan", "inf", "1e13", "9e12")
+                ]
+
+            *rejected, largest = _with_app(engine, handler)
+        finally:
+            engine.close()
+        for response in rejected:
+            assert response.status == 400
+            assert response.payload["error"]["type"] == "ValidationError"
+        assert largest.status == 200
 
     def test_generous_timeout_ms_answers_normally(self, listing_engine):
         async def handler(app):
