@@ -60,6 +60,7 @@ from .core import (
     BruteForceOracle,
     GeneralUncertainStringIndex,
     ListingMatch,
+    MatchArrays,
     MaximalFactor,
     Occurrence,
     OnlineDynamicProgrammingMatcher,
@@ -119,6 +120,7 @@ __all__ = [
     "IndexPlan",
     "InjectedFaultError",
     "ListingMatch",
+    "MatchArrays",
     "MaximalFactor",
     "Occurrence",
     "OnlineDynamicProgrammingMatcher",

@@ -9,11 +9,12 @@ amortizes work across the batch without touching index internals:
   *same pattern* at different thresholds trigger a single index traversal
   at the lowest threshold; the tighter answers are derived by filtering the
   base answer (a match reported above ``tau₁`` is above ``tau₂ > tau₁``
-  exactly when its value clears ``tau₂``).  Refinement is enabled only for
-  engines whose index both stores and compares match values in the same
-  linear space the filter uses — the listing index, whose ``ListingMatch``
-  carries the exact float the direct query compares against ``tau``, so the
-  derived answer is bit-identical to a direct query.  The substring indexes
+  exactly when its value clears ``tau₂``): one ``values > tau₂`` mask over
+  the base answer's arrays.  Refinement is enabled only for engines whose
+  index both stores and compares match values in the same linear space the
+  filter uses — the listing index, whose answer carries the exact float the
+  direct query compares against ``tau``, so the derived answer is
+  bit-identical to a direct query.  The substring indexes
   compare in *log* space and report ``exp(value)``; a linear filter over
   the reported probabilities can flip a strict comparison within a ulp of
   the boundary, and the approximate index additionally carries an additive
@@ -22,6 +23,12 @@ amortizes work across the batch without touching index internals:
   a hair below ``tau`` (the indexes apply a 1e-12 tolerance), which a
   filter over a plain query's answer cannot reproduce — and the heap-driven
   ``top_k`` path is already output-sensitive, so there is little to save.
+
+Answers stay :class:`~repro.core.base.MatchArrays` throughout: a derived
+answer is a masked copy of its base's arrays, a same-threshold twin shares
+the base's answer object outright, and a degraded base's ``failed_shards``
+carry over to everything derived from it (which keeps those out of the
+cache too).  No record is built here.
 
 Everything stays lazy: nothing runs until some result in the batch is
 actually consumed.  On a plain ``Engine``, consuming one result
@@ -37,9 +44,9 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.base import Occurrence
+from ..core.base import MatchArrays
 from .cache import CacheKey, ResultCache
-from .requests import Match, PartialAnswer, SearchRequest, SearchResult
+from .requests import SearchRequest, SearchResult
 
 #: Key identifying requests that can share one evaluation verbatim.
 #: ``timeout_ms`` is deliberately absent: the budget changes how long a
@@ -49,42 +56,27 @@ _RequestKey = Tuple[str, Optional[float], Optional[int]]
 #: Evaluates several requests together: one lazy evaluator per request,
 #: in order (see ``ShardedEngine._evaluate_window``).
 WindowEvaluator = Callable[
-    [Sequence[SearchRequest]], List[Callable[[], List[Match]]]
+    [Sequence[SearchRequest]], List[Callable[[], MatchArrays]]
 ]
 
 
-def _match_value(match: Match) -> float:
-    """The probability (occurrence) or relevance (listing match) of a match."""
-    if isinstance(match, Occurrence):
-        return match.probability
-    return match.relevance
+def _derive_filtered(base: SearchResult, tau: float) -> Callable[[], MatchArrays]:
+    """Answer at threshold ``tau`` derived from a lower-threshold answer.
 
-
-def _carry_partial(base: SearchResult, matches: List[Match]) -> List[Match]:
-    """Tag ``matches`` as partial when the answer they derive from is.
-
-    A result filtered or shared from a degraded base answer is itself
-    degraded — the failed shards' matches are missing from it just the
-    same — so the :class:`PartialAnswer` metadata must survive refinement
-    and same-threshold sharing (and keep the derived answer out of the
-    cache).
+    The mask keeps the base's ``failed_shards``: an answer filtered from a
+    degraded one is degraded just the same.
     """
-    source = base.matches
-    if isinstance(source, PartialAnswer):
-        return PartialAnswer(matches, source.failed_shards)
-    return matches
 
+    def derive() -> MatchArrays:
+        answer = base.arrays
+        return answer.where(answer.values > tau)
 
-def _derive_filtered(base: SearchResult, tau: float) -> Callable[[], List[Match]]:
-    """Answer at threshold ``tau`` derived from a lower-threshold answer."""
-    return lambda: _carry_partial(
-        base, [match for match in base.matches if _match_value(match) > tau]
-    )
+    return derive
 
 
 def execute_batch(
     requests: Sequence[Union[SearchRequest, str]],
-    evaluate: Callable[[SearchRequest], List[Match]],
+    evaluate: Callable[[SearchRequest], MatchArrays],
     tau_min: float,
     *,
     default_tau: Optional[float] = None,
@@ -154,7 +146,7 @@ def execute_batch(
     # Window hand-off state: direct evaluations not yet handed to the
     # engine, and handed-over evaluators not yet consumed.
     unsent: Dict[_RequestKey, SearchRequest] = {}
-    handed: Dict[_RequestKey, Callable[[], List[Match]]] = {}
+    handed: Dict[_RequestKey, Callable[[], MatchArrays]] = {}
     handoff = threading.Lock()
 
     def in_cache(request: SearchRequest) -> bool:
@@ -162,7 +154,7 @@ def execute_batch(
             cache_key(request)
         )
 
-    def direct(request: SearchRequest) -> Callable[[], List[Match]]:
+    def direct(request: SearchRequest) -> Callable[[], MatchArrays]:
         """The evaluation of a request the engine answers itself."""
         if evaluate_window is None:
             return lambda: evaluate(request)
@@ -170,7 +162,7 @@ def execute_batch(
         key: _RequestKey = (request.pattern, request.tau, request.top_k)
         unsent[key] = request
 
-        def compute() -> List[Match]:
+        def compute() -> MatchArrays:
             with handoff:
                 evaluator = handed.pop(key, None)
                 if evaluator is None:
@@ -191,8 +183,8 @@ def execute_batch(
         return compute
 
     def wrapped(
-        request: SearchRequest, compute: Callable[[], List[Match]]
-    ) -> Callable[[], List[Match]]:
+        request: SearchRequest, compute: Callable[[], MatchArrays]
+    ) -> Callable[[], MatchArrays]:
         if cache is None or cache_key is None:
             return compute
         cached = cache.wrap(cache_key(request), compute)
@@ -200,7 +192,7 @@ def execute_batch(
         if trace is None:
             return cached
 
-        def traced() -> List[Match]:
+        def traced() -> MatchArrays:
             # A cache hit never reaches the engine, so the trace gains no
             # records from the wrapped computation — that is the hit signal.
             before = trace.size()
@@ -241,14 +233,10 @@ def execute_batch(
             base_result.request.resolve_tau(tau_min) == tau
         ):
             # Same pattern, same threshold, possibly different spelling of
-            # the default — share the base evaluation outright.
+            # the default — share the base's (immutable) answer outright.
             shared_base = base_result
             result = base_result if base_result.request == request else SearchResult(
-                request,
-                wrapped(
-                    request,
-                    lambda: _carry_partial(shared_base, list(shared_base.matches)),
-                ),
+                request, wrapped(request, lambda: shared_base.arrays)
             )
         else:
             result = SearchResult(request, wrapped(request, direct(request)))

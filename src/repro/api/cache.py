@@ -9,11 +9,11 @@ sitting in front of ``Engine._evaluate`` (and the merged evaluation of
 
 Design constraints, in order:
 
-* **Immutability** — cached values are stored as tuples and copied into a
-  fresh list on every hit, so no caller (pagination included) can mutate a
-  cached answer; :class:`~repro.api.requests.SearchResult` already never
-  mutates its match list, the copy guards against callers reaching into
-  ``result.matches`` directly.
+* **Immutability** — a cached value is the answer itself, a
+  :class:`~repro.core.base.MatchArrays` whose arrays are read-only: it is
+  stored and handed to every hit as is, shared, with no per-hit copy, and
+  no caller can mutate it (writing to its arrays raises ``ValueError``;
+  ``result.matches`` builds a fresh record list per result).
 * **Laziness** — :meth:`wrap` returns an evaluation *closure*, so the cache
   is only consulted when a lazy result is actually touched.  Untouched
   results cost neither a lookup nor a counter tick, and batch deduplication
@@ -47,10 +47,10 @@ not immutable-forever:
 Errors are never cached: an evaluation that raises (e.g. a
 :class:`~repro.exceptions.ThresholdError` for a ``tau`` below ``tau_min``)
 propagates without touching the stored entries, and the failed lookup is
-counted as a miss.  Neither are **partial answers**
-(:class:`~repro.api.requests.PartialAnswer`, produced by a degraded
-sharded engine): a transient shard outage must cost a re-evaluation on
-the next request, never a cached degraded answer served until eviction.
+counted as a miss.  Neither are **partial answers** (a degraded sharded
+engine's answer, whose ``failed_shards`` is non-empty): a transient shard
+outage must cost a re-evaluation on the next request, never a cached
+degraded answer served until eviction.
 
 :meth:`get` carries the ``cache-access`` fault-injection site
 (:mod:`repro.faults`) — a no-op unless a chaos plan is installed.
@@ -61,12 +61,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
+from ..core.base import MatchArrays
 from ..exceptions import ValidationError
 from ..faults import SITE_CACHE_ACCESS, fire
 from ..obs.metrics import MetricsRegistry
-from .requests import PartialAnswer
 
 #: Default number of distinct request keys an engine keeps hot.
 DEFAULT_CACHE_SIZE = 1024
@@ -81,7 +81,7 @@ _StoredKey = Tuple[int, CacheKey]
 
 
 class ResultCache:
-    """A bounded, thread-safe LRU over evaluated match lists.
+    """A bounded, thread-safe LRU over evaluated answers.
 
     Parameters
     ----------
@@ -115,7 +115,7 @@ class ResultCache:
         self._capacity = int(capacity)
         self._ttl_seconds = ttl_seconds
         self._clock = clock if clock is not None else time.monotonic
-        self._entries: "OrderedDict[_StoredKey, Tuple[Tuple, float]]" = OrderedDict()  # guarded-by: _lock
+        self._entries: "OrderedDict[_StoredKey, Tuple[MatchArrays, float]]" = OrderedDict()  # guarded-by: _lock
         # Re-entrant so registry updates made while the cache lock is
         # already held (and stats() snapshots) serialize on one monitor.
         self._lock = threading.RLock()
@@ -177,7 +177,7 @@ class ResultCache:
         ]
 
     # -- core operations ----------------------------------------------------------
-    def get(self, key: CacheKey) -> Optional[Tuple]:
+    def get(self, key: CacheKey) -> Optional[MatchArrays]:
         """The cached answer for ``key``, or ``None`` (counts a hit or miss).
 
         Only entries written under the current generation are reachable,
@@ -226,9 +226,9 @@ class ResultCache:
             )
 
     def put(
-        self, key: CacheKey, value: Sequence, *, generation: Optional[int] = None
+        self, key: CacheKey, value: MatchArrays, *, generation: Optional[int] = None
     ) -> None:
-        """Store ``value`` (copied to an immutable tuple) under ``key``.
+        """Store the (immutable, uncopied) answer ``value`` under ``key``.
 
         ``generation`` is the generation the value was *computed* under
         (pass the value of :attr:`generation` read before the computation
@@ -241,7 +241,6 @@ class ResultCache:
         """
         if not self.enabled:
             return
-        frozen = tuple(value)
         with self._lock:
             if generation is not None and generation != self._generation:
                 return
@@ -254,39 +253,41 @@ class ResultCache:
             stamp = self._clock()
             if stored in self._entries:
                 self._entries.move_to_end(stored)
-                self._entries[stored] = (frozen, stamp)
+                self._entries[stored] = (value, stamp)
                 return
-            self._entries[stored] = (frozen, stamp)
+            self._entries[stored] = (value, stamp)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._evictions.inc()
 
-    def wrap(self, key: CacheKey, compute: Callable[[], List]) -> Callable[[], List]:
+    def wrap(
+        self, key: CacheKey, compute: Callable[[], MatchArrays]
+    ) -> Callable[[], MatchArrays]:
         """A lazy evaluation closure: cache lookup first, ``compute`` on miss.
 
         The returned callable is what a :class:`SearchResult` evaluates —
         nothing happens (no lookup, no counters) until the result is
-        touched.  Hits return a fresh list copied from the stored tuple, so
-        cached answers can never be mutated through a result.
+        touched.  A hit returns the stored answer itself: it is immutable,
+        so every hit shares it without a copy.
         """
         if not self.enabled:
             return compute
 
-        def evaluate() -> List:
+        def evaluate() -> MatchArrays:
             cached = self.get(key)
             if cached is not None:
-                return list(cached)
+                return cached
             # Capture the generation *before* computing: if the index is
             # replaced mid-evaluation, put() drops this (now stale) answer.
             generation = self._generation
             value = compute()
-            if isinstance(value, PartialAnswer):
+            if value.failed_shards:
                 # Never cache a degraded answer: a shard outage must cost
                 # re-evaluation on the next request, not pin the partial
                 # result until eviction / TTL / generation bump.
                 return value
             self.put(key, value, generation=generation)
-            return list(value)
+            return value
 
         return evaluate
 

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Union
 
+from ..core.base import MatchArrays, evaluate_request
 from ..core.listing import UncertainStringListingIndex
 from ..obs.profile import active_profiler
 from ..strings.special import SpecialUncertainString
@@ -58,7 +59,7 @@ class QueryEngine:
 
     _cache: ResultCache
 
-    def _evaluate(self, request: SearchRequest) -> List[Match]:
+    def _evaluate(self, request: SearchRequest) -> MatchArrays:
         raise NotImplementedError
 
     def _refine_allowed(self) -> bool:
@@ -92,7 +93,7 @@ class QueryEngine:
         normalized = SearchRequest.coerce(request, tau=tau, top_k=top_k)
         return SearchResult(normalized, self._wrapped_compute(normalized))
 
-    def _wrapped_compute(self, request: SearchRequest) -> Callable[[], List[Match]]:
+    def _wrapped_compute(self, request: SearchRequest) -> Callable[[], MatchArrays]:
         """The cached evaluation closure, with a ``cache`` span when traced.
 
         The cache span's ``hit`` meta is derived from whether the wrapped
@@ -106,7 +107,7 @@ class QueryEngine:
         if trace is None:
             return compute
 
-        def traced() -> List[Match]:
+        def traced() -> MatchArrays:
             before = trace.size()
             with trace.span("cache", parent="evaluate") as meta:
                 value = compute()
@@ -252,30 +253,23 @@ class Engine(QueryEngine):
         return f"Engine(kind={self.kind!r}, tau_min={self.tau_min}, nbytes={self.nbytes()})"
 
     # -- queries -----------------------------------------------------------------------
-    def _evaluate(self, request: SearchRequest) -> List[Match]:
+    def _evaluate(self, request: SearchRequest) -> MatchArrays:
         trace = request.trace
         profiler = active_profiler()
         if trace is None and profiler is None:
             # Zero-overhead fast path: no timers unless someone is looking.
-            if request.top_k is not None:
-                return self._index.top_k(
-                    request.pattern, request.top_k, tau=request.tau
-                )
-            return self._index.query(
-                request.pattern, request.resolve_tau(self.tau_min)
+            return evaluate_request(
+                self._index, request.pattern, request.tau, request.top_k
             )
         start = time.perf_counter()
-        if request.top_k is not None:
-            matches = self._index.top_k(request.pattern, request.top_k, tau=request.tau)
-        else:
-            matches = self._index.query(request.pattern, request.resolve_tau(self.tau_min))
+        answer = evaluate_request(self._index, request.pattern, request.tau, request.top_k)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if trace is not None:
             trace.add("kernel", elapsed_ms, parent="cache",
-                      kind=self.kind, matches=len(matches))
+                      kind=self.kind, matches=len(answer))
         if profiler is not None and profiler.should_sample():
             profiler.observe(self.kind, elapsed_ms)
-        return matches
+        return answer
 
     def _refine_allowed(self) -> bool:
         # Refinement is exact only when the index both stores and compares

@@ -11,9 +11,11 @@ Every index variant answers the same request shape:
   of requests costs nothing until each answer is actually consumed, and a
   batch engine can share one evaluation across duplicated requests.
 
-Results hold either :class:`repro.core.base.Occurrence` values (substring
-search) or :class:`repro.core.base.ListingMatch` values (document listing);
-the sequence protocol, paging and counting behave identically for both.
+An answer is a :class:`repro.core.base.MatchArrays` (ids and values as
+read-only arrays).  Results read as either :class:`repro.core.base.Occurrence`
+records (substring search) or :class:`repro.core.base.ListingMatch` records
+(document listing), built only when a caller reads them; the sequence
+protocol, paging and counting behave identically for both.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 from .._validation import check_nonempty_pattern, check_threshold
-from ..core.base import ListingMatch, Occurrence, resolve_tau
+from ..core.base import Match, MatchArrays, resolve_tau
 from ..exceptions import ValidationError
 
 if TYPE_CHECKING:
     from ..obs.trace import Trace
-
-Match = Union[Occurrence, ListingMatch]
 
 #: Largest accepted ``timeout_ms``: the longest wait ``threading`` can
 #: express (``threading.TIMEOUT_MAX`` seconds, about 292 years on 64-bit
@@ -38,17 +38,18 @@ TIMEOUT_MS_MAX = threading.TIMEOUT_MAX * 1000.0
 
 
 class PartialAnswer(List[Match]):
-    """A degraded answer: matches from the healthy shards only.
+    """A degraded answer's records: matches from the healthy shards only.
 
     A :class:`~repro.api.sharding.ShardedEngine` running with
-    ``partial=True`` substitutes this for a plain match list when one or
-    more shards still fail after crash recovery: it behaves exactly like
-    the list it is, but carries :attr:`failed_shards` so every layer above
-    (results, the serving service, the HTTP wire shape) can tell a
-    complete answer from a degraded one.  Partial answers are never
-    cached (:meth:`~repro.api.cache.ResultCache.wrap` skips them) — the
-    next request re-asks the shards instead of pinning the degraded
-    answer for the cache's lifetime.
+    ``partial=True`` answers with a :class:`~repro.core.base.MatchArrays`
+    whose ``failed_shards`` is non-empty when one or more shards still fail
+    after crash recovery; :attr:`SearchResult.matches` then reads as this
+    list instead of a plain one.  It behaves exactly like the list it is,
+    but carries :attr:`failed_shards` so a caller can tell a complete
+    answer from a degraded one.  Degraded answers are never cached
+    (:meth:`~repro.api.cache.ResultCache.wrap` skips them) — the next
+    request re-asks the shards instead of pinning the degraded answer for
+    the cache's lifetime.
     """
 
     __slots__ = ("failed_shards",)
@@ -144,6 +145,14 @@ class SearchResult(Sequence[Match]):
     a result can be handed around, paged and re-read without repeating any
     index work — and a result that is never touched never costs anything.
 
+    The answer is a :class:`~repro.core.base.MatchArrays` (:attr:`arrays`),
+    and :attr:`count`, :attr:`exists`, :attr:`partial`,
+    :attr:`failed_shards` and :meth:`positions` read it without building a
+    record.  :attr:`matches` (and iteration and indexing) builds the
+    :class:`~repro.core.base.Occurrence` / :class:`~repro.core.base.ListingMatch`
+    records once, on first access; :meth:`page` and :meth:`pages` build
+    only the records of the requested page.
+
     Examples
     --------
     >>> from repro import UncertainString, build_index
@@ -157,10 +166,11 @@ class SearchResult(Sequence[Match]):
     """
 
     def __init__(
-        self, request: SearchRequest, evaluate: Callable[[], List[Match]]
+        self, request: SearchRequest, evaluate: Callable[[], MatchArrays]
     ) -> None:
         self._request = request
         self._evaluate = evaluate
+        self._arrays: Optional[MatchArrays] = None
         self._matches: Optional[List[Match]] = None
 
     # -- laziness -------------------------------------------------------------------
@@ -172,16 +182,27 @@ class SearchResult(Sequence[Match]):
     @property
     def evaluated(self) -> bool:
         """Whether the underlying query has run yet."""
-        return self._matches is not None
+        return self._arrays is not None
+
+    @property
+    def arrays(self) -> MatchArrays:
+        """The answer's read-only arrays (runs the query on first access)."""
+        if self._arrays is None:
+            self._arrays = self._evaluate()
+        return self._arrays
 
     @property
     def matches(self) -> List[Match]:
-        """The full answer (runs the query on first access, then caches)."""
+        """The full answer as records, built on first access.
+
+        A degraded answer reads as a :class:`PartialAnswer`.
+        """
         if self._matches is None:
-            value = self._evaluate()
-            # A PartialAnswer is already a fresh list and must keep its
-            # failed-shard metadata; anything else is defensively copied.
-            self._matches = value if isinstance(value, PartialAnswer) else list(value)
+            arrays = self.arrays
+            if arrays.failed_shards:
+                self._matches = PartialAnswer(arrays, arrays.failed_shards)
+            else:
+                self._matches = list(arrays)
         return self._matches
 
     # -- degradation metadata ---------------------------------------------------------
@@ -194,19 +215,16 @@ class SearchResult(Sequence[Match]):
         crash recovery; see :class:`PartialAnswer`.  Accessing this
         evaluates the result.
         """
-        return isinstance(self.matches, PartialAnswer)
+        return bool(self.arrays.failed_shards)
 
     @property
     def failed_shards(self) -> Tuple[int, ...]:
         """Shard ordinals missing from a partial answer (empty when complete)."""
-        matches = self.matches
-        if isinstance(matches, PartialAnswer):
-            return matches.failed_shards
-        return ()
+        return self.arrays.failed_shards
 
     # -- sequence protocol ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.matches)
+        return len(self.arrays)
 
     def __iter__(self) -> Iterator[Match]:
         return iter(self.matches)
@@ -221,20 +239,20 @@ class SearchResult(Sequence[Match]):
         return self.matches[item]
 
     def __repr__(self) -> str:
-        matches = self._matches
-        state = f"{len(matches)} matches" if matches is not None else "pending"
+        arrays = self._arrays
+        state = f"{len(arrays)} matches" if arrays is not None else "pending"
         return f"SearchResult(pattern={self._request.pattern!r}, {state})"
 
     # -- conveniences ---------------------------------------------------------------
     @property
     def count(self) -> int:
         """Number of matches."""
-        return len(self.matches)
+        return len(self.arrays)
 
     @property
     def exists(self) -> bool:
         """Whether at least one match was found."""
-        return bool(self.matches)
+        return len(self.arrays) > 0
 
     def page(self, offset: int = 0, limit: Optional[int] = None) -> List[Match]:
         """One page of the answer (``offset`` into the match list, ``limit`` long)."""
@@ -242,22 +260,18 @@ class SearchResult(Sequence[Match]):
             raise ValidationError(f"offset must be non-negative, got {offset}")
         if limit is not None and limit < 0:
             raise ValidationError(f"limit must be non-negative, got {limit}")
-        matches = self.matches
-        if limit is None:
-            return matches[offset:]
-        return matches[offset : offset + limit]
+        end = None if limit is None else offset + limit
+        return list(self.arrays[offset:end])
 
     def pages(self, size: int) -> Iterator[List[Match]]:
         """Iterate the answer in pages of ``size`` matches."""
         if size <= 0:
             raise ValidationError(f"page size must be positive, got {size}")
-        matches = self.matches
-        for offset in range(0, len(matches), size):
-            yield matches[offset : offset + size]
+        arrays = self.arrays
+        for offset in range(0, len(arrays), size):
+            yield list(arrays[offset : offset + size])
 
     def positions(self) -> List[int]:
         """Positions (or document identifiers) of the matches, in answer order."""
-        return [
-            match.position if isinstance(match, Occurrence) else match.document
-            for match in self.matches
-        ]
+        ids: List[int] = self.arrays.ids.tolist()
+        return ids

@@ -29,11 +29,14 @@ probability / relevance *floats* agree up to floating-point associativity
 shifts with the shard boundary, so the last few ulps can differ — the same
 tolerance the index-vs-oracle property tests apply).
 
-Plain threshold answers are merged with a lazy heap-merge on position /
-document; ``top_k`` answers fetch ``k + overlap`` candidates per shard
-(at most ``overlap`` of them can be dropped as duplicates, so ``k`` owned
-candidates always survive) and heap-merge the per-shard heaps on
-``(-value, position)``, reproducing the unsharded tie-break.
+Shard answers stay :class:`~repro.core.base.MatchArrays` through the
+merge: each shard's ids are offset onto global coordinates (and, for
+chunks, masked to the owned range), then concatenated.  Plain threshold
+answers are ordered by a stable argsort on position / document; ``top_k``
+answers fetch ``k + overlap`` candidates per shard (at most ``overlap`` of
+them can be dropped as duplicates, so ``k`` owned candidates always
+survive) and are ordered by a stable ``lexsort`` on ``(-value, position)``
+cut to ``k``, reproducing the unsharded tie-break.  No record is built.
 
 Evaluation fans out per *window*, not per request: one ``search_many``
 call (one :class:`~repro.serving.AsyncSearchService` window) hands its
@@ -60,7 +63,6 @@ directory of ordinary ``.npz`` shard archives plus a JSON shard manifest.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import os
 import signal
 import threading
@@ -70,7 +72,6 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -84,12 +85,9 @@ from typing import (
     Union,
 )
 
-from ..core.base import (
-    ListingMatch,
-    Occurrence,
-    matches_from_arrays,
-    translate_match,
-)
+import numpy as np
+
+from ..core.base import LISTING, OCCURRENCE, MatchArrays, evaluate_request
 from ..exceptions import (
     DeadlineExceededError,
     PatternTooLongError,
@@ -120,25 +118,11 @@ from .planner import (
     record_build_observation,
     shard_input,
 )
-from .requests import Match, PartialAnswer, SearchRequest
+from .requests import SearchRequest
 
 #: Errors that blame the request, not the infrastructure: never retried,
 #: never degraded away — they propagate verbatim even in ``partial`` mode.
 _REQUEST_ERRORS = (ValidationError, QueryError)
-
-
-def _reporting_key(match: Match) -> int:
-    """Merge key for plain threshold answers (position / document order)."""
-    if isinstance(match, Occurrence):
-        return match.position
-    return match.document
-
-
-def _ranking_key(match: Match) -> Tuple[float, int]:
-    """Merge key for ``top_k`` answers (descending value, then position)."""
-    if isinstance(match, Occurrence):
-        return (-match.probability, match.position)
-    return (-match.relevance, match.document)
 
 
 def _pool_killer(pool: ProcessPoolExecutor) -> Callable[[], None]:
@@ -178,11 +162,11 @@ def _remaining_s(deadline: Optional[float]) -> Optional[float]:
 class _Settled(NamedTuple):
     """How the shards answered one request of a window.
 
-    ``replies`` holds one raw reply per shard — a worker's
-    ``(kind, ids, values, eval_ms)`` or a shard thread's
-    ``(matches, eval_ms)`` — or ``None`` for a shard in ``failed`` (empty
-    unless ``partial=True``).  ``fan_out_ms`` is the window's fan-out
-    wall-clock, shared by every request settled with it.
+    ``replies`` holds one ``(MatchArrays, eval_ms)`` reply per shard (the
+    same shape from a worker process and a shard thread), or ``None`` for
+    a shard in ``failed`` (empty unless ``partial=True``).  ``fan_out_ms``
+    is the window's fan-out wall-clock, shared by every request settled
+    with it.
     """
 
     replies: List[Any]
@@ -787,21 +771,22 @@ class ShardedEngine(QueryEngine):
         """Answer a window's queries on one in-process shard (thread mode).
 
         The thread-mode twin of :func:`~repro.api.workers.query_worker`,
-        in the same shape (one reply list per shard, here one shard): a
-        ``(matches, eval_ms)`` reply per query, or the request-blaming
-        error in its place.  The shard engine runs untraced; the parent
-        turns ``eval_ms`` into the request's ``shard`` span.
+        with the same evaluation (:func:`~repro.core.base.evaluate_request`)
+        and reply shape (one reply list per shard, here one shard): a
+        ``(MatchArrays, eval_ms)`` reply per query, or the request-blaming
+        error in its place.  The parent turns ``eval_ms`` into the
+        request's ``shard`` span.
         """
-        engine = self._engines[shard]
+        index = self._engines[shard].index
         replies: List[Any] = []
         for query in queries:
             start = time.perf_counter()
             try:
-                matches = engine._evaluate(query)
+                answer = evaluate_request(index, query.pattern, query.tau, query.top_k)
             except _REQUEST_ERRORS as error:
                 replies.append(error)
                 continue
-            replies.append((matches, (time.perf_counter() - start) * 1000.0))
+            replies.append((answer, (time.perf_counter() - start) * 1000.0))
         return [replies]
 
     def _discard_pools(self, dead: List[ProcessPoolExecutor]) -> None:
@@ -928,24 +913,20 @@ class ShardedEngine(QueryEngine):
         self.close()
 
     # -- merged evaluation ---------------------------------------------------------------
-    def _translate(self, shard: int, matches: List[Match]) -> List[Match]:
-        """Re-base shard-local matches onto global coordinates, deduping overlap."""
+    def _translate(self, shard: int, answer: MatchArrays) -> Tuple[np.ndarray, np.ndarray]:
+        """A shard answer's global ids and values, overlap dropped.
+
+        Values depend only on window content, never on where the window
+        sits, so only the ids move.
+        """
         spec = self._spec
-        offset = spec.offsets[shard]
+        ids = answer.ids + spec.offsets[shard]
         if spec.mode == "documents":
-            return [
-                translate_match(match, document_offset=offset) for match in matches
-            ]
-        owned_end = spec.owned_ends[shard]
-        translated: List[Match] = []
-        for match in matches:
-            moved = translate_match(match, position_offset=offset)
-            # Occurrences starting in the trailing overlap belong to (and
-            # are re-found by) the next shard — drop them here.  Chunk
-            # shards only ever report occurrences.
-            if isinstance(moved, Occurrence) and moved.position < owned_end:
-                translated.append(moved)
-        return translated
+            return ids, answer.values
+        # Occurrences starting in the trailing overlap belong to (and are
+        # re-found by) the next shard — drop them here.
+        owned = ids < spec.owned_ends[shard]
+        return ids[owned], answer.values[owned]
 
     def _check_pattern(self, pattern: str) -> None:
         limit = self._spec.max_pattern_len
@@ -990,7 +971,7 @@ class ShardedEngine(QueryEngine):
 
     def _evaluate_window(
         self, requests: Sequence[SearchRequest]
-    ) -> List[Callable[[], List[Match]]]:
+    ) -> List[Callable[[], MatchArrays]]:
         """Fan a window of requests out together; one lazy evaluator each.
 
         A pattern longer than ``max_pattern_len`` fails on its own and is
@@ -1010,13 +991,13 @@ class ShardedEngine(QueryEngine):
         window = _Window(self, requests, queries, rejected)
         return [partial(self._merge, window, slot) for slot in range(len(requests))]
 
-    def _evaluate(self, request: SearchRequest) -> List[Match]:
+    def _evaluate(self, request: SearchRequest) -> MatchArrays:
         """One request: the window-of-one case of :meth:`_evaluate_window`."""
         (evaluate,) = self._evaluate_window([request])
         return evaluate()
 
-    def _merge(self, window: _Window, slot: int) -> List[Match]:
-        """One window request's answer: its shard replies decoded and merged.
+    def _merge(self, window: _Window, slot: int) -> MatchArrays:
+        """One window request's answer: its shard replies merged.
 
         A traced request records the window's shared ``fan_out`` span, one
         ``shard`` span per shard with that shard's own evaluation time for
@@ -1035,18 +1016,18 @@ class ShardedEngine(QueryEngine):
                 requests=len(window.requests),
                 failed_shards=list(settled.failed),
             )
-        answers: List[List[Match]] = []
+        ids: List[np.ndarray] = []
+        values: List[np.ndarray] = []
         for shard, reply in enumerate(settled.replies):
             if reply is None:  # a failed shard of a partial answer
-                answers.append([])
                 continue
-            if self._query_executor == "process":
-                kind, ids, values, eval_ms = reply
-                found = matches_from_arrays(kind, ids, values)
-            else:
-                found, eval_ms = reply
-            matches = self._translate(shard, found)
-            answers.append(matches)
+            answer, eval_ms = reply
+            matches = 0
+            if len(answer):  # selective queries leave most shards empty
+                shard_ids, shard_values = self._translate(shard, answer)
+                ids.append(shard_ids)
+                values.append(shard_values)
+                matches = len(shard_ids)
             if trace is not None:
                 trace.add(
                     "shard",
@@ -1055,30 +1036,36 @@ class ShardedEngine(QueryEngine):
                     shard=shard,
                     attempt=settled.attempt,
                     executor=self._query_executor,
-                    matches=len(matches),
+                    matches=matches,
                 )
         if trace is None:
-            merged = self._merge_answers(request, answers)
-        else:
-            with trace.span("merge", parent="evaluate") as meta:
-                merged = self._merge_answers(request, answers)
-                meta["matches"] = len(merged)
-        if settled.failed:
-            return PartialAnswer(merged, settled.failed)
+            return self._merge_answers(request, ids, values, settled.failed)
+        with trace.span("merge", parent="evaluate") as meta:
+            merged = self._merge_answers(request, ids, values, settled.failed)
+            meta["matches"] = len(merged)
         return merged
 
-    @staticmethod
     def _merge_answers(
-        request: SearchRequest, answers: List[List[Match]]
-    ) -> List[Match]:
+        self,
+        request: SearchRequest,
+        ids: List[np.ndarray],
+        values: List[np.ndarray],
+        failed: Tuple[int, ...],
+    ) -> MatchArrays:
+        """The shards' translated arrays as one answer, in answer order.
+
+        Owned id ranges are disjoint, so sorting the concatenation stably
+        reproduces the unsharded order: by id for a plain answer, by
+        ``(-value, id)`` cut to ``top_k`` for a ranked one (ties keep shard
+        order, as a merge of the per-shard rankings would).
+        """
+        kind = LISTING if self.is_listing else OCCURRENCE
+        if not ids:
+            return MatchArrays(kind, failed_shards=failed)
+        merged = MatchArrays(kind, np.concatenate(ids), np.concatenate(values), failed)
         if request.top_k is None:
-            # Each shard reports in position (document) order over disjoint
-            # owned ranges; a lazy heap-merge restores the global order.
-            return list(heapq.merge(*answers, key=_reporting_key))
-        # Per-shard lists arrive sorted by (-value, position); merging the
-        # per-shard heaps and keeping the first k reproduces the unsharded
-        # deterministic tie-break.
-        return list(islice(heapq.merge(*answers, key=_ranking_key), request.top_k))
+            return merged.by_id()
+        return merged.top(request.top_k)
 
     def _refine_allowed(self) -> bool:
         # Merged listing answers equal the unsharded engine's, so the

@@ -33,13 +33,14 @@ Design:
   and reads back one reply: the IPC round trip is paid once per window,
   not once per shard per request.
 * **Array answers.**  Each (shard, request) answer crosses back as a
-  ``(kind, ids, values, eval_ms)`` payload — ndarrays plus the worker's
-  own evaluation wall-clock (:func:`repro.core.base.matches_to_arrays`
-  for the arrays) instead of one pickled dataclass per match; the parent
-  rebuilds the objects at the merge boundary, byte-identically (int64 /
-  float64 round-trip exactly), and attaches ``eval_ms`` to the request's
-  ``shard`` trace span when the request is traced.  A request-blaming
-  error (:class:`~repro.exceptions.ValidationError`,
+  ``(MatchArrays, eval_ms)`` reply — the index's own answer (two ndarrays,
+  pickled through :meth:`~repro.core.base.MatchArrays.__reduce__`, so they
+  arrive read-only and bit-identical) plus the worker's evaluation
+  wall-clock — the same reply shape a thread-mode shard gives, so the
+  parent merges arrays without ever building a record, and attaches
+  ``eval_ms`` to the request's ``shard`` trace span when the request is
+  traced.  A request-blaming error
+  (:class:`~repro.exceptions.ValidationError`,
   :class:`~repro.exceptions.QueryError`) comes back in that request's
   place, so a bad request fails only itself; any other error fails the
   whole message.
@@ -59,9 +60,7 @@ import stat
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..core.base import matches_to_arrays, resolve_tau
+from ..core.base import MatchArrays, evaluate_request
 from ..exceptions import QueryError, ValidationError, WorkerError
 
 #: Per-shard initialization spec: ``("archive", path, mmap)`` for shards
@@ -75,9 +74,10 @@ WorkerSpec = Union[
 #: One request as a window message carries it: ``(pattern, tau, top_k)``.
 ShardQuery = Tuple[str, Optional[float], Optional[int]]
 
-#: One (shard, request) answer: ``(kind, ids, values, eval_ms)`` arrays, or
-#: the request-blaming error the shard raised for that request.
-ShardReply = Union[Tuple[str, np.ndarray, np.ndarray, float], Exception]
+#: One (shard, request) answer: ``(answer, eval_ms)``, or the
+#: request-blaming error the shard raised for that request.  Thread-mode
+#: shards reply in the same shape.
+ShardReply = Union[Tuple[MatchArrays, float], Exception]
 
 #: The shard indexes owned by *this* worker process, keyed by shard
 #: ordinal (set by the pool initializer; empty in the parent and in
@@ -178,10 +178,11 @@ def query_worker(
     a live trace object.  Returns one reply list per shard, in ``shards``
     order, holding one :data:`ShardReply` per query.
 
-    Each evaluation mirrors ``Engine._evaluate`` exactly — ``top_k`` routes
-    to the index's heap extraction, plain requests resolve ``tau=None``
-    through the shard's own ``tau_min`` — so a process-mode sharded engine
-    answers byte-identically to thread mode.  A request-blaming error (e.g.
+    Each evaluation is :func:`~repro.core.base.evaluate_request`, the one
+    the engine and thread-mode shards run — ``top_k`` routes to the
+    index's heap extraction, plain requests resolve ``tau=None`` through
+    the shard's own ``tau_min`` — so a process-mode sharded engine answers
+    byte-identically to thread mode.  A request-blaming error (e.g.
     a ``ThresholdError`` for a ``tau`` below ``tau_min``) is returned in the
     query's place; anything else (a shard this worker does not own, a
     kernel bug) raises and fails the whole message.  Each answer carries
@@ -203,15 +204,10 @@ def query_worker(
         for pattern, tau, top_k in queries:
             start = time.perf_counter()
             try:
-                if top_k is not None:
-                    matches = index.top_k(pattern, top_k, tau=tau)
-                else:
-                    matches = index.query(pattern, resolve_tau(tau, float(index.tau_min)))
+                answer = evaluate_request(index, pattern, tau, top_k)
             except (ValidationError, QueryError) as error:
                 answers.append(error)
                 continue
-            eval_ms = (time.perf_counter() - start) * 1000.0
-            kind, ids, values = matches_to_arrays(matches)
-            answers.append((kind, ids, values, eval_ms))
+            answers.append((answer, (time.perf_counter() - start) * 1000.0))
         replies.append(answers)
     return replies

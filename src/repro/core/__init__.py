@@ -3,21 +3,21 @@
 from .approximate import ApproximateSubstringIndex, Link
 from .base import (
     DEFAULT_TAU_FLOOR,
+    LISTING,
+    OCCURRENCE,
     ListingMatch,
+    MatchArrays,
     Occurrence,
     UncertainSubstringIndex,
     blocked_candidate_ranks,
+    evaluate_request,
+    exp_values,
     expand_ranges,
-    listing_matches_from_arrays,
-    occurrences_from_log_values,
     report_above_threshold,
     report_above_threshold_scalar,
     resolve_tau,
-    sort_listing_matches,
-    sort_occurrences,
     top_values_above_threshold,
     top_values_above_threshold_scalar,
-    translate_match,
 )
 from .baseline import BruteForceOracle, OnlineDynamicProgrammingMatcher
 from .cumulative import (
@@ -43,8 +43,11 @@ __all__ = [
     "BruteForceOracle",
     "GeneralUncertainStringIndex",
     "Link",
+    "LISTING",
     "ListingMatch",
+    "MatchArrays",
     "MaximalFactor",
+    "OCCURRENCE",
     "Occurrence",
     "OnlineDynamicProgrammingMatcher",
     "SimpleSpecialIndex",
@@ -56,19 +59,16 @@ __all__ = [
     "combine_relevance",
     "cumulative_log_probabilities",
     "enumerate_maximal_factors",
+    "evaluate_request",
+    "exp_values",
     "expand_ranges",
-    "listing_matches_from_arrays",
-    "occurrences_from_log_values",
     "prefix_length_log_probabilities",
     "report_above_threshold",
     "report_above_threshold_scalar",
     "resolve_tau",
-    "sort_listing_matches",
-    "sort_occurrences",
     "top_values_above_threshold",
     "top_values_above_threshold_scalar",
     "transform_collection",
     "transform_uncertain_string",
-    "translate_match",
     "window_log_probability",
 ]

@@ -47,11 +47,11 @@ from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray
 from ..suffix.suffix_tree import SuffixTree
 from .base import (
-    Occurrence,
+    OCCURRENCE,
+    MatchArrays,
     UncertainSubstringIndex,
     report_above_threshold,
     restore_child_rmq,
-    sort_occurrences,
 )
 
 from .cumulative import cumulative_log_probabilities
@@ -407,22 +407,24 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         return index
 
     # -- queries --------------------------------------------------------------------------------
-    def query(self, pattern: str, tau: float, *, verify: bool = False) -> List[Occurrence]:
-        """Report positions where ``pattern`` occurs with probability ≥ ``tau − ε``.
+    def query(self, pattern: str, tau: float, *, verify: bool = False) -> MatchArrays:
+        """Positions where ``pattern`` occurs with probability ≥ ``tau − ε``.
 
         Guarantees (Section 7): every position with true probability ≥ ``tau``
         is reported; every reported position has true probability at least
         ``tau − ε``.  With ``verify=True`` candidates are re-checked against
         the original string and the answer becomes exact (probability
-        strictly above ``tau``).
+        strictly above ``tau``).  Returns a
+        :class:`~repro.core.base.MatchArrays` in position order; ``top_k``
+        is the base class's, which ranks this answer's arrays.
         """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau, tau_min=self._tau_min)
         if self._link_rmq is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         interval = self._tree.pattern_range(pattern)
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
         length = len(pattern)
         relaxed_threshold = threshold - self._epsilon
@@ -432,7 +434,7 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         first = int(np.searchsorted(self._link_origin_left, sp, side="left"))
         last = int(np.searchsorted(self._link_origin_left, ep, side="right")) - 1
         if first > last:
-            return []
+            return MatchArrays(OCCURRENCE)
 
         reported: Dict[int, float] = {}
         for index in report_above_threshold(
@@ -447,13 +449,17 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
             if previous is None or link.probability > previous:
                 reported[link.position] = link.probability
 
-        occurrences: List[Occurrence] = []
-        for position, probability in reported.items():
-            if verify:
-                exact = self._string.occurrence_probability(pattern, position)
-                if exact <= threshold:
-                    continue
-                occurrences.append(Occurrence(position, exact))
-            else:
-                occurrences.append(Occurrence(position, probability))
-        return sort_occurrences(occurrences)
+        positions = np.fromiter(reported, dtype=np.int64, count=len(reported))
+        if verify:
+            values = np.array(
+                [
+                    self._string.occurrence_probability(pattern, position)
+                    for position in positions.tolist()
+                ],
+                dtype=np.float64,
+            )
+            keep = values > threshold
+            positions, values = positions[keep], values[keep]
+        else:
+            values = np.fromiter(reported.values(), dtype=np.float64, count=len(reported))
+        return MatchArrays(OCCURRENCE, positions, values).by_id()

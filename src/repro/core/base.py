@@ -6,6 +6,13 @@ Every index in :mod:`repro.core` answers queries with the same vocabulary:
   the query pattern occurs with probability above the threshold.
 * :class:`ListingMatch` — one document of a collection that contains the
   pattern with relevance above the threshold (Section 6).
+* :class:`MatchArrays` — one whole answer: the positions (documents) and
+  probabilities (relevances) as read-only numpy arrays in answer order.
+  Every index's ``query`` and ``top_k`` return one, and the layers above
+  (cache, batch refinement, shard merge, HTTP) work on its arrays; the
+  records above are built only when a Python caller reads them.
+  :func:`evaluate_request` is the one ``query``-or-``top_k`` dispatch the
+  engine and both shard executors share.
 
 The module also hosts the range-maximum reporting kernels shared by the
 efficient indexes (Algorithm 2 / Algorithm 4 of the paper): repeatedly
@@ -35,7 +42,18 @@ import abc
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 import numpy as np
 
@@ -62,6 +80,23 @@ def resolve_tau(tau: Optional[float], tau_min: float) -> float:
     if tau is None:
         return max(float(tau_min), DEFAULT_TAU_FLOOR)
     return check_threshold(tau)
+
+
+def evaluate_request(
+    index: Any, pattern: str, tau: Optional[float], top_k: Optional[int]
+) -> "MatchArrays":
+    """Answer one ``(pattern, tau, top_k)`` request on ``index``.
+
+    The one evaluation every path shares: the engine, a thread-mode shard
+    and a process-mode shard worker.  A ``top_k`` request calls
+    ``index.top_k`` (which resolves ``tau=None`` itself), a plain one
+    ``index.query`` at ``tau`` resolved against the index's ``tau_min``.
+    Exactly those two methods are called, so a proxy wrapping them sees
+    every kernel call.
+    """
+    if top_k is not None:
+        return index.top_k(pattern, top_k, tau=tau)
+    return index.query(pattern, resolve_tau(tau, float(index.tau_min)))
 
 
 @dataclass(frozen=True, order=True)
@@ -103,6 +138,165 @@ class ListingMatch:
     def __post_init__(self) -> None:
         object.__setattr__(self, "document", int(self.document))
         object.__setattr__(self, "relevance", float(self.relevance))
+
+
+Match = Union[Occurrence, ListingMatch]
+
+#: The two kinds of answer, and the record each kind's matches read as.
+OCCURRENCE = "occurrence"
+LISTING = "listing"
+_RECORDS = {OCCURRENCE: Occurrence, LISTING: ListingMatch}
+
+#: Shared (read-only) arrays of the empty answer, the most common one.
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_IDS.setflags(write=False)
+_NO_VALUES.setflags(write=False)
+
+
+class MatchArrays(Sequence[Match]):
+    """One query's answer as two read-only arrays, in answer order.
+
+    ``ids`` holds positions (``kind == "occurrence"``) or document
+    identifiers (``kind == "listing"``) as int64, ``values`` the matching
+    probabilities or relevances as float64.  ``failed_shards`` names the
+    shards missing from a degraded sharded answer (empty when complete).
+
+    Every index's ``query`` and ``top_k`` return one, and every layer above
+    works on the arrays: the result cache shares it between hits, the shard
+    merge offsets, filters and sorts it, and the HTTP tier renders a page
+    straight from ``ids`` and ``values``.  Read as a sequence it yields
+    :class:`Occurrence` / :class:`ListingMatch` records, built only on
+    access, and it compares equal to a list (or tuple) of equal records, so
+    ``index.query(...) == [Occurrence(...), ...]`` holds.  Slicing returns
+    a :class:`MatchArrays` view.
+
+    Immutable: the arrays are read-only (writing raises ``ValueError``),
+    also after a pickle round trip, which re-runs the constructor.  An
+    array passed in with the right dtype is taken over, not copied, and
+    made read-only.
+    """
+
+    __slots__ = ("_kind", "_ids", "_values", "_failed_shards")
+
+    def __init__(
+        self,
+        kind: str,
+        ids: Union[np.ndarray, Sequence[int]] = _NO_IDS,
+        values: Union[np.ndarray, Sequence[float]] = _NO_VALUES,
+        failed_shards: Sequence[int] = (),
+    ) -> None:
+        if kind not in _RECORDS:
+            raise ValueError(f"unknown match kind {kind!r}; expected {sorted(_RECORDS)}")
+        ids = np.asarray(ids, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != values.shape:
+            raise ValueError(
+                f"ids and values must be 1-d arrays of one length, got shapes "
+                f"{ids.shape} and {values.shape}"
+            )
+        ids.setflags(write=False)
+        values.setflags(write=False)
+        self._kind = kind
+        self._ids = ids
+        self._values = values
+        self._failed_shards: Tuple[int, ...] = tuple(failed_shards)
+
+    @property
+    def kind(self) -> str:
+        """``"occurrence"`` (positions, probabilities) or ``"listing"``."""
+        return self._kind
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Positions or document identifiers (read-only int64)."""
+        return self._ids
+
+    @property
+    def values(self) -> np.ndarray:
+        """Probabilities or relevances (read-only float64)."""
+        return self._values
+
+    @property
+    def failed_shards(self) -> Tuple[int, ...]:
+        """Shard ordinals missing from a degraded answer (empty when complete)."""
+        return self._failed_shards
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, np.ndarray, np.ndarray, Tuple[int, ...]]]:
+        return (MatchArrays, (self._kind, self._ids, self._values, self._failed_shards))
+
+    # -- sequence of records --------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[Match]:
+        return map(_RECORDS[self._kind], self._ids.tolist(), self._values.tolist())
+
+    @overload
+    def __getitem__(self, item: int) -> Match: ...
+
+    @overload
+    def __getitem__(self, item: slice) -> "MatchArrays": ...
+
+    def __getitem__(self, item: Union[int, slice]) -> Union[Match, "MatchArrays"]:
+        if isinstance(item, slice):
+            return self.where(item)
+        return _RECORDS[self._kind](int(self._ids[item]), float(self._values[item]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MatchArrays):
+            if len(self) != len(other):
+                return False
+            return len(self) == 0 or (
+                self._kind == other._kind
+                and np.array_equal(self._ids, other._ids)
+                and np.array_equal(self._values, other._values)
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        failed = f", failed_shards={self._failed_shards}" if self._failed_shards else ""
+        return f"MatchArrays({list(self)!r}{failed})"
+
+    # -- array operations -----------------------------------------------------------
+    def where(self, keep: Union[np.ndarray, slice]) -> "MatchArrays":
+        """The matches a boolean mask, index array or slice selects."""
+        return MatchArrays(
+            self._kind, self._ids[keep], self._values[keep], self._failed_shards
+        )
+
+    def by_id(self) -> "MatchArrays":
+        """This answer in position (document) order; equal ids keep their order."""
+        if len(self._ids) < 2:  # most answers of a selective query: nothing to sort
+            return self
+        return self.where(np.argsort(self._ids, kind="stable"))
+
+    def top(self, k: int) -> "MatchArrays":
+        """The first ``k`` in decreasing-value order, ties broken by id.
+
+        Stable, so equal ``(value, id)`` pairs keep their order.  Any
+        positive ``k`` works, also one above ``sys.maxsize``.
+        """
+        return self.where(np.lexsort((self._ids, -self._values))[:k])
+
+
+def exp_values(log_values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every log-probability, as a float64 array.
+
+    Per element on purpose: the substring indexes report ``math.exp`` of
+    the log value, and numpy's vectorized ``np.exp`` differs from it in
+    the last bit on a few percent of inputs.  ``tolist`` plus ``math.exp``
+    costs well under a tenth of a microsecond per value.
+    """
+    return np.fromiter(
+        map(math.exp, log_values.tolist()), dtype=np.float64, count=len(log_values)
+    )
 
 
 class SupportsRangeMaximum(Protocol):
@@ -573,7 +767,8 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
     where ``tau=None`` resolves through :func:`resolve_tau` — ``tau_min`` for
     indexes with a construction threshold, :data:`DEFAULT_TAU_FLOOR`
     otherwise — and results are ordered by decreasing probability with ties
-    broken by position.
+    broken by position.  Both methods return a :class:`MatchArrays`
+    (``kind == "occurrence"``); ``query`` reports in position order.
 
     Space accounting is part of the interface, derived from the payload
     schema by :class:`PayloadSerializable`: indexes that define
@@ -588,14 +783,15 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
         """Smallest query threshold the index supports."""
 
     @abc.abstractmethod
-    def query(self, pattern: str, tau: float) -> List[Occurrence]:
-        """Report occurrences of ``pattern`` with probability above ``tau``."""
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """Occurrences of ``pattern`` with probability above ``tau``, by position."""
 
-    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> List[Occurrence]:
-        """Report the ``k`` most probable occurrences of ``pattern``.
+    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
+        """The ``k`` most probable occurrences of ``pattern``.
 
-        Default implementation: query at the resolved threshold, sort by
-        decreasing probability (ties by position) and keep the first ``k``.
+        Default implementation: query at the resolved threshold, sort the
+        answer's arrays by decreasing probability (ties by position) and
+        keep the first ``k``.
         Indexes with per-length RMQ structures override this with the
         heap-driven ``O(k)``-probe extraction.
 
@@ -614,9 +810,7 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
             check_threshold(tau, tau_min=self.tau_min)
         floor = resolve_tau(tau, self.tau_min)
         adjusted = max(floor * (1.0 - 1e-12), self.tau_min, DEFAULT_TAU_FLOOR)
-        occurrences = list(self.query(pattern, adjusted))
-        occurrences.sort(key=lambda occurrence: (-occurrence.probability, occurrence.position))
-        return occurrences[:k]
+        return self.query(pattern, adjusted).top(k)
 
     def count(self, pattern: str, tau: float) -> int:
         """Number of occurrences of ``pattern`` with probability above ``tau``."""
@@ -625,76 +819,6 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
     def exists(self, pattern: str, tau: float) -> bool:
         """Whether ``pattern`` occurs anywhere with probability above ``tau``."""
         return bool(self.query(pattern, tau))
-
-
-def translate_match(
-    match: Union[Occurrence, ListingMatch],
-    *,
-    position_offset: int = 0,
-    document_offset: int = 0,
-) -> Union[Occurrence, ListingMatch]:
-    """Shift a match from shard-local to global coordinates.
-
-    Sharded engines build each per-shard index over a slice of the input, so
-    an :class:`Occurrence` reports a chunk-local position and a
-    :class:`ListingMatch` a shard-local document identifier; this helper
-    re-bases either onto the full input.  Probabilities and relevances are
-    untouched — the value of a match depends only on the window content,
-    never on where the window sits.
-    """
-    if isinstance(match, Occurrence):
-        if position_offset == 0:
-            return match
-        return Occurrence(match.position + position_offset, match.probability)
-    if isinstance(match, ListingMatch):
-        if document_offset == 0:
-            return match
-        return ListingMatch(match.document + document_offset, match.relevance)
-    raise TypeError(
-        f"cannot translate a {type(match).__name__}; expected Occurrence or ListingMatch"
-    )
-
-
-def matches_to_arrays(
-    matches: Sequence[Union[Occurrence, ListingMatch]],
-) -> Tuple[str, np.ndarray, np.ndarray]:
-    """Decompose a match list into ``(kind, ids, values)`` array payloads.
-
-    The inverse of :func:`matches_from_arrays`; together they are the
-    process-boundary wire format of the multi-process shard workers: a
-    worker answers with two flat ndarrays instead of pickling one dataclass
-    object per match, and the parent rebuilds the objects at the merge
-    boundary.  ``kind`` is ``"occurrence"`` or ``"listing"``; ``ids`` holds
-    positions (occurrences) or document identifiers (listing matches) and
-    ``values`` the probabilities / relevances.  Order is preserved, and the
-    ``int`` / ``float`` fields round-trip exactly (int64 / float64), so the
-    rebuilt matches compare equal to the originals.
-    """
-    if matches and isinstance(matches[0], ListingMatch):
-        kind = "listing"
-        ids = np.fromiter((match.document for match in matches), dtype=np.int64, count=len(matches))
-        values = np.fromiter((match.relevance for match in matches), dtype=np.float64, count=len(matches))
-        return kind, ids, values
-    ids = np.fromiter((match.position for match in matches), dtype=np.int64, count=len(matches))
-    values = np.fromiter((match.probability for match in matches), dtype=np.float64, count=len(matches))
-    return "occurrence", ids, values
-
-
-def matches_from_arrays(
-    kind: str, ids: np.ndarray, values: np.ndarray
-) -> List[Union[Occurrence, ListingMatch]]:
-    """Rebuild the match list :func:`matches_to_arrays` decomposed."""
-    if kind == "occurrence":
-        return [
-            Occurrence(int(position), float(value))
-            for position, value in zip(ids, values)
-        ]
-    if kind == "listing":
-        return [
-            ListingMatch(int(document), float(value))
-            for document, value in zip(ids, values)
-        ]
-    raise ValueError(f"unknown match payload kind {kind!r}")
 
 
 def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -750,50 +874,3 @@ def blocked_candidate_ranks(
         np.maximum(sp, blocks * length),
         np.minimum(ep, (blocks + 1) * length - 1),
     )
-
-
-def occurrences_from_log_values(  # repro-check: allow(hot-path-purity) — API boundary
-    positions: np.ndarray, log_values: np.ndarray
-) -> List[Occurrence]:
-    """Build position-sorted :class:`Occurrence` objects from parallel arrays.
-
-    This is the public API boundary of the vectorized query pipeline: the
-    internal paths carry positions and log-probabilities as numpy arrays
-    end-to-end, and only the final survivors become objects here.  The
-    per-element ``math.exp`` matches the scalar *RMQ* path's float
-    conversion bit-for-bit; the old scan fallbacks used scalar ``np.exp``,
-    which disagrees with ``math.exp`` in the last ulp on a few percent of
-    inputs, so routing every path through this helper also unifies a
-    pre-existing ±1-ulp inconsistency between the short-pattern and
-    fallback answers.
-    """
-    order = np.argsort(positions, kind="stable")
-    return [
-        Occurrence(int(position), math.exp(float(value)))
-        for position, value in zip(positions[order], log_values[order])
-    ]
-
-
-def listing_matches_from_arrays(
-    documents: np.ndarray, relevances: np.ndarray
-) -> List[ListingMatch]:
-    """Build document-sorted :class:`ListingMatch` objects from parallel arrays.
-
-    Array-native counterpart of :func:`occurrences_from_log_values` for the
-    listing index (relevances are already linear, no ``exp``).
-    """
-    order = np.argsort(documents, kind="stable")
-    return [
-        ListingMatch(int(document), float(relevance))
-        for document, relevance in zip(documents[order], relevances[order])
-    ]
-
-
-def sort_occurrences(occurrences: Sequence[Occurrence]) -> List[Occurrence]:
-    """Return occurrences sorted by position (the order the paper reports)."""
-    return sorted(occurrences, key=lambda occurrence: occurrence.position)
-
-
-def sort_listing_matches(matches: Sequence[ListingMatch]) -> List[ListingMatch]:
-    """Return listing matches sorted by document identifier."""
-    return sorted(matches, key=lambda match: match.document)

@@ -20,7 +20,7 @@ from typing import List, Optional
 from .._validation import check_nonempty_pattern, check_threshold
 from ..strings.collection import UncertainStringCollection
 from ..strings.uncertain import UncertainString
-from .base import ListingMatch, Occurrence, UncertainSubstringIndex, sort_occurrences
+from .base import OCCURRENCE, ListingMatch, MatchArrays, Occurrence, UncertainSubstringIndex
 from .listing import RelevanceMetric, combine_relevance
 
 
@@ -58,12 +58,13 @@ class OnlineDynamicProgrammingMatcher(UncertainSubstringIndex):
         """The online matcher keeps no payload beyond the string itself."""
         return 0
 
-    def query(self, pattern: str, tau: float) -> List[Occurrence]:
-        """Report occurrences of ``pattern`` with probability > ``tau``.
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """Occurrences of ``pattern`` with probability > ``tau``.
 
         Performs an ``O(n · m)`` scan with early termination: the inner
         product over pattern characters stops as soon as it falls to or
-        below the threshold.
+        below the threshold.  Returns a :class:`~repro.core.base.MatchArrays`
+        in position order, like every index.
         """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau)
@@ -72,14 +73,16 @@ class OnlineDynamicProgrammingMatcher(UncertainSubstringIndex):
         n = len(string)
         m = len(pattern)
         correlated = bool(string.correlations)
-        occurrences: List[Occurrence] = []
+        positions: List[int] = []
+        probabilities: List[float] = []
         for start in range(n - m + 1):
             if correlated:
                 # Correlation rules couple positions, so the incremental
                 # early-exit product is not valid; evaluate exactly.
                 value = string.log_occurrence_probability(pattern, start)
                 if value > log_threshold:
-                    occurrences.append(Occurrence(start, math.exp(value)))
+                    positions.append(start)
+                    probabilities.append(math.exp(value))
                 continue
             running = 0.0
             matched = True
@@ -93,8 +96,10 @@ class OnlineDynamicProgrammingMatcher(UncertainSubstringIndex):
                     matched = False
                     break
             if matched and running > log_threshold:
-                occurrences.append(Occurrence(start, math.exp(running)))
-        return sort_occurrences(occurrences)
+                positions.append(start)
+                probabilities.append(math.exp(running))
+        # The scan visits start positions in increasing order.
+        return MatchArrays(OCCURRENCE, positions, probabilities)
 
 
 class BruteForceOracle:
@@ -119,12 +124,11 @@ class BruteForceOracle:
             raise ValueError("this oracle was not given an uncertain string")
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau)
-        occurrences = []
-        for position in self._string.matching_positions(pattern, threshold):
-            occurrences.append(
-                Occurrence(position, self._string.occurrence_probability(pattern, position))
-            )
-        return sort_occurrences(occurrences)
+        occurrences = [
+            Occurrence(position, self._string.occurrence_probability(pattern, position))
+            for position in self._string.matching_positions(pattern, threshold)
+        ]
+        return sorted(occurrences, key=lambda occurrence: occurrence.position)
 
     # -- string listing ---------------------------------------------------------------------
     def listing_matches(

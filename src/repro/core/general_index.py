@@ -27,7 +27,7 @@ never loses an answer and nothing wrong is ever reported.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, Iterable, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +44,14 @@ from ..suffix.pattern_search import suffix_range
 from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray
 from .base import (
-    Occurrence,
+    OCCURRENCE,
+    MatchArrays,
     UncertainSubstringIndex,
     blocked_candidate_ranks,
-    occurrences_from_log_values,
+    exp_values,
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
-    sort_occurrences,
     top_values_above_threshold,
 )
 from .cumulative import NEGATIVE_INFINITY, cumulative_log_probabilities
@@ -356,23 +356,25 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         return index
 
     # -- queries ------------------------------------------------------------------------------
-    def query(self, pattern: str, tau: float) -> List[Occurrence]:
-        """Report original positions where ``pattern`` occurs with probability > ``tau``.
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """Original positions where ``pattern`` occurs with probability > ``tau``.
 
         ``tau`` must be at least ``tau_min``; the answer is identical to the
         brute-force scan :meth:`UncertainString.matching_positions`.
+        Returns a :class:`~repro.core.base.MatchArrays` (positions and
+        probabilities) in position order; no record is built.
         """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau, tau_min=self._tau_min)
         log_threshold = math.log(threshold)
         length = len(pattern)
         if length > len(self._string):
-            return []
+            return MatchArrays(OCCURRENCE)
         interval = suffix_range(
             self._transformed.text, self._suffix_array.array, pattern
         )
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
 
         if length <= self._max_short_length:
@@ -392,14 +394,15 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             )
         return self._finalize(pattern, *candidates, log_threshold)
 
-    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> List[Occurrence]:
-        """Report the ``k`` most probable occurrences of ``pattern``.
+    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
+        """The ``k`` most probable occurrences of ``pattern``.
 
         Occurrences are drawn from those with probability above ``tau``
         (``None`` resolves through :func:`repro.core.base.resolve_tau` to
         ``tau_min`` — the index cannot see anything below its construction
-        threshold) and returned in decreasing probability order.  For short
-        patterns the answer is extracted with ``O(k)`` heap-driven
+        threshold) and returned as a :class:`~repro.core.base.MatchArrays`
+        in decreasing probability order (ties broken by position).  For
+        short patterns the answer is extracted with ``O(k)`` heap-driven
         range-maximum probes; long patterns and correlated strings fall back
         to scanning the pattern's suffix range.
         """
@@ -412,12 +415,12 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         log_threshold = math.log(threshold) - 1e-12
         length = len(pattern)
         if length > len(self._string):
-            return []
+            return MatchArrays(OCCURRENCE)
         interval = suffix_range(
             self._transformed.text, self._suffix_array.array, pattern
         )
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
 
         if (
@@ -429,20 +432,19 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             ranks = top_values_above_threshold(
                 rmq, values, sp, ep, k, log_threshold, include_ties=True
             )
-            occurrences = [
-                Occurrence(int(self._rank_positions[rank]), math.exp(float(values[rank])))
-                for rank in ranks
-            ]
+            answer = MatchArrays(
+                OCCURRENCE, self._rank_positions[ranks], exp_values(values[ranks])
+            )
         else:
             candidates = self._candidates_scan(sp, ep, length, log_threshold)
-            occurrences = self._finalize(pattern, *candidates, log_threshold)
-        occurrences.sort(key=lambda occurrence: (-occurrence.probability, occurrence.position))
-        return occurrences[:k]
+            answer = self._finalize(pattern, *candidates, log_threshold)
+        # Ranked by the reported (exp'd) probabilities, as the answer reads.
+        return answer.top(k)
 
     # -- candidate generation strategies ----------------------------------------------------------
     # Every strategy returns two parallel arrays — original positions and
     # window log-probabilities, each position exactly once — and candidates
-    # only become Occurrence objects at the _finalize boundary.
+    # only become an answer at the _finalize boundary.
     def _candidates_short(
         self, sp: int, ep: int, length: int, log_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -502,13 +504,16 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         positions: np.ndarray,
         values: np.ndarray,
         log_threshold: float,
-    ) -> List[Occurrence]:
-        if not self._needs_verification:
-            return occurrences_from_log_values(positions, values)
-        occurrences = []
-        for position in positions:
-            exact = self._string.log_occurrence_probability(pattern, int(position))
-            if exact <= log_threshold:
-                continue
-            occurrences.append(Occurrence(int(position), math.exp(exact)))
-        return sort_occurrences(occurrences)
+    ) -> MatchArrays:
+        """The position-ordered answer; correlated strings re-verify each candidate."""
+        if self._needs_verification:
+            values = np.array(
+                [
+                    self._string.log_occurrence_probability(pattern, position)
+                    for position in positions.tolist()
+                ],
+                dtype=np.float64,
+            )
+            keep = values > log_threshold
+            positions, values = positions[keep], values[keep]
+        return MatchArrays(OCCURRENCE, positions, exp_values(values)).by_id()

@@ -50,13 +50,12 @@ from ..suffix.pattern_search import suffix_range
 from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray
 from .base import (
-    ListingMatch,
+    LISTING,
+    MatchArrays,
     PayloadSerializable,
-    listing_matches_from_arrays,
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
-    sort_listing_matches,
     top_values_above_threshold,
 )
 from .cumulative import cumulative_log_probabilities
@@ -388,8 +387,13 @@ class UncertainStringListingIndex(PayloadSerializable):
         return index
 
     # -- queries -----------------------------------------------------------------------------
-    def query(self, pattern: str, tau: float) -> List[ListingMatch]:
-        """Report documents containing ``pattern`` with relevance above ``tau``."""
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """Documents containing ``pattern`` with relevance above ``tau``.
+
+        Returns a :class:`~repro.core.base.MatchArrays` of kind
+        ``"listing"`` (document identifiers and relevances) in document
+        order.
+        """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau, tau_min=self._tau_min)
         length = len(pattern)
@@ -397,19 +401,18 @@ class UncertainStringListingIndex(PayloadSerializable):
             self._transformed.text, self._suffix_array.array, pattern
         )
         if interval is None:
-            return []
+            return MatchArrays(LISTING)
         sp, ep = interval
 
         documents, relevances = self._candidates(sp, ep, length, threshold)
-        return sort_listing_matches(
-            self._materialize(pattern, documents, relevances, threshold)
-        )
+        return self._materialize(pattern, documents, relevances, threshold).by_id()
 
-    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> List[ListingMatch]:
-        """Report the ``k`` most relevant documents containing ``pattern``.
+    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
+        """The ``k`` most relevant documents containing ``pattern``.
 
-        Results are ordered by decreasing relevance (ties broken by document
-        identifier).  ``tau`` optionally floors the relevance considered;
+        Returns a :class:`~repro.core.base.MatchArrays` of kind
+        ``"listing"`` ordered by decreasing relevance (ties broken by
+        document identifier).  ``tau`` optionally floors the relevance considered;
         ``None`` resolves through :func:`repro.core.base.resolve_tau` to
         ``tau_min`` (the index cannot see occurrences below its construction
         threshold).  For short patterns on uncorrelated collections the
@@ -429,7 +432,7 @@ class UncertainStringListingIndex(PayloadSerializable):
             self._transformed.text, self._suffix_array.array, pattern
         )
         if interval is None:
-            return []
+            return MatchArrays(LISTING)
         sp, ep = interval
 
         if length <= self._max_short_length and not self._needs_verification:
@@ -438,49 +441,47 @@ class UncertainStringListingIndex(PayloadSerializable):
             ranks = top_values_above_threshold(
                 rmq, values, sp, ep, k, adjusted, include_ties=True
             )
-            matches = [
-                ListingMatch(int(self._rank_documents[rank]), float(values[rank]))
-                for rank in ranks
-            ]
+            answer = MatchArrays(LISTING, self._rank_documents[ranks], values[ranks])
         else:
             documents, relevances = self._candidates(sp, ep, length, adjusted)
-            matches = self._materialize(pattern, documents, relevances, adjusted)
-        matches.sort(key=lambda match: (-match.relevance, match.document))
-        return matches[:k]
+            answer = self._materialize(pattern, documents, relevances, adjusted)
+        return answer.top(k)
 
     def documents(self, pattern: str, tau: float) -> List[int]:
         """Convenience wrapper returning only the matching document identifiers."""
-        return [match.document for match in self.query(pattern, tau)]
+        return self.query(pattern, tau).ids.tolist()
 
     def _materialize(
         self, pattern: str, documents: np.ndarray, relevances: np.ndarray, threshold: float
-    ) -> List[ListingMatch]:
-        """Turn candidate arrays into matches, re-verifying correlated collections."""
-        if not self._needs_verification:
-            return listing_matches_from_arrays(documents, relevances)
-        length = len(pattern)
-        matches = []
-        for document in documents:
-            document = int(document)
-            exact = self._collection.document_relevance(
+    ) -> MatchArrays:
+        """Turn candidate arrays into an answer, re-verifying correlated collections."""
+        if self._needs_verification:
+            relevances = np.array(
+                [self._exact_relevance(pattern, document) for document in documents.tolist()],
+                dtype=np.float64,
+            )
+            keep = relevances > threshold
+            documents, relevances = documents[keep], relevances[keep]
+        return MatchArrays(LISTING, documents, relevances)
+
+    def _exact_relevance(self, pattern: str, document: int) -> float:
+        """``document``'s relevance for ``pattern``, from the original collection."""
+        if self._metric != "noisy_or":
+            return self._collection.document_relevance(
                 pattern, document, "max" if self._metric == "max" else "or"
             )
-            if self._metric == "noisy_or":
-                exact = combine_relevance(
-                    [
-                        self._collection[document].occurrence_probability(pattern, position)
-                        for position in range(len(self._collection[document]) - length + 1)
-                    ],
-                    "noisy_or",
-                )
-            if exact > threshold:
-                matches.append(ListingMatch(document, exact))
-        return matches
+        return combine_relevance(
+            [
+                self._collection[document].occurrence_probability(pattern, position)
+                for position in range(len(self._collection[document]) - len(pattern) + 1)
+            ],
+            "noisy_or",
+        )
 
     # -- candidate generation -----------------------------------------------------------------
     # Every strategy returns two parallel arrays — document identifiers and
     # relevance values, each document exactly once — and candidates only
-    # become ListingMatch objects at the _materialize boundary.
+    # become an answer at the _materialize boundary.
     def _candidates(
         self, sp: int, ep: int, length: int, threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:

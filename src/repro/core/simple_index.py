@@ -13,7 +13,7 @@ two are compared head-to-head in ``benchmarks/bench_baselines.py``.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..strings.serialization import (
 from ..strings.special import SpecialUncertainString
 from ..suffix.pattern_search import suffix_range
 from ..suffix.suffix_array import SuffixArray
-from .base import Occurrence, UncertainSubstringIndex, sort_occurrences
+from .base import OCCURRENCE, MatchArrays, UncertainSubstringIndex, exp_values
 from .cumulative import (
     correlation_adjusted_window_log_probability,
     cumulative_log_probabilities,
@@ -123,18 +123,20 @@ class SimpleSpecialIndex(UncertainSubstringIndex):
         return index
 
     # -- queries ----------------------------------------------------------------------
-    def query(self, pattern: str, tau: float) -> List[Occurrence]:
-        """Report all occurrences of ``pattern`` with probability > ``tau``.
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """All occurrences of ``pattern`` with probability > ``tau``.
 
         Runs in time proportional to the number of *deterministic* matches of
         ``pattern`` in the text (plus the suffix-range lookup), validating
-        each candidate against the threshold.
+        each candidate against the threshold.  Returns a
+        :class:`~repro.core.base.MatchArrays` in position order; ``top_k``
+        is the base class's, which ranks this answer's arrays.
         """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau)
         interval = suffix_range(self._string.text, self._suffix_array.array, pattern)
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
         log_threshold = math.log(threshold)
         length = len(pattern)
@@ -142,28 +144,30 @@ class SimpleSpecialIndex(UncertainSubstringIndex):
         # uint8/16/32 and ``positions + length`` can exceed its dtype range.
         positions = self._suffix_array.array[sp : ep + 1].astype(np.int64, copy=False)
 
-        occurrences: List[Occurrence] = []
         if not self._correlations:
             # Vectorized validation: windows never run past the end inside a
             # valid suffix range (every suffix there has >= m characters).
+            # This index has always reported numpy's exp, here vectorized.
             values = self._prefix[positions + length] - self._prefix[positions]
             keep = values > log_threshold
-            for position, value in zip(positions[keep], values[keep]):
-                occurrences.append(Occurrence(int(position), float(np.exp(value))))
-            return sort_occurrences(occurrences)
+            return MatchArrays(OCCURRENCE, positions[keep], np.exp(values[keep])).by_id()
 
-        for position in positions:
-            value = correlation_adjusted_window_log_probability(
-                self._prefix,
-                int(position),
-                length,
-                self._correlations,
-                self._string.text,
-                self._string.probabilities,
-            )
-            if value > log_threshold:
-                occurrences.append(Occurrence(int(position), math.exp(value)))
-        return sort_occurrences(occurrences)
+        values = np.array(
+            [
+                correlation_adjusted_window_log_probability(
+                    self._prefix,
+                    position,
+                    length,
+                    self._correlations,
+                    self._string.text,
+                    self._string.probabilities,
+                )
+                for position in positions.tolist()
+            ],
+            dtype=np.float64,
+        )
+        keep = values > log_threshold
+        return MatchArrays(OCCURRENCE, positions[keep], exp_values(values[keep])).by_id()
 
     def scanned_candidates(self, pattern: str) -> int:
         """Number of suffix-range entries a query for ``pattern`` must scan.

@@ -40,10 +40,11 @@ from ..suffix.pattern_search import suffix_range
 from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray
 from .base import (
-    Occurrence,
+    OCCURRENCE,
+    MatchArrays,
     UncertainSubstringIndex,
     blocked_candidate_ranks,
-    occurrences_from_log_values,
+    exp_values,
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
@@ -281,15 +282,19 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         return index
 
     # -- queries ------------------------------------------------------------------------------
-    def query(self, pattern: str, tau: float) -> List[Occurrence]:
-        """Report all occurrences of ``pattern`` with probability > ``tau``."""
+    def query(self, pattern: str, tau: float) -> MatchArrays:
+        """All occurrences of ``pattern`` with probability > ``tau``.
+
+        Returns a :class:`~repro.core.base.MatchArrays` (positions and
+        probabilities) in position order; no record is built.
+        """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau)
         if len(pattern) > len(self._string):
-            return []
+            return MatchArrays(OCCURRENCE)
         interval = suffix_range(self._string.text, self._suffix_array.array, pattern)
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
         log_threshold = math.log(threshold)
         length = len(pattern)
@@ -309,23 +314,25 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             f"pattern length {length} exceeds max_short_length={self._max_short_length}"
         )
 
-    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> List[Occurrence]:
-        """Report the ``k`` most probable occurrences of ``pattern``.
+    def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
+        """The ``k`` most probable occurrences of ``pattern``.
 
-        Results are ordered by decreasing probability (ties broken by
-        position).  ``tau`` optionally floors the candidates considered;
-        ``None`` resolves through :func:`repro.core.base.resolve_tau` (the
-        unified default documented on the base class).
+        Returns a :class:`~repro.core.base.MatchArrays` ordered by
+        decreasing probability (ties broken by position), ranked by the
+        reported float64 probabilities.  ``tau`` optionally floors the
+        candidates considered; ``None`` resolves through
+        :func:`repro.core.base.resolve_tau` (the unified default documented
+        on the base class).
         """
         check_nonempty_pattern(pattern)
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         threshold = resolve_tau(tau, self.tau_min)
         if len(pattern) > len(self._string):
-            return []
+            return MatchArrays(OCCURRENCE)
         interval = suffix_range(self._string.text, self._suffix_array.array, pattern)
         if interval is None:
-            return []
+            return MatchArrays(OCCURRENCE)
         sp, ep = interval
         length = len(pattern)
         log_threshold = math.log(threshold) - 1e-12
@@ -336,34 +343,27 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             ranks = top_values_above_threshold(
                 rmq, values, sp, ep, k, log_threshold, include_ties=True
             )
-            occurrences = [
-                Occurrence(
-                    int(self._suffix_array.array[rank]), math.exp(float(values[rank]))
-                )
-                for rank in ranks
-            ]
+            positions, log_values = self._suffix_array.array[ranks], values[ranks]
         else:
             positions, log_values = self._scan_ranks(
                 np.arange(sp, ep + 1, dtype=np.int64), length, log_threshold
             )
-            occurrences = occurrences_from_log_values(positions, log_values)
-        occurrences.sort(key=lambda occurrence: (-occurrence.probability, occurrence.position))
-        return occurrences[:k]
+        # Ranked by the reported (exp'd) probabilities, as the answer reads.
+        return MatchArrays(OCCURRENCE, positions, exp_values(log_values)).top(k)
 
     # -- query strategies ------------------------------------------------------------------------
+    # Every strategy ends in a position-ordered answer of exp'd log values.
     def _query_short(
         self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> List[Occurrence]:
+    ) -> MatchArrays:
         values = self._short_values[length]
         rmq = self._short_rmq[length]
         ranks = report_above_threshold(rmq, values, sp, ep, log_threshold)
-        return occurrences_from_log_values(
-            self._suffix_array.array[ranks], values[ranks]
-        )
+        return _occurrences(self._suffix_array.array[ranks], values[ranks])
 
     def _query_blocked(
         self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> List[Occurrence]:
+    ) -> MatchArrays:
         ranks = blocked_candidate_ranks(
             self._block_rmq[length],
             self._block_maxima[length],
@@ -372,16 +372,14 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             length,
             log_threshold,
         )
-        positions, values = self._scan_ranks(ranks, length, log_threshold)
-        return occurrences_from_log_values(positions, values)
+        return _occurrences(*self._scan_ranks(ranks, length, log_threshold))
 
     def _query_scan(
         self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> List[Occurrence]:
-        positions, values = self._scan_ranks(
-            np.arange(sp, ep + 1, dtype=np.int64), length, log_threshold
+    ) -> MatchArrays:
+        return _occurrences(
+            *self._scan_ranks(np.arange(sp, ep + 1, dtype=np.int64), length, log_threshold)
         )
-        return occurrences_from_log_values(positions, values)
 
     def _scan_ranks(
         self, ranks: np.ndarray, length: int, log_threshold: float
@@ -421,3 +419,8 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             np.asarray(kept_positions, dtype=np.int64),
             np.asarray(kept_values, dtype=np.float64),
         )
+
+
+def _occurrences(positions: np.ndarray, log_values: np.ndarray) -> MatchArrays:
+    """The position-ordered answer of parallel position / log-value arrays."""
+    return MatchArrays(OCCURRENCE, positions, exp_values(log_values)).by_id()

@@ -55,6 +55,13 @@ exception                      status
 anything else                  500
 =============================  ======
 
+A ``/search`` page is rendered straight from the answer's arrays
+(:class:`~repro.core.base.MatchArrays`: ``ids[offset:end].tolist()`` and
+``values[offset:end].tolist()`` into ``{"position", "probability"}`` or
+``{"document", "relevance"}`` dicts), so serving a request builds no
+``Occurrence`` / ``ListingMatch`` record; the bytes are those the records
+would render.
+
 A degraded answer (a sharded engine in ``partial=True`` mode whose
 shards stayed down after crash recovery) is still a 200, with
 ``"partial": true`` and the failed shard ordinals in
@@ -79,7 +86,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.requests import SearchRequest
-from ..core.base import Occurrence
+from ..core.base import LISTING, MatchArrays
 from ..exceptions import (
     DeadlineExceededError,
     DrainTimeoutError,
@@ -205,11 +212,18 @@ def _error_response(error: BaseException) -> HttpResponse:
     )
 
 
-def match_to_json(match: Any) -> Dict[str, Any]:
-    """Wire shape of one match: position/probability or document/relevance."""
-    if isinstance(match, Occurrence):
-        return {"position": match.position, "probability": match.probability}
-    return {"document": match.document, "relevance": match.relevance}
+def _page_to_json(answer: MatchArrays, offset: int, limit: Optional[int]) -> List[Dict[str, Any]]:
+    """Wire shape of one page: position/probability or document/relevance dicts.
+
+    Rendered straight from the answer's arrays (``tolist`` gives the same
+    Python ints and floats a record holds), so no record is built.
+    """
+    end = None if limit is None else offset + limit
+    ids = answer.ids[offset:end].tolist()
+    values = answer.values[offset:end].tolist()
+    if answer.kind == LISTING:
+        return [{"document": ident, "relevance": value} for ident, value in zip(ids, values)]
+    return [{"position": ident, "probability": value} for ident, value in zip(ids, values)]
 
 
 def _single(params: Mapping[str, List[str]], name: str) -> Optional[str]:
@@ -486,21 +500,21 @@ class SearchHttpApp:
                 result = await self._service.submit(request)
                 meta["count"] = result.count
         serialize_started = time.perf_counter()
-        page = result.page(parsed.offset, parsed.limit)
+        answer = result.arrays
         payload: Dict[str, Any] = {
             "pattern": request.pattern,
             "tau": request.tau,
             "top_k": request.top_k,
-            "count": result.count,
+            "count": len(answer),
             "offset": parsed.offset,
             "limit": parsed.limit,
-            "matches": [match_to_json(match) for match in page],
+            "matches": _page_to_json(answer, parsed.offset, parsed.limit),
         }
-        if result.partial:
+        if answer.failed_shards:
             # Degraded-but-usable is still a 200; the keys appear only on
             # degraded answers so complete responses are byte-stable.
             payload["partial"] = True
-            payload["failed_shards"] = list(result.failed_shards)
+            payload["failed_shards"] = list(answer.failed_shards)
         if trace is None:
             return HttpResponse(200, payload)
         trace.add(

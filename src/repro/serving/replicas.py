@@ -419,10 +419,11 @@ class ReplicaSet:
     def _evaluate_on(
         self, replica: _Replica, requests: Sequence[SearchRequest]
     ) -> List[SearchResult]:
-        """Run one batch on one replica, materializing every result.
+        """Run one batch on one replica, evaluating every result.
 
-        Materialization happens *here* — on the dispatching thread — so
-        in-flight accounting, hedging and health observe the real work.
+        Evaluation happens *here* — on the dispatching thread — so
+        in-flight accounting, hedging and health observe the real work;
+        it computes each answer's arrays and builds no record.
         Per-request evaluation errors are left inside the lazy result
         (touching it re-raises for the caller, matching the service's
         per-request error isolation); only infrastructure errors escape
@@ -438,7 +439,7 @@ class ReplicaSet:
             results = replica.engine.search_many(requests)
             for result in results:
                 try:
-                    result.matches
+                    result.arrays  # evaluate without building records
                 except REQUEST_ERRORS:
                     continue  # the caller's own error; re-raised when touched
             return results

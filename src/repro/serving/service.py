@@ -254,8 +254,9 @@ class AsyncSearchService:
 
         Accepts a bare pattern with ``tau`` / ``top_k`` keywords or a
         :class:`SearchRequest`, exactly like ``Engine.search``.  The
-        returned :class:`SearchResult` is already evaluated (its matches
-        materialized inside the batch), so touching it never blocks.
+        returned :class:`SearchResult` is already evaluated (its answer
+        arrays computed inside the batch, its records not yet built), so
+        touching it never blocks.
 
         A request carrying ``timeout_ms`` is watched end to end: if its
         budget runs out while it queues, waits in a window or evaluates,
@@ -437,13 +438,14 @@ class AsyncSearchService:
             window_ordinal = self._batches.value
 
         def evaluate() -> List[Tuple[Optional[SearchResult], Optional[BaseException]]]:
-            # Materialize off the event loop, per result: one request whose
+            # Evaluate off the event loop, per result: one request whose
             # evaluation raises (e.g. a tau below tau_min) must fail only
-            # its own submitters, never its window-mates.
+            # its own submitters, never its window-mates.  Only the answer
+            # arrays are read; no record is built.
             outcomes: List[Tuple[Optional[SearchResult], Optional[BaseException]]] = []
             for result in engine.search_many(unique):
                 try:
-                    result.matches
+                    result.arrays
                     outcomes.append((result, None))
                 except Exception as error:  # noqa: BLE001 — per-request fan-out
                     outcomes.append((None, error))

@@ -46,7 +46,6 @@ CONVERTERS = {
     "index_to_payload",
     "export_for_index",
     "spec",
-    "matches_to_arrays",
     "str",
     "int",
     "float",

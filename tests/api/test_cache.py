@@ -4,8 +4,14 @@ import pytest
 
 from repro.api import SearchRequest, build_index
 from repro.api.cache import ResultCache
+from repro.core.base import MatchArrays
 from repro.exceptions import ThresholdError, ValidationError
 from repro.strings import UncertainString
+
+
+def answer(*ids):
+    """A cacheable answer holding ``ids`` (the cache stores answers as is)."""
+    return MatchArrays("occurrence", ids, [0.5] * len(ids))
 
 
 @pytest.fixture
@@ -21,8 +27,11 @@ def listing_engine(figure2_collection):
 class TestResultCacheUnit:
     def test_put_get_round_trip(self):
         cache = ResultCache(4)
-        cache.put(("a", 0.1, None, "general"), [1, 2, 3])
-        assert cache.get(("a", 0.1, None, "general")) == (1, 2, 3)
+        stored = answer(1, 2, 3)
+        cache.put(("a", 0.1, None, "general"), stored)
+        got = cache.get(("a", 0.1, None, "general"))
+        assert got == answer(1, 2, 3)
+        assert got is stored  # stored and returned without a copy
         assert cache.stats()["hits"] == 1
 
     def test_miss_counts(self):
@@ -43,27 +52,27 @@ class TestResultCacheUnit:
 
     def test_lru_eviction_order(self):
         cache = ResultCache(2)
-        cache.put("a", [1])
-        cache.put("b", [2])
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
         cache.get("a")  # refresh "a": now "b" is least recently used
-        cache.put("c", [3])
+        cache.put("c", answer(3))
         assert cache.get("b") is None  # evicted
-        assert cache.get("a") == (1,)
-        assert cache.get("c") == (3,)
+        assert cache.get("a") == answer(1)
+        assert cache.get("c") == answer(3)
         assert cache.stats()["evictions"] == 1
 
     def test_put_refreshes_recency_and_value(self):
         cache = ResultCache(2)
-        cache.put("a", [1])
-        cache.put("b", [2])
-        cache.put("a", [9])  # overwrite refreshes recency too
-        cache.put("c", [3])
-        assert cache.get("a") == (9,)
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
+        cache.put("a", answer(9))  # overwrite refreshes recency too
+        cache.put("c", answer(3))
+        assert cache.get("a") == answer(9)
         assert cache.get("b") is None
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(0)
-        cache.put("a", [1])
+        cache.put("a", answer(1))
         assert cache.get("a") is None
         assert not cache.enabled
         assert cache.stats()["misses"] == 0  # disabled caches do not count
@@ -74,16 +83,20 @@ class TestResultCacheUnit:
         with pytest.raises(ValidationError):
             ResultCache(-1)
 
-    def test_wrap_copies_on_hit(self):
+    def test_wrap_shares_the_read_only_answer_on_hit(self):
         cache = ResultCache(4)
-        evaluate = cache.wrap("k", lambda: [1, 2])
+        evaluate = cache.wrap("k", lambda: answer(1, 2))
         first = evaluate()
-        first.append(99)  # mutating a returned list must not poison the cache
-        assert evaluate() == [1, 2]
+        with pytest.raises(ValueError):
+            first.ids[0] = 99  # a returned answer cannot poison the cache
+        with pytest.raises(ValueError):
+            first.values[0] = 0.99
+        assert evaluate() is first  # every hit shares it, uncopied
+        assert evaluate() == answer(1, 2)
 
     def test_clear_keeps_counters(self):
         cache = ResultCache(4)
-        cache.put("a", [1])
+        cache.put("a", answer(1))
         cache.get("a")
         cache.clear()
         assert len(cache) == 0
@@ -245,37 +258,37 @@ class TestGenerationAndTTL:
 
     def test_bump_generation_invalidates_everything(self):
         cache = ResultCache(4)
-        cache.put("a", [1])
-        cache.put("b", [2])
-        assert cache.get("a") == (1,)
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
+        assert cache.get("a") == answer(1)
         generation = cache.bump_generation()
         assert generation == 1
         assert cache.generation == 1
         assert cache.get("a") is None
         assert cache.get("b") is None
         # New-generation writes work normally.
-        cache.put("a", [9])
-        assert cache.get("a") == (9,)
+        cache.put("a", answer(9))
+        assert cache.get("a") == answer(9)
 
     def test_old_generation_entries_age_out_by_lru(self):
         cache = ResultCache(2)
-        cache.put("a", [1])
-        cache.put("b", [2])
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
         cache.bump_generation()
-        cache.put("c", [3])
-        cache.put("d", [4])
+        cache.put("c", answer(3))
+        cache.put("d", answer(4))
         # Capacity 2: the two old-generation entries were evicted to make
         # room, so the store never grows past its bound across generations.
         assert len(cache) == 2
-        assert cache.get("c") == (3,)
-        assert cache.get("d") == (4,)
+        assert cache.get("c") == answer(3)
+        assert cache.get("d") == answer(4)
 
     def test_ttl_expires_entries_with_injected_clock(self):
         now = [0.0]
         cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", [1])
+        cache.put("a", answer(1))
         now[0] = 9.0
-        assert cache.get("a") == (1,)  # still fresh
+        assert cache.get("a") == answer(1)  # still fresh
         now[0] = 20.5
         assert cache.get("a") is None  # expired -> miss
         stats = cache.stats()
@@ -288,11 +301,11 @@ class TestGenerationAndTTL:
     def test_put_refreshes_ttl_stamp(self):
         now = [0.0]
         cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", [1])
+        cache.put("a", answer(1))
         now[0] = 8.0
-        cache.put("a", [2])  # rewrite refreshes the stamp
+        cache.put("a", answer(2))  # rewrite refreshes the stamp
         now[0] = 15.0
-        assert cache.get("a") == (2,)
+        assert cache.get("a") == answer(2)
 
     def test_invalid_ttl_rejected(self):
         with pytest.raises(ValidationError):
@@ -324,18 +337,18 @@ class TestGenerationAndTTL:
 
         def compute():
             cache.bump_generation()  # index swapped mid-evaluation
-            return [1, 2, 3]
+            return answer(1, 2, 3)
 
         evaluate = cache.wrap("k", compute)
-        assert evaluate() == [1, 2, 3]  # the caller still gets the answer
+        assert evaluate() == answer(1, 2, 3)  # the caller still gets the answer
         assert cache.get("k") is None  # but it was dropped, not cached
         assert len(cache) == 0
 
     def test_put_with_current_generation_stores(self):
         cache = ResultCache(4)
-        cache.put("k", [1], generation=cache.generation)
-        assert cache.get("k") == (1,)
-        cache.put("stale", [2], generation=cache.generation - 1)
+        cache.put("k", answer(1), generation=cache.generation)
+        assert cache.get("k") == answer(1)
+        cache.put("stale", answer(2), generation=cache.generation - 1)
         assert cache.get("stale") is None
 
     def test_ttl_reachable_from_load_paths(self, figure3_string, tmp_path):
@@ -373,23 +386,23 @@ class TestEagerTtlPurge:
     def test_expired_entries_do_not_evict_live_ones(self):
         now = [0.0]
         cache = ResultCache(2, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", [1])
-        cache.put("b", [2])
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
         now[0] = 20.0  # both entries are past their TTL
-        cache.put("c", [3])
+        cache.put("c", answer(3))
         stats = cache.stats()
         # Pre-fix: "a" was LRU-evicted to make room for "c" while the
         # expired "b" stayed, so evictions=1 and the dead entry survived.
         assert stats["evictions"] == 0
         assert stats["expirations"] == 2
         assert len(cache) == 1
-        assert cache.get("c") == (3,)
+        assert cache.get("c") == answer(3)
 
     def test_stats_reports_live_occupancy_only(self):
         now = [0.0]
         cache = ResultCache(8, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", [1])
-        cache.put("b", [2])
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
         assert cache.stats()["size"] == 2
         now[0] = 11.0
         stats = cache.stats()
@@ -401,11 +414,11 @@ class TestEagerTtlPurge:
     def test_eager_and_lazy_expiry_share_the_counter(self):
         now = [0.0]
         cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", [1])
-        cache.put("b", [2])
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
         now[0] = 11.0
         assert cache.get("a") is None  # lazy drop in get(): expirations=1
-        cache.put("c", [3])  # eager purge of "b": expirations=2
+        cache.put("c", answer(3))  # eager purge of "b": expirations=2
         stats = cache.stats()
         assert stats["expirations"] == 2
         assert stats["evictions"] == 0
@@ -413,9 +426,9 @@ class TestEagerTtlPurge:
 
     def test_no_ttl_means_no_purge_scan(self):
         cache = ResultCache(2)  # ttl_seconds=None
-        cache.put("a", [1])
-        cache.put("b", [2])
-        cache.put("c", [3])  # plain LRU eviction still applies
+        cache.put("a", answer(1))
+        cache.put("b", answer(2))
+        cache.put("c", answer(3))  # plain LRU eviction still applies
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["expirations"] == 0

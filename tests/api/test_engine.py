@@ -311,3 +311,53 @@ class TestPlannerFeedback:
         assert error is not None
         assert error["observed_bytes"] == engine.nbytes()
         engine.close()
+
+
+class KernelCallCounter:
+    """An index proxy counting ``query`` / ``top_k`` calls, and only those.
+
+    The shape of a benchmark's kernel span: it wraps exactly the two
+    methods an engine's evaluation must call, and forwards the rest.
+    """
+
+    def __init__(self, index):
+        self._index = index
+        self.calls = 0
+
+    def query(self, pattern, tau):
+        self.calls += 1
+        return self._index.query(pattern, tau)
+
+    def top_k(self, pattern, k, *, tau=None):
+        self.calls += 1
+        return self._index.top_k(pattern, k, tau=tau)
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+
+class TestKernelCallsThroughAnIndexProxy:
+    def test_one_kernel_call_per_evaluated_cache_miss(self, figure3_engine):
+        from repro.api import Engine
+        from repro.obs import Trace, profile_kernels
+
+        proxy = KernelCallCounter(figure3_engine.index)
+        engine = Engine(proxy, figure3_engine.plan)
+        engine.query("PA", tau=0.1)  # miss
+        engine.query("PA", tau=0.1)  # hit
+        engine.top_k("PA", 2)  # miss
+        engine.search(SearchRequest("PA", tau=0.3, trace=Trace())).matches  # timed miss
+        with profile_kernels():
+            engine.count("FP", tau=0.2)  # profiled miss
+        results = engine.search_many(
+            ["PA", "PA", SearchRequest("AT", tau=0.2), SearchRequest("AT", top_k=1)],
+            tau=0.1,
+        )
+        assert results[0] is results[1]  # duplicates share one evaluation
+        for result in results:
+            result.arrays
+        misses = engine.cache.stats()["misses"]
+        assert misses == 6
+        assert proxy.calls == misses
+        # The answers are the wrapped index's, unchanged by the proxy.
+        assert engine.query("AT", tau=0.2) == figure3_engine.query("AT", tau=0.2)

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import SearchRequest, build_index, build_sharded_index, shard_input
 from repro.api.planner import ShardSpec
-from repro.core.base import Occurrence, translate_match
 from repro.core.baseline import BruteForceOracle
 from repro.exceptions import PatternTooLongError, ThresholdError, ValidationError
 from repro.strings import (
@@ -435,25 +434,6 @@ class TestShardedEngineSurface:
         ) as sharded:
             assert sharded.count("AB", tau=0.5) == 16
         assert sharded._executor is None
-
-
-class TestTranslateMatch:
-    def test_occurrence_translation(self):
-        occurrence = Occurrence(3, 0.5)
-        moved = translate_match(occurrence, position_offset=10)
-        assert moved == Occurrence(13, 0.5)
-        assert translate_match(occurrence) is occurrence
-
-    def test_listing_translation(self):
-        from repro.core.base import ListingMatch
-
-        match = ListingMatch(1, 0.25)
-        assert translate_match(match, document_offset=4) == ListingMatch(5, 0.25)
-        assert translate_match(match) is match
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            translate_match("not-a-match")
 
 
 class TestParallelConstruction:

@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.base import (
     ListingMatch,
+    MatchArrays,
     Occurrence,
     report_above_threshold,
-    sort_listing_matches,
-    sort_occurrences,
 )
 from repro.suffix.rmq import SparseTableRMQ
 
@@ -27,13 +26,13 @@ class TestResultTypes:
         assert match.document == 7
         assert match.relevance == pytest.approx(0.25)
 
-    def test_sort_occurrences_by_position(self):
-        occurrences = [Occurrence(5, 0.1), Occurrence(1, 0.9), Occurrence(3, 0.5)]
-        assert [occ.position for occ in sort_occurrences(occurrences)] == [1, 3, 5]
+    def test_by_id_orders_occurrences_by_position(self):
+        answer = MatchArrays("occurrence", [5, 1, 3], [0.1, 0.9, 0.5])
+        assert [occ.position for occ in answer.by_id()] == [1, 3, 5]
 
-    def test_sort_listing_matches_by_document(self):
-        matches = [ListingMatch(2, 0.1), ListingMatch(0, 0.9)]
-        assert [match.document for match in sort_listing_matches(matches)] == [0, 2]
+    def test_by_id_orders_listing_matches_by_document(self):
+        answer = MatchArrays("listing", [2, 0], [0.1, 0.9])
+        assert [match.document for match in answer.by_id()] == [0, 2]
 
 
 class TestReportAboveThreshold:

@@ -37,7 +37,6 @@ from repro.core.base import (
     _top_values_scan,
     report_above_threshold,
     report_above_threshold_scalar,
-    sort_occurrences,
     top_values_above_threshold,
     top_values_above_threshold_scalar,
 )
@@ -359,6 +358,11 @@ class TestScanWidthDispatch:
             assert len(got) == k + TIE_EXTRACTION_LIMIT
 
 
+def by_position(occurrences):
+    """Occurrence records in position order, the order every index reports."""
+    return sorted(occurrences, key=lambda occurrence: occurrence.position)
+
+
 def replay_special_short(index, pattern, tau):
     """The pre-vectorization scalar short-pattern path of the special index."""
     from repro.suffix.pattern_search import suffix_range
@@ -373,7 +377,7 @@ def replay_special_short(index, pattern, tau):
     for rank in report_above_threshold_scalar(rmq, values, sp, ep, math.log(tau)):
         position = int(index._suffix_array.array[rank])
         occurrences.append(Occurrence(position, math.exp(float(values[rank]))))
-    return sort_occurrences(occurrences)
+    return by_position(occurrences)
 
 
 def replay_general_short(index, pattern, tau):
@@ -393,12 +397,12 @@ def replay_general_short(index, pattern, tau):
         occurrences.append(
             Occurrence(int(index._rank_positions[rank]), math.exp(float(values[rank])))
         )
-    return sort_occurrences(occurrences)
+    return by_position(occurrences)
 
 
 def replay_listing_short(index, pattern, tau):
     """The pre-vectorization scalar short-pattern path of the listing index."""
-    from repro.core.base import ListingMatch, sort_listing_matches
+    from repro.core.base import ListingMatch
     from repro.suffix.pattern_search import suffix_range
 
     interval = suffix_range(
@@ -414,7 +418,7 @@ def replay_listing_short(index, pattern, tau):
         matches.append(
             ListingMatch(int(index._rank_documents[rank]), float(values[rank]))
         )
-    return sort_listing_matches(matches)
+    return sorted(matches, key=lambda match: match.document)
 
 
 class TestIndexesMatchScalarReplay:
@@ -507,7 +511,6 @@ class TestIndexesMatchScalarReplay:
         # link loop with the scalar generator and compare.
         from repro.bench.workloads import cached_uncertain_string
         from repro.core.approximate import ApproximateSubstringIndex
-        from repro.core.base import sort_occurrences as sort_occs
 
         string = cached_uncertain_string(50, 0.3, seed=800 + seed)
         index = ApproximateSubstringIndex(string, tau_min=0.1, epsilon=0.05)
@@ -549,7 +552,7 @@ class TestIndexesMatchScalarReplay:
                     previous = reported.get(link.position)
                     if previous is None or link.probability > previous:
                         reported[link.position] = link.probability
-                expected = sort_occs(
+                expected = by_position(
                     [Occurrence(p, value) for p, value in reported.items()]
                 )
                 assert got == expected

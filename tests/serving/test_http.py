@@ -34,8 +34,13 @@ from repro.serving import (
     SearchHttpServer,
     status_for_exception,
 )
-from repro.serving.http import HttpResponse, _parse_search, match_to_json
+from repro.serving.http import HttpResponse, _parse_search
 from tests.conftest import make_random_uncertain_string
+
+
+def listing_json(match):
+    """The wire dict of one listing record, built from the record."""
+    return {"document": match.document, "relevance": match.relevance}
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +122,7 @@ class TestRoutes:
         expected = listing_engine.search(request).matches
         assert response.status == 200
         assert response.payload["count"] == len(expected)
-        assert response.payload["matches"] == [match_to_json(m) for m in expected]
+        assert response.payload["matches"] == [listing_json(m) for m in expected]
         assert response.payload["pattern"] == "A"
         assert response.payload["tau"] == 0.1
 
@@ -147,7 +152,7 @@ class TestRoutes:
         assert response.payload["offset"] == 1
         assert response.payload["limit"] == 2
         assert response.payload["matches"] == [
-            match_to_json(m) for m in expected[1:3]
+            listing_json(m) for m in expected[1:3]
         ]
 
     def test_stats_merges_service_and_engine(self, listing_engine):
@@ -389,6 +394,75 @@ class TestDeadlinesOverHttp:
         # Complete answers never carry the degradation keys.
         assert "partial" not in bounded.payload
         assert "failed_shards" not in bounded.payload
+
+
+def _same_answer(sharded, unsharded):
+    """Equal payloads; values to float associativity (the shards' sums start elsewhere)."""
+    assert sharded.status == unsharded.status == 200
+    assert {**sharded.payload, "matches": None} == {**unsharded.payload, "matches": None}
+    (id_key,) = {"position", "document"} & set(unsharded.payload["matches"][0])
+    value_key = "probability" if id_key == "position" else "relevance"
+    assert [m[id_key] for m in sharded.payload["matches"]] == [
+        m[id_key] for m in unsharded.payload["matches"]
+    ]
+    assert [m[value_key] for m in sharded.payload["matches"]] == pytest.approx(
+        [m[value_key] for m in unsharded.payload["matches"]], rel=1e-12
+    )
+
+
+class TestTopKAboveMaxsize:
+    """Regression: a ``top_k`` above ``sys.maxsize`` answered 500 on sharded
+    engines (``itertools.islice`` rejected it in the shard merge) while an
+    unsharded engine answered 200.
+    """
+
+    TARGETS = (
+        "/search?pattern=A&top_k=99999999999999999999",
+        "/search?pattern=A&top_k=9223372036854775807",
+    )
+
+    def _serve(self, engine):
+        async def handler(app):
+            return [await app.dispatch("GET", target) for target in self.TARGETS]
+
+        try:
+            return _with_app(engine, handler)
+        finally:
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_chunk_sharded_general_engine(self, executor):
+        from repro.api import build_sharded_index
+
+        string = make_random_uncertain_string(300, 0.3, seed=29, alphabet="AB")
+        expected = self._serve(build_index(string, tau_min=0.1, kind="general"))
+        assert expected[0].payload["count"] > 100
+        served = self._serve(
+            build_sharded_index(
+                string, shards=3, tau_min=0.1, kind="general", max_pattern_len=4,
+                query_executor=executor,
+            )
+        )
+        for got, want in zip(served, expected):
+            _same_answer(got, want)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_document_sharded_listing_engine(self, executor):
+        from repro.api import build_sharded_index
+
+        documents = [
+            make_random_uncertain_string(20, 0.4, seed=seed, alphabet="AB")
+            for seed in range(10)
+        ]
+        expected = self._serve(build_index(documents, tau_min=0.05))
+        assert expected[0].payload["count"] == 10
+        served = self._serve(
+            build_sharded_index(documents, shards=3, tau_min=0.05, query_executor=executor)
+        )
+        for got, want in zip(served, expected):
+            _same_answer(got, want)
 
 
 class TestSocketServer:
