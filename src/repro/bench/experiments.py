@@ -24,8 +24,9 @@ is preserved and recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from ..core.approximate import ApproximateSubstringIndex
 from ..core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH
@@ -40,6 +41,9 @@ from .workloads import (
     listing_workload,
     substring_workload,
 )
+
+if TYPE_CHECKING:
+    from ..api.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -1039,18 +1043,52 @@ def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     return table
 
 
+def _http_tier_engine(scale: ExperimentScale) -> Tuple["Engine", Tuple[str, ...]]:
+    """The uncached listing engine and patterns the HTTP-tier experiments drive."""
+    from ..api.engine import Engine
+
+    work = listing_workload(
+        scale.fixed_collection_size,
+        scale.thetas[-1],
+        tau_min=scale.tau_min,
+        query_lengths=scale.listing_query_lengths,
+        patterns_per_length=scale.patterns_per_length,
+    )
+    engine = Engine(work.engine.index, work.engine.plan, cache_size=0)
+    return engine, tuple(work.patterns[:4])
+
+
+def _pooled_qps(runs: List[dict]) -> float:
+    """Load-generator runs' total requests over their total elapsed time."""
+    elapsed = sum(run["elapsed_s"] for run in runs)
+    return sum(run["requests"] for run in runs) / elapsed if elapsed > 0 else 0.0
+
+
+def _median_latency(runs: List[dict], percentile: str) -> float:
+    """The median run's ``percentile`` (``"p50"``, ...) latency in ms."""
+    return statistics.median(run["latency_ms"][percentile] for run in runs)
+
+
 def network_serving(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     """The full network tier end to end: QPS and latency vs replica count.
 
-    One engine is built, saved, and reopened as a
-    :class:`~repro.serving.ReplicaSet` of N mmap-sharing copies for each N
-    in ``scale.serving_replica_counts``; the set serves an
+    One engine is built, saved, and reopened once per N in
+    ``scale.serving_replica_counts`` as a :class:`~repro.serving.ReplicaSet`
+    of N mmap-sharing copies; each set serves its own
     :class:`~repro.serving.AsyncSearchService` behind a
     :class:`~repro.serving.SearchHttpApp`, driven by the seeded load
     generator over the **in-process transport** (the same closed-loop
     profile every time, so replica counts compare like for like and no
     socket noise enters the measurement).  Four series over replica count:
     QPS plus the p50/p95/p99 request latency.
+
+    Every set and its service start once, and the counts run interleaved
+    round by round (alternating which goes first) after one discarded
+    warm-up round; each count's QPS pools its rounds (total requests over
+    total elapsed time) and its latencies are the median round's.  A
+    single short run on a freshly loaded set measures where the OS placed
+    that set's executor threads as much as routing (one run per count put
+    the 2-/1-replica QPS ratio anywhere in 0.37-2.2).
 
     Honest single-core caveat (as with ``shard-build``): replica
     parallelism needs spare cores.  On a single-core runner the replicas
@@ -1062,14 +1100,15 @@ def network_serving(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     """
     import asyncio
     import tempfile
+    from contextlib import AsyncExitStack
     from pathlib import Path
 
-    from ..api.engine import Engine
     from ..serving import AsyncSearchService, LoadProfile, ReplicaSet, SearchHttpApp
     from ..serving.loadgen import run_load
 
     concurrency = 8
     requests = 100 * scale.query_repeats
+    rounds = 9
     table = FigureTable(
         figure_id="network-serving",
         title="HTTP serving tier: QPS and latency percentiles vs replica count",
@@ -1078,21 +1117,16 @@ def network_serving(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         notes=(
             f"listing engine, theta={scale.thetas[-1]}, tau_min={scale.tau_min}, "
             f"n={scale.fixed_collection_size}; closed-loop load generator, "
-            f"{requests} requests, concurrency {concurrency}, taus {scale.tau_grid}, "
-            "in-process HTTP transport, caches disabled; replicas mmap one archive "
-            "(flat curves on single-core runners: the copies share the CPU)"
+            f"{requests} requests per run, concurrency {concurrency}, taus "
+            f"{scale.tau_grid}, in-process HTTP transport, caches disabled; "
+            "replicas mmap one archive; one warm service per replica count, "
+            f"the counts interleaved over {rounds} rounds after one discarded "
+            "warm-up round; QPS pools each count's rounds, latencies are the "
+            "median round's (flat curves on single-core runners: the copies "
+            "share the CPU)"
         ),
     )
-    theta = scale.thetas[-1]
-    work = listing_workload(
-        scale.fixed_collection_size,
-        theta,
-        tau_min=scale.tau_min,
-        query_lengths=scale.listing_query_lengths,
-        patterns_per_length=scale.patterns_per_length,
-    )
-    engine = Engine(work.engine.index, work.engine.plan, cache_size=0)
-    patterns = tuple(work.patterns[: min(4, len(work.patterns))])
+    engine, patterns = _http_tier_engine(scale)
     profile = LoadProfile(
         patterns=patterns,
         taus=tuple(scale.tau_grid),
@@ -1100,33 +1134,50 @@ def network_serving(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         concurrency=concurrency,
         seed=20160315,
     )
+    counts = tuple(scale.serving_replica_counts)
 
-    async def drive(replicas: ReplicaSet) -> "dict":
-        async with AsyncSearchService(
-            replicas, max_wait_ms=1.0, max_batch=concurrency, max_pending=4 * concurrency
-        ) as service:
-            report = await run_load(SearchHttpApp(service).dispatch, profile)
-        return report.to_dict()
+    async def measure(sets: Dict[int, ReplicaSet]) -> Dict[int, List[dict]]:
+        async with AsyncExitStack() as stack:
+            apps = {}
+            for count in counts:
+                service = await stack.enter_async_context(
+                    AsyncSearchService(
+                        sets[count],
+                        max_wait_ms=1.0,
+                        max_batch=concurrency,
+                        max_pending=4 * concurrency,
+                    )
+                )
+                apps[count] = SearchHttpApp(service)
+            reports: Dict[int, List[dict]] = {count: [] for count in counts}
+            for round_index in range(rounds + 1):
+                # Alternate which count goes first, so a drift in host
+                # speed within a round charges every count alike.
+                for count in counts if round_index % 2 else counts[::-1]:
+                    report = await run_load(apps[count].dispatch, profile)
+                    if round_index:  # round 0 warms threads, allocator, numpy
+                        reports[count].append(report.to_dict())
+            return reports
 
-    qps_series = Series("QPS (req/s)")
-    p50_series = Series("p50 latency (ms)")
-    p95_series = Series("p95 latency (ms)")
-    p99_series = Series("p99 latency (ms)")
     with tempfile.TemporaryDirectory() as scratch:
         archive = engine.save(Path(scratch) / "index")
-        for count in scale.serving_replica_counts:
-            replica_set = ReplicaSet.load(
-                archive, replicas=count, mmap=True, cache_size=0
-            )
-            try:
-                report = asyncio.run(drive(replica_set))
-            finally:
+        sets = {
+            count: ReplicaSet.load(archive, replicas=count, mmap=True, cache_size=0)
+            for count in counts
+        }
+        try:
+            reports = asyncio.run(measure(sets))
+        finally:
+            for replica_set in sets.values():
                 replica_set.close()
-            qps_series.add(count, report["qps"])
-            p50_series.add(count, report["latency_ms"]["p50"])
-            p95_series.add(count, report["latency_ms"]["p95"])
-            p99_series.add(count, report["latency_ms"]["p99"])
-    table.series.extend([qps_series, p50_series, p95_series, p99_series])
+
+    qps_series = Series("QPS (req/s)")
+    percentiles = {name: Series(f"{name} latency (ms)") for name in ("p50", "p95", "p99")}
+    for count in counts:
+        qps_series.add(count, _pooled_qps(reports[count]))
+        for name, series in percentiles.items():
+            series.add(count, _median_latency(reports[count], name))
+    table.series.extend([qps_series, *percentiles.values()])
     return table
 
 
@@ -1159,9 +1210,7 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
     you turn it on".
     """
     import asyncio
-    import statistics
 
-    from ..api.engine import Engine
     from ..obs import SlowQueryLog
     from ..serving import AsyncSearchService, LoadProfile, SearchHttpApp
     from ..serving.loadgen import run_load
@@ -1184,16 +1233,7 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
             "are the median round's"
         ),
     )
-    theta = scale.thetas[-1]
-    work = listing_workload(
-        scale.fixed_collection_size,
-        theta,
-        tau_min=scale.tau_min,
-        query_lengths=scale.listing_query_lengths,
-        patterns_per_length=scale.patterns_per_length,
-    )
-    engine = Engine(work.engine.index, work.engine.plan, cache_size=0)
-    patterns = tuple(work.patterns[: min(4, len(work.patterns))])
+    engine, patterns = _http_tier_engine(scale)
 
     def make_profile(debug_trace: bool) -> LoadProfile:
         return LoadProfile(
@@ -1256,14 +1296,13 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
     baseline: Dict[str, float] = {}
     for mode, *_ in modes:
         runs = reports[mode]
-        elapsed = sum(run["elapsed_s"] for run in runs)
-        qps = sum(run["requests"] for run in runs) / elapsed if elapsed > 0 else 0.0
-        p99 = statistics.median(run["latency_ms"]["p99"] for run in runs)
+        qps = _pooled_qps(runs)
+        p99 = _median_latency(runs, "p99")
         if mode == 0:
             baseline["qps"] = qps
             baseline["p99"] = p99
         qps_series.add(mode, qps)
-        p50_series.add(mode, statistics.median(run["latency_ms"]["p50"] for run in runs))
+        p50_series.add(mode, _median_latency(runs, "p50"))
         p99_series.add(mode, p99)
         qps_ratio.add(mode, qps / baseline["qps"] if baseline["qps"] else 0.0)
         p99_ratio.add(mode, p99 / baseline["p99"] if baseline["p99"] else 0.0)

@@ -365,7 +365,7 @@ SCAN_WIDTH = 1 << 16
 
 
 def report_above_threshold(
-    rmq: SupportsRangeMaximum,
+    rmq: Optional[SupportsRangeMaximum],
     values: np.ndarray,
     left: int,
     right: int,
@@ -387,7 +387,9 @@ def report_above_threshold(
     Parameters
     ----------
     rmq:
-        A range *maximum* query structure built over ``values``.
+        A range *maximum* query structure built over ``values``, or
+        ``None`` on a level no range of which can be wider than the scan
+        (see :func:`rmq_depth`).
     values:
         The value array the RMQ was built over (used to validate maxima).
     left, right:
@@ -400,6 +402,7 @@ def report_above_threshold(
         return np.empty(0, dtype=np.int64)
     if right - left + 1 <= SCAN_WIDTH:
         return _report_scan(values, left, right, threshold)
+    assert rmq is not None  # rmq_depth keeps the RMQ of every level this wide
     return _report_frontier(rmq, values, left, right, threshold)
 
 
@@ -558,8 +561,31 @@ def _cut_top(
 TOP_K_SCAN_WIDTH = 1 << 15
 
 
+def rmq_depth(lcp: np.ndarray, max_length: int) -> int:
+    """How many pattern lengths, from 1 up, can reach the RMQ frontier.
+
+    A length-``L`` pattern's suffix range lies inside one depth-``L``
+    partition of the suffix array: a maximal run of ranks whose adjacent
+    ``lcp`` entries are all at least ``L``.  Where the widest such
+    partition is no wider than :data:`TOP_K_SCAN_WIDTH`, the smaller
+    cut-off, both kernels scan every range of level ``L`` and never probe
+    an RMQ, so the level needs none.  Partitions only split as ``L`` grows,
+    so the levels that need one are ``1..rmq_depth`` and the walk stops at
+    the first narrow level (usually level 1 or 2).  The answer is a
+    function of ``lcp`` alone: a restore derives the levels the build chose
+    from the stored array.
+    """
+    for length in range(1, max_length + 1):
+        # Rank r + 1 starts a new partition wherever lcp[r + 1] < length.
+        edges = np.flatnonzero(lcp[1:] < length) + 1
+        widest = np.diff(edges, prepend=0, append=len(lcp)).max()
+        if widest <= TOP_K_SCAN_WIDTH:
+            return length - 1
+    return max_length
+
+
 def top_values_above_threshold(
-    rmq: SupportsRangeMaximum,
+    rmq: Optional[SupportsRangeMaximum],
     values: np.ndarray,
     left: int,
     right: int,
@@ -593,12 +619,14 @@ def top_values_above_threshold(
     ``include_ties`` the returned *set* is identical whenever the boundary
     tie class fits the :data:`TIE_EXTRACTION_LIMIT` budget — the same
     caveat the scalar version documents.  Every index calls with
-    ``include_ties=True``.
+    ``include_ties=True``.  ``rmq`` may be ``None`` on a level no range of
+    which is wider than :data:`TOP_K_SCAN_WIDTH` (see :func:`rmq_depth`).
     """
     if left > right or k <= 0:
         return np.empty(0, dtype=np.int64)
     if right - left + 1 <= TOP_K_SCAN_WIDTH:
         return _top_values_scan(values, left, right, k, threshold, include_ties)
+    assert rmq is not None  # rmq_depth keeps the RMQ of every level this wide
     return _top_values_frontier(rmq, values, left, right, k, threshold, include_ties)
 
 

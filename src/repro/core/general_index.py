@@ -9,14 +9,22 @@ The index is built in three steps (Algorithm 3):
    per-length arrays ``C_i`` (``i ≤ ⌈log2 N⌉``) over the transformed text,
    eliminating duplicates inside every depth-``i`` locus partition so that
    each original position keeps a single finite entry;
-3. build a range-maximum structure over every deduplicated ``C_i``.
+3. build a range-maximum structure over a deduplicated ``C_i`` only where a
+   suffix range can outgrow the kernels' scans: where the widest depth-``i``
+   partition is wider than :data:`~repro.core.base.TOP_K_SCAN_WIDTH`
+   (:func:`~repro.core.base.rmq_depth`).  On every other level each range
+   is scanned, so an RMQ there would never be probed.  Only the shallowest
+   levels, whose partitions are few and wide, keep one, and on small texts
+   none does.
 
-A query (Algorithm 4) finds the pattern's suffix range and extracts answers
-by recursive range-maximum queries, reporting ``Pos[A[j]]`` for every entry
-whose probability exceeds the query threshold — ``O(m + occ)`` for patterns
-of length up to ``log N``.  Longer patterns use the paper's blocking scheme
-when a structure for that length was materialized and otherwise fall back to
-a vectorized scan of the suffix range (identical answers, see DESIGN.md).
+A query (Algorithm 4) finds the pattern's suffix range and reports
+``Pos[A[j]]`` for every entry whose probability exceeds the query
+threshold: one scan of ``C_i`` over the range, or recursive range-maximum
+queries where the range is wider than the scan cut-off — ``O(m + occ)``
+either way for patterns of length up to ``log N``.  Longer patterns use the
+paper's blocking scheme when a structure for that length was materialized
+and otherwise fall back to a vectorized scan of the suffix range (identical
+answers, see DESIGN.md).
 
 Correlated strings are supported: the transformation stores optimistic
 (upper-bound) probabilities for correlated characters and every candidate is
@@ -52,6 +60,7 @@ from .base import (
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
+    rmq_depth,
     top_values_above_threshold,
 )
 from .cumulative import NEGATIVE_INFINITY, cumulative_log_probabilities
@@ -89,14 +98,8 @@ def deduplicate_by_position(
     (Section 5.2's duplicate elimination).  Entries whose original position
     is ``-1`` (separator positions) are masked outright.
     """
-    deduplicated = values.copy()
     separator_mask = original_positions < 0
-    deduplicated[separator_mask] = NEGATIVE_INFINITY
-
-    valid = ~separator_mask & np.isfinite(deduplicated)
-    if not np.any(valid):
-        return deduplicated
-    indices = np.flatnonzero(valid)
+    indices = np.flatnonzero(~separator_mask & np.isfinite(values))
     keys = (
         partition_ids[indices].astype(np.int64)
         * (int(original_positions.max()) + 2)
@@ -105,6 +108,12 @@ def deduplicate_by_position(
     _, first_indices = np.unique(keys, return_index=True)
     keep = np.zeros(len(indices), dtype=bool)
     keep[first_indices] = True
+    # The result is allocated after the temporaries above, so that once
+    # freed they sit below a live array and the next level reuses them;
+    # freed at the heap's top they go back to the OS and are faulted in
+    # again (an n = 8,192 general index: 152k -> 82k minor page faults).
+    deduplicated = values.copy()
+    deduplicated[separator_mask] = NEGATIVE_INFINITY
     deduplicated[indices[~keep]] = NEGATIVE_INFINITY
     return deduplicated
 
@@ -120,7 +129,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         Construction-time probability threshold; queries must use
         ``tau >= tau_min``.
     max_short_length:
-        Largest pattern length served by the per-length RMQ path
+        Largest pattern length served by the per-length ``C_i`` arrays
         (default ``⌈log2 N⌉`` where ``N`` is the transformed text length).
     long_lengths:
         Pattern lengths above ``max_short_length`` for which the blocking
@@ -133,7 +142,8 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         :func:`repro.core.factors.enumerate_maximal_factors`).
     rmq_implementation:
         ``"block"`` (default, linear space — mirrors the paper's succinct
-        RMQs) or ``"sparse"`` (O(1) queries, O(N log N) space).
+        RMQs) or ``"sparse"`` (O(1) queries, O(N log N) space), for the
+        levels that carry an RMQ and the blocking structures.
     separator:
         Separator character used between concatenated factors.
 
@@ -193,10 +203,18 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             max_short_length = max(1, math.ceil(math.log2(N + 1)))
         self._max_short_length = max(1, min(max_short_length, N))
 
+        # Every level keeps its values; only the levels whose suffix ranges
+        # can outgrow the kernels' scans (rmq_depth) also get an RMQ.
+        depth = rmq_depth(self._lcp, self._max_short_length)
         self._short_values: Dict[int, np.ndarray] = {}
         self._short_rmq: Dict[int, object] = {}
         for length in range(1, self._max_short_length + 1):
-            self._build_short_structure(length)
+            values = self._deduplicated_values(length)
+            self._short_values[length] = values
+            if length <= depth:
+                self._short_rmq[length] = make_rmq(
+                    values, mode="max", implementation=self._rmq_implementation
+                )
 
         self._block_maxima: Dict[int, np.ndarray] = {}
         self._block_values: Dict[int, np.ndarray] = {}
@@ -215,19 +233,14 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         values[in_range] = self._prefix[ends[in_range]] - self._prefix[suffix_array[in_range]]
         return values
 
-    def _build_short_structure(self, length: int) -> None:
-        values = self._windowed_values(length)
+    def _deduplicated_values(self, length: int) -> np.ndarray:
         partitions = partition_identifiers(self._lcp, length)
-        values = deduplicate_by_position(values, partitions, self._rank_positions)
-        self._short_values[length] = values
-        self._short_rmq[length] = make_rmq(
-            values, mode="max", implementation=self._rmq_implementation
+        return deduplicate_by_position(
+            self._windowed_values(length), partitions, self._rank_positions
         )
 
     def _build_blocking_structure(self, length: int) -> None:
-        values = self._windowed_values(length)
-        partitions = partition_identifiers(self._lcp, length)
-        values = deduplicate_by_position(values, partitions, self._rank_positions)
+        values = self._deduplicated_values(length)
         n = len(values)
         block_count = (n + length - 1) // length
         maxima = np.full(block_count, NEGATIVE_INFINITY, dtype=np.float64)
@@ -259,7 +272,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
 
     @property
     def max_short_length(self) -> int:
-        """Largest pattern length served by the per-length RMQ path."""
+        """Largest pattern length served by the per-length ``C_i`` arrays."""
         return self._max_short_length
 
     @property
@@ -291,7 +304,8 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         children = {"transformed": self._transformed.to_payload()}
         for length, values in self._short_values.items():
             arrays[f"short_values_{length}"] = values
-            children[f"rmq_short_{length}"] = rmq_to_payload(self._short_rmq[length])
+        for length, rmq in self._short_rmq.items():
+            children[f"rmq_short_{length}"] = rmq_to_payload(rmq)
         for length in self._block_maxima:
             arrays[f"block_values_{length}"] = self._block_values[length]
             arrays[f"block_maxima_{length}"] = self._block_maxima[length]
@@ -337,9 +351,14 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             int(length): payload.arrays[f"short_values_{length}"]
             for length in meta["short_lengths"]
         }
+        # The levels that carry an RMQ follow from the stored lcp: surplus
+        # rmq_short children (an archive that gave every level one) are not
+        # restored, and a missing needed one raises.
+        depth = rmq_depth(index._lcp, index._max_short_length)
         index._short_rmq = {
             length: restore_child_rmq(payload, f"rmq_short_{length}", values)
             for length, values in index._short_values.items()
+            if length <= depth
         }
         index._block_values = {
             int(length): payload.arrays[f"block_values_{length}"]
@@ -402,9 +421,10 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         ``tau_min`` — the index cannot see anything below its construction
         threshold) and returned as a :class:`~repro.core.base.MatchArrays`
         in decreasing probability order (ties broken by position).  For
-        short patterns the answer is extracted with ``O(k)`` heap-driven
-        range-maximum probes; long patterns and correlated strings fall back
-        to scanning the pattern's suffix range.
+        short patterns the answer is extracted from the per-length ``C_i``
+        array (one scan, or ``O(k)`` heap-driven range-maximum probes on a
+        range wider than the scan); long patterns and correlated strings
+        fall back to scanning the pattern's suffix range.
         """
         check_nonempty_pattern(pattern)
         if k <= 0:
@@ -428,7 +448,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             and not self._needs_verification
         ):
             values = self._short_values[length]
-            rmq = self._short_rmq[length]
+            rmq = self._short_rmq.get(length)
             ranks = top_values_above_threshold(
                 rmq, values, sp, ep, k, log_threshold, include_ties=True
             )
@@ -449,7 +469,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         self, sp: int, ep: int, length: int, log_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
         values = self._short_values[length]
-        rmq = self._short_rmq[length]
+        rmq = self._short_rmq.get(length)
         ranks = report_above_threshold(rmq, values, sp, ep, log_threshold)
         return self._rank_positions[ranks], values[ranks]
 

@@ -12,9 +12,15 @@ follows the paper's construction:
   document holding the document's relevance for that partition's string —
   every other copy is masked so the recursive range-maximum reporting never
   emits a document twice;
-* a range-maximum structure over every ``R_i`` turns a query into the same
-  recursive reporting loop as substring search, yielding ``O(m + ndoc)``
-  for short patterns.
+* a query scans ``R_i`` over the pattern's suffix range, or, where the
+  range is wider than the scan cut-off, runs the same recursive
+  range-maximum reporting as substring search, yielding ``O(m + ndoc)``
+  for short patterns.  A level carries a range-maximum structure only
+  where its widest depth-``i`` partition, the widest range any length-``i``
+  pattern can have, is wider than
+  :data:`~repro.core.base.TOP_K_SCAN_WIDTH`
+  (:func:`~repro.core.base.rmq_depth`): only the shallowest levels, whose
+  partitions are few and wide, and none on small collections.
 
 Relevance metrics (Section 6):
 
@@ -56,6 +62,7 @@ from .base import (
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
+    rmq_depth,
     top_values_above_threshold,
 )
 from .cumulative import cumulative_log_probabilities
@@ -114,12 +121,13 @@ class UncertainStringListingIndex(PayloadSerializable):
     metric:
         Relevance metric used both at construction and at query time.
     max_short_length:
-        Largest pattern length served by the per-length RMQ path
+        Largest pattern length served by the per-length relevance arrays
         (default ``⌈log2 N⌉``).
     max_factor_length:
         Optional cap on maximal-factor length.
     rmq_implementation:
-        ``"block"`` (default) or ``"sparse"``.
+        ``"block"`` (default) or ``"sparse"``, for the levels that carry an
+        RMQ.
     separator:
         Separator character between concatenated factors.
 
@@ -189,10 +197,19 @@ class UncertainStringListingIndex(PayloadSerializable):
             max_short_length = max(1, math.ceil(math.log2(N + 1)))
         self._max_short_length = max(1, min(max_short_length, N))
 
+        # Every level keeps its relevance array; only the levels whose
+        # suffix ranges can outgrow the kernels' scans (rmq_depth) also get
+        # an RMQ.
+        depth = rmq_depth(self._lcp, self._max_short_length)
         self._relevance: Dict[int, np.ndarray] = {}
         self._relevance_rmq: Dict[int, object] = {}
         for length in range(1, self._max_short_length + 1):
-            self._build_relevance_structure(length)
+            relevance = self._relevance_values(length)
+            self._relevance[length] = relevance
+            if length <= depth:
+                self._relevance_rmq[length] = make_rmq(
+                    relevance, mode="max", implementation=self._rmq_implementation
+                )
 
     # -- construction ----------------------------------------------------------------------
     def _window_probabilities(self, length: int) -> np.ndarray:
@@ -206,21 +223,17 @@ class UncertainStringListingIndex(PayloadSerializable):
         )
         return values
 
-    def _build_relevance_structure(self, length: int) -> None:
+    def _relevance_values(self, length: int) -> np.ndarray:
+        """``R_length``: each (partition, document) group's relevance on its first rank."""
         probabilities = self._window_probabilities(length)
         partitions = partition_identifiers(self._lcp, length)
         documents = self._rank_documents
         positions = self._rank_positions
 
-        relevance = np.zeros(len(probabilities), dtype=np.float64)
         valid = (documents >= 0) & (positions >= 0) & (probabilities > 0.0)
         indices = np.flatnonzero(valid)
         if len(indices) == 0:
-            self._relevance[length] = relevance
-            self._relevance_rmq[length] = make_rmq(
-                relevance, mode="max", implementation=self._rmq_implementation
-            )
-            return
+            return np.zeros(len(probabilities), dtype=np.float64)
 
         max_position = int(positions[indices].max()) + 2
         document_count = len(self._collection) + 2
@@ -266,12 +279,12 @@ class UncertainStringListingIndex(PayloadSerializable):
             singletons = counts == 1
             combined = np.where(singletons, sums, combined)
 
-        representatives = indices[group_first]
-        relevance[representatives] = combined
-        self._relevance[length] = relevance
-        self._relevance_rmq[length] = make_rmq(
-            relevance, mode="max", implementation=self._rmq_implementation
-        )
+        # Allocated last, as in deduplicate_by_position: the freed
+        # temporaries stay below it for the next level to reuse (a
+        # 16,384-position collection: 226k -> 97k minor page faults).
+        relevance = np.zeros(len(probabilities), dtype=np.float64)
+        relevance[indices[group_first]] = combined
+        return relevance
 
     # -- metadata --------------------------------------------------------------------------
     @property
@@ -306,7 +319,7 @@ class UncertainStringListingIndex(PayloadSerializable):
 
     @property
     def max_short_length(self) -> int:
-        """Largest pattern length served by the per-length RMQ path."""
+        """Largest pattern length served by the per-length relevance arrays."""
         return self._max_short_length
 
     @property
@@ -334,9 +347,8 @@ class UncertainStringListingIndex(PayloadSerializable):
         children = {"transformed": self._transformed.to_payload()}
         for length, values in self._relevance.items():
             arrays[f"relevance_{length}"] = values
-            children[f"rmq_relevance_{length}"] = rmq_to_payload(
-                self._relevance_rmq[length]
-            )
+        for length, rmq in self._relevance_rmq.items():
+            children[f"rmq_relevance_{length}"] = rmq_to_payload(rmq)
         return IndexPayload(
             schema=LISTING_INDEX_SCHEMA,
             meta={
@@ -380,9 +392,13 @@ class UncertainStringListingIndex(PayloadSerializable):
             int(length): payload.arrays[f"relevance_{length}"]
             for length in meta["relevance_lengths"]
         }
+        # As in the general index: the stored lcp decides which levels
+        # carry an RMQ; surplus children are ignored, missing ones raise.
+        depth = rmq_depth(index._lcp, index._max_short_length)
         index._relevance_rmq = {
             length: restore_child_rmq(payload, f"rmq_relevance_{length}", values)
             for length, values in index._relevance.items()
+            if length <= depth
         }
         return index
 
@@ -416,9 +432,10 @@ class UncertainStringListingIndex(PayloadSerializable):
         ``None`` resolves through :func:`repro.core.base.resolve_tau` to
         ``tau_min`` (the index cannot see occurrences below its construction
         threshold).  For short patterns on uncorrelated collections the
-        answer is extracted with ``O(k)`` heap-driven range-maximum probes
-        over the per-length relevance arrays; other cases fall back to
-        materializing the candidate documents and sorting.
+        answer is extracted from the per-length relevance array (one scan,
+        or ``O(k)`` heap-driven range-maximum probes on a range wider than
+        the scan); other cases fall back to materializing the candidate
+        documents and sorting.
         """
         check_nonempty_pattern(pattern)
         if k <= 0:
@@ -437,7 +454,7 @@ class UncertainStringListingIndex(PayloadSerializable):
 
         if length <= self._max_short_length and not self._needs_verification:
             values = self._relevance[length]
-            rmq = self._relevance_rmq[length]
+            rmq = self._relevance_rmq.get(length)
             ranks = top_values_above_threshold(
                 rmq, values, sp, ep, k, adjusted, include_ties=True
             )
@@ -494,7 +511,7 @@ class UncertainStringListingIndex(PayloadSerializable):
         self, sp: int, ep: int, length: int, threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
         values = self._relevance[length]
-        rmq = self._relevance_rmq[length]
+        rmq = self._relevance_rmq.get(length)
         ranks = report_above_threshold(rmq, values, sp, ep, threshold)
         return self._rank_documents[ranks], values[ranks]
 

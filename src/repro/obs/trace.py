@@ -29,7 +29,9 @@ Span glossary (names are stable API, see README "Observability"):
 ``shard``          one shard's evaluation of this request (child of
                    fan_out; meta shard, attempt, executor mode; duration
                    is the worker's eval time)
-``merge``          heap-merge of shard answers (child of evaluate)
+``merge``          one stable sort of the concatenated shard answer
+                   arrays, by id or by (-value, id) cut to ``top_k``
+                   (child of evaluate; meta matches)
 ``serialize``      response payload construction (HTTP layer)
 
 Records adopted from a dedupe twin's primary carry

@@ -484,9 +484,15 @@ class TestFormatVersions:
         assert isinstance(suffix_array, np.memmap) or isinstance(
             suffix_array.base, np.memmap
         )
-        # The RMQ structures were restored from their space-efficient
-        # payloads: the stored block positions stay memory-mapped (only
-        # the small summary table is rebuilt on the heap).
+        # Every level of this small text is scanned, so none restored an RMQ.
+        assert loaded.index._short_rmq == {}
+        assert "mmap" in loaded.plan.reason
+        # The special index keeps its RMQ tower.  Its structures were
+        # restored from their space-efficient payloads: the stored block
+        # positions stay memory-mapped (only the small summary table is
+        # rebuilt on the heap).
+        special = build_index(make_random_special_string(60, seed=11))
+        loaded = load_index(special.save(tmp_path / "mapped-special"), mmap=True)
         rmq = next(iter(loaded.index._short_rmq.values()))
         positions = rmq._block_positions
         assert isinstance(positions, np.memmap) or isinstance(
@@ -552,7 +558,13 @@ class TestFormatVersions:
             read_manifest(path)
 
     @pytest.mark.parametrize("mmap", [False, True])
-    def test_missing_rmq_child_rejected(self, tmp_path, general_string, mmap):
+    def test_missing_rmq_child_rejected(
+        self, tmp_path, general_string, mmap, monkeypatch
+    ):
+        # Cut-offs this low make the shallow levels of even this tiny text
+        # need an RMQ, so every rmq_ child is one the loader requires.
+        monkeypatch.setattr("repro.core.base.SCAN_WIDTH", 4)
+        monkeypatch.setattr("repro.core.base.TOP_K_SCAN_WIDTH", 2)
         engine = build_index(general_string, tau_min=0.1)
         path = engine.save(tmp_path / "no-rmq")
         manifest = read_manifest(path)

@@ -23,7 +23,10 @@ The guards, all at the small scale so the step stays fast:
   metrics registry stays cheap;
 * the compacted in-RAM representation is at most 0.6x the wide bytes at
   every size, and the shared-memory worker spec stays O(array count) —
-  spawning a process pool must never pickle per-worker index bytes.
+  spawning a process pool must never pickle per-worker index bytes;
+* no general or listing index at the small scale, wide or compact, holds
+  a per-level RMQ: none of their levels has a suffix range wider than
+  ``TOP_K_SCAN_WIDTH``, so such an RMQ could never be probed.
 
 The archive's size margin is a deterministic test in
 ``tests/api/test_persistence.py``.  The full sweeps stay in the
@@ -240,3 +243,51 @@ class TestMemoryFrontierSmoke:
         # count() through the freshly spawned process pool).
         cold = table.series_by_label("process-pool cold spawn (ms)")
         assert all(value > 0.0 for value in cold.values)
+
+
+class TestNoNeverProbedRmqs:
+    """The general and listing kinds build no RMQ that no query can probe.
+
+    A level keeps its RMQ only where some suffix range can be wider than
+    ``TOP_K_SCAN_WIDTH``, the smaller scan cut-off
+    (``repro.core.base.rmq_depth``).  No small-scale input has such a
+    level, so ``rmq_short`` / ``rmq_relevance`` bytes in a space report
+    mean structures built, shipped back from build workers and copied into
+    shared memory for nothing.
+    """
+
+    def test_small_scale_indexes_carry_no_level_rmq(self):
+        from repro.api import build_index
+        from repro.bench.workloads import listing_workload, substring_workload
+        from repro.core.base import rmq_depth
+
+        cells = []
+        for n in SMALL_SCALE.string_sizes:
+            for theta in SMALL_SCALE.thetas:
+                work = substring_workload(n, theta, tau_min=SMALL_SCALE.tau_min)
+                cells.append(("general", n, theta, work.string))
+        for n in SMALL_SCALE.collection_sizes:
+            for theta in SMALL_SCALE.thetas:
+                work = listing_workload(n, theta, tau_min=SMALL_SCALE.tau_min)
+                cells.append(("listing", n, theta, work.collection))
+        for kind, n, theta, source in cells:
+            label = f"{kind} n={n} theta={theta}"
+            for compact in (False, True):
+                index = build_index(
+                    source, tau_min=SMALL_SCALE.tau_min, kind=kind, compact=compact
+                ).index
+                assert rmq_depth(index._lcp, index.max_short_length) == 0, (
+                    f"{label}: a level is wider than TOP_K_SCAN_WIDTH, so this "
+                    "input no longer tests the guard"
+                )
+                report = index.space_report()
+                held = {
+                    name: size
+                    for name, size in report.items()
+                    if name in ("rmq_short", "rmq_relevance")
+                }
+                assert not held, (
+                    f"{label} (compact={compact}) holds {held} bytes of per-level "
+                    "RMQs that no query can probe"
+                )
+

@@ -40,7 +40,13 @@ from repro.core.base import (
     top_values_above_threshold,
     top_values_above_threshold_scalar,
 )
-from repro.suffix.rmq import BlockRMQ, CompactRMQ, SparseTableRMQ, rmq_from_payload
+from repro.suffix.rmq import (
+    BlockRMQ,
+    CompactRMQ,
+    SparseTableRMQ,
+    make_rmq,
+    rmq_from_payload,
+)
 
 
 def random_values(rng, n, *, with_ties=False, with_infinities=False):
@@ -391,7 +397,9 @@ def replay_general_short(index, pattern, tau):
         return []
     sp, ep = interval
     values = index._short_values[len(pattern)]
-    rmq = index._short_rmq[len(pattern)]
+    # The index keeps an RMQ only on levels whose ranges can outgrow the
+    # scan, so the replay builds its own reference over the same values.
+    rmq = make_rmq(values)
     occurrences = []
     for rank in report_above_threshold_scalar(rmq, values, sp, ep, math.log(tau)):
         occurrences.append(
@@ -412,7 +420,7 @@ def replay_listing_short(index, pattern, tau):
         return []
     sp, ep = interval
     values = index._relevance[len(pattern)]
-    rmq = index._relevance_rmq[len(pattern)]
+    rmq = make_rmq(values)  # as in replay_general_short
     matches = []
     for rank in report_above_threshold_scalar(rmq, values, sp, ep, tau):
         matches.append(
