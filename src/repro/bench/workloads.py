@@ -4,8 +4,7 @@ Building an index over a freshly generated uncertain string is by far the
 most expensive part of an experiment, and the paper's figures reuse the same
 string/index across many query-time measurements.  This module provides
 memoized builders so that each (n, θ, τ_min) combination is generated and
-indexed exactly once per process, both for the `python -m repro.bench` CLI
-and for the pytest-benchmark suite.
+indexed exactly once per process by the `python -m repro.bench` CLI.
 """
 
 from __future__ import annotations

@@ -43,8 +43,9 @@ from ..strings.serialization import (
     uncertain_string_to_manifest,
 )
 from ..strings.uncertain import UncertainString
+from ..suffix.lcp import lcp_from_ranks
 from ..suffix.rmq import make_rmq, rmq_to_payload
-from ..suffix.suffix_array import SuffixArray
+from ..suffix.suffix_array import SuffixArray, prefix_doubling
 from ..suffix.suffix_tree import SuffixTree
 from .base import (
     OCCURRENCE,
@@ -143,8 +144,10 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
             separator=separator,
         )
         transformed = self._transformed
-        self._suffix_array = SuffixArray(transformed.text)
-        self._tree = SuffixTree(self._suffix_array)
+        suffix_array, ranks = prefix_doubling(transformed.text)
+        self._suffix_array = SuffixArray(transformed.text, array=suffix_array)
+        self._tree = SuffixTree(self._suffix_array, lcp=lcp_from_ranks(ranks, suffix_array))
+        del ranks
         self._prefix = cumulative_log_probabilities(transformed.probabilities)
         self._rank_positions = transformed.positions[self._suffix_array.array]
 
@@ -422,7 +425,7 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         threshold = check_threshold(tau, tau_min=self._tau_min)
         if self._link_rmq is None:
             return MatchArrays(OCCURRENCE)
-        interval = self._tree.pattern_range(pattern)
+        interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(OCCURRENCE)
         sp, ep = interval

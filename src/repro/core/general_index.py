@@ -35,7 +35,7 @@ never loses an answer and nothing wrong is ever reported.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Literal, Optional, Tuple
+from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +47,9 @@ from ..strings.serialization import (
     uncertain_string_to_manifest,
 )
 from ..strings.uncertain import UncertainString
-from ..suffix.lcp import build_lcp_array
-from ..suffix.pattern_search import suffix_range
+from ..suffix.lcp import common_prefix_lengths, lcp_from_ranks
 from ..suffix.rmq import make_rmq, rmq_to_payload
-from ..suffix.suffix_array import SuffixArray
+from ..suffix.suffix_array import SuffixArray, prefix_doubling
 from .base import (
     OCCURRENCE,
     MatchArrays,
@@ -63,7 +62,11 @@ from .base import (
     rmq_depth,
     top_values_above_threshold,
 )
-from .cumulative import NEGATIVE_INFINITY, cumulative_log_probabilities
+from .cumulative import (
+    NEGATIVE_INFINITY,
+    cumulative_log_probabilities,
+    prefix_length_log_probabilities,
+)
 from .factors import DEFAULT_SEPARATOR, TransformedString, transform_uncertain_string
 
 LongPatternMode = Literal["fallback", "block", "error"]
@@ -72,50 +75,39 @@ LongPatternMode = Literal["fallback", "block", "error"]
 GENERAL_INDEX_SCHEMA = "index/general"
 
 
-def partition_identifiers(lcp: np.ndarray, prefix_length: int) -> np.ndarray:
-    """Assign every lexicographic rank to its depth-``prefix_length`` partition.
-
-    Two adjacent ranks share a partition exactly when the LCP between them is
-    at least ``prefix_length`` (the partitions are the suffix ranges of the
-    paper's ``L_i`` locus nodes).
-    """
-    if prefix_length <= 0:
-        raise ValidationError(f"prefix_length must be positive, got {prefix_length}")
-    boundaries = (lcp < prefix_length).astype(np.int64)
-    boundaries[0] = 0
-    return np.cumsum(boundaries)
-
-
-def deduplicate_by_position(
-    values: np.ndarray,
-    partition_ids: np.ndarray,
-    original_positions: np.ndarray,
+def duplicate_depths(
+    ranks: Sequence[np.ndarray],
+    suffix_array: np.ndarray,
+    keys: np.ndarray,
+    limit: int,
 ) -> np.ndarray:
-    """Keep one finite entry per (partition, original position) pair.
+    """Per rank, the deepest level at which it repeats an earlier rank's key.
 
-    All other copies are set to ``-inf`` so that the recursive RMQ reporting
-    never returns the same original position twice for one query
-    (Section 5.2's duplicate elimination).  Entries whose original position
-    is ``-1`` (separator positions) are masked outright.
+    Section 5.2's duplicate elimination keeps, inside every depth-``L``
+    partition of the suffix array (a maximal run of ranks whose adjacent
+    LCPs are all at least ``L``), one entry per key — the original
+    position, or (document, position) for a collection — on its first
+    rank.  Rank ``r`` shares its depth-``L`` partition with an earlier rank
+    ``r'`` exactly when the suffixes at ``r'`` and ``r`` agree on ``L``
+    characters, and the nearest earlier rank with the same key agrees the
+    most.  So one stable sort by key links every rank to that rank, the
+    link's LCP (:func:`~repro.suffix.lcp.common_prefix_lengths`) is the
+    returned depth, and level ``L`` masks rank ``r`` iff
+    ``depth[r] >= L``.  A rank with no earlier copy gets 0; a negative key
+    (a separator) gets ``limit``, masked on every level.  Depths are
+    clipped to ``limit`` and stored in the smallest unsigned dtype that
+    holds it.
     """
-    separator_mask = original_positions < 0
-    indices = np.flatnonzero(~separator_mask & np.isfinite(values))
-    keys = (
-        partition_ids[indices].astype(np.int64)
-        * (int(original_positions.max()) + 2)
-        + original_positions[indices].astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeat = np.flatnonzero((sorted_keys[1:] == sorted_keys[:-1]) & (sorted_keys[1:] >= 0))
+    earlier, later = order[repeat], order[repeat + 1]
+    depths = np.zeros(len(keys), dtype=np.min_scalar_type(limit))
+    depths[later] = np.minimum(
+        common_prefix_lengths(ranks, suffix_array[earlier], suffix_array[later]), limit
     )
-    _, first_indices = np.unique(keys, return_index=True)
-    keep = np.zeros(len(indices), dtype=bool)
-    keep[first_indices] = True
-    # The result is allocated after the temporaries above, so that once
-    # freed they sit below a live array and the next level reuses them;
-    # freed at the heap's top they go back to the OS and are faulted in
-    # again (an n = 8,192 general index: 152k -> 82k minor page faults).
-    deduplicated = values.copy()
-    deduplicated[separator_mask] = NEGATIVE_INFINITY
-    deduplicated[indices[~keep]] = NEGATIVE_INFINITY
-    return deduplicated
+    depths[keys < 0] = limit
+    return depths
 
 
 class GeneralUncertainStringIndex(UncertainSubstringIndex):
@@ -192,16 +184,31 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             separator=separator,
         )
         transformed = self._transformed
-        self._suffix_array = SuffixArray(transformed.text)
-        self._lcp = build_lcp_array(transformed.text, self._suffix_array.array)
+        suffix_array, ranks = prefix_doubling(transformed.text)
+        self._suffix_array = SuffixArray(transformed.text, array=suffix_array)
+        self._lcp = lcp_from_ranks(ranks, suffix_array)
         self._prefix = cumulative_log_probabilities(transformed.probabilities)
         # Pos / Doc values aligned with lexicographic ranks.
-        self._rank_positions = transformed.positions[self._suffix_array.array]
+        self._rank_positions = transformed.positions[suffix_array]
 
         N = len(transformed.text)
         if max_short_length is None:
             max_short_length = max(1, math.ceil(math.log2(N + 1)))
         self._max_short_length = max(1, min(max_short_length, N))
+        block_lengths = sorted(
+            length
+            for length in set(int(value) for value in long_lengths)
+            if self._max_short_length < length <= N
+        )
+        duplicates = duplicate_depths(
+            ranks,
+            suffix_array,
+            self._rank_positions,
+            max([self._max_short_length, *block_lengths]),
+        )
+        # The rank arrays are the largest temporaries; the levels need
+        # only the duplicate depths.
+        del ranks
 
         # Every level keeps its values; only the levels whose suffix ranges
         # can outgrow the kernels' scans (rmq_depth) also get an RMQ.
@@ -209,7 +216,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         self._short_values: Dict[int, np.ndarray] = {}
         self._short_rmq: Dict[int, object] = {}
         for length in range(1, self._max_short_length + 1):
-            values = self._deduplicated_values(length)
+            values = self._deduplicated_values(length, duplicates)
             self._short_values[length] = values
             if length <= depth:
                 self._short_rmq[length] = make_rmq(
@@ -219,28 +226,20 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         self._block_maxima: Dict[int, np.ndarray] = {}
         self._block_values: Dict[int, np.ndarray] = {}
         self._block_rmq: Dict[int, object] = {}
-        for length in sorted(set(int(value) for value in long_lengths)):
-            if length <= self._max_short_length or length > N:
-                continue
-            self._build_blocking_structure(length)
+        for length in block_lengths:
+            self._build_blocking_structure(length, duplicates)
 
     # -- construction helpers ------------------------------------------------------------
-    def _windowed_values(self, length: int) -> np.ndarray:
-        suffix_array = self._suffix_array.array
-        ends = suffix_array + length
-        values = np.full(len(suffix_array), NEGATIVE_INFINITY, dtype=np.float64)
-        in_range = ends <= len(self._transformed.text)
-        values[in_range] = self._prefix[ends[in_range]] - self._prefix[suffix_array[in_range]]
+    def _deduplicated_values(self, length: int, duplicates: np.ndarray) -> np.ndarray:
+        """``C_length`` with every copy but a partition's first masked (:func:`duplicate_depths`)."""
+        values = prefix_length_log_probabilities(
+            self._prefix, self._suffix_array.array, length
+        )
+        values[duplicates >= length] = NEGATIVE_INFINITY
         return values
 
-    def _deduplicated_values(self, length: int) -> np.ndarray:
-        partitions = partition_identifiers(self._lcp, length)
-        return deduplicate_by_position(
-            self._windowed_values(length), partitions, self._rank_positions
-        )
-
-    def _build_blocking_structure(self, length: int) -> None:
-        values = self._deduplicated_values(length)
+    def _build_blocking_structure(self, length: int, duplicates: np.ndarray) -> None:
+        values = self._deduplicated_values(length, duplicates)
         n = len(values)
         block_count = (n + length - 1) // length
         maxima = np.full(block_count, NEGATIVE_INFINITY, dtype=np.float64)
@@ -389,9 +388,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         length = len(pattern)
         if length > len(self._string):
             return MatchArrays(OCCURRENCE)
-        interval = suffix_range(
-            self._transformed.text, self._suffix_array.array, pattern
-        )
+        interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(OCCURRENCE)
         sp, ep = interval
@@ -436,9 +433,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         length = len(pattern)
         if length > len(self._string):
             return MatchArrays(OCCURRENCE)
-        interval = suffix_range(
-            self._transformed.text, self._suffix_array.array, pattern
-        )
+        interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(OCCURRENCE)
         sp, ep = interval

@@ -39,7 +39,7 @@ transformed text — the same restriction the paper's structure has).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +51,9 @@ from ..strings.serialization import (
     collection_from_manifest,
     collection_to_manifest,
 )
-from ..suffix.lcp import build_lcp_array
-from ..suffix.pattern_search import suffix_range
+from ..suffix.lcp import common_prefix_lengths, lcp_from_ranks
 from ..suffix.rmq import make_rmq, rmq_to_payload
-from ..suffix.suffix_array import SuffixArray
+from ..suffix.suffix_array import SuffixArray, prefix_doubling
 from .base import (
     LISTING,
     MatchArrays,
@@ -65,9 +64,9 @@ from .base import (
     rmq_depth,
     top_values_above_threshold,
 )
-from .cumulative import cumulative_log_probabilities
+from .cumulative import NEGATIVE_INFINITY, cumulative_log_probabilities
 from .factors import DEFAULT_SEPARATOR, TransformedString, transform_collection
-from .general_index import partition_identifiers
+from .general_index import duplicate_depths
 
 RelevanceMetric = Literal["max", "or", "noisy_or"]
 
@@ -106,6 +105,49 @@ def combine_relevance(probabilities: Iterable[float], metric: RelevanceMetric) -
             complement *= 1.0 - value
         return 1.0 - complement
     raise ValidationError(f"unknown relevance metric {metric!r}; expected one of {_METRICS}")
+
+
+class _Occurrences:
+    """The non-separator ranks in (document, rank) order, linked for every level.
+
+    ``continues[j]`` is the LCP of occurrence ``j`` with the previous one
+    when both lie in the same document (0 otherwise): at level ``L`` the
+    occurrence continues its predecessor's (partition, document) group iff
+    ``continues[j] >= L``.  ``duplicates[j]`` is
+    :func:`~repro.core.general_index.duplicate_depths` keyed by (document,
+    position): level ``L`` drops the occurrence iff ``duplicates[j] >= L``.
+    Both are clipped to the deepest level, in one byte per occurrence for
+    ``⌈log2 N⌉`` levels.  A window's log probability is
+    ``end_prefix[start + L] - start_prefix``, ``-inf`` (probability 0)
+    where it runs past the text.
+    """
+
+    def __init__(
+        self,
+        ranks: Sequence[np.ndarray],
+        suffix_array: np.ndarray,
+        rank_documents: np.ndarray,
+        rank_positions: np.ndarray,
+        prefix: np.ndarray,
+        levels: int,
+    ):
+        order = np.argsort(rank_documents, kind="stable")
+        self.ranks = order[rank_documents[order] >= 0]
+        self.starts = suffix_array[self.ranks]
+        self.start_prefix = prefix[self.starts]
+        self.end_prefix = np.concatenate([prefix, np.full(levels, NEGATIVE_INFINITY)])
+        documents = rank_documents[self.ranks]
+        same = np.flatnonzero(documents[1:] == documents[:-1]) + 1
+        self.continues = np.zeros(len(self.ranks), dtype=np.min_scalar_type(levels))
+        self.continues[same] = np.minimum(
+            common_prefix_lengths(ranks, self.starts[same - 1], self.starts[same]), levels
+        )
+        keys = np.where(
+            rank_documents >= 0,
+            rank_documents * (int(rank_positions.max()) + 1) + rank_positions,
+            -1,
+        )
+        self.duplicates = duplicate_depths(ranks, suffix_array, keys, levels)[self.ranks]
 
 
 class UncertainStringListingIndex(PayloadSerializable):
@@ -185,17 +227,28 @@ class UncertainStringListingIndex(PayloadSerializable):
             separator=separator,
         )
         transformed = self._transformed
-        self._suffix_array = SuffixArray(transformed.text)
-        self._lcp = build_lcp_array(transformed.text, self._suffix_array.array)
+        suffix_array, ranks = prefix_doubling(transformed.text)
+        self._suffix_array = SuffixArray(transformed.text, array=suffix_array)
+        self._lcp = lcp_from_ranks(ranks, suffix_array)
         self._prefix = cumulative_log_probabilities(transformed.probabilities)
-        order = self._suffix_array.array
-        self._rank_positions = transformed.positions[order]
-        self._rank_documents = transformed.documents[order]
+        self._rank_positions = transformed.positions[suffix_array]
+        self._rank_documents = transformed.documents[suffix_array]
 
         N = len(transformed.text)
         if max_short_length is None:
             max_short_length = max(1, math.ceil(math.log2(N + 1)))
         self._max_short_length = max(1, min(max_short_length, N))
+        occurrences = _Occurrences(
+            ranks,
+            suffix_array,
+            self._rank_documents,
+            self._rank_positions,
+            self._prefix,
+            self._max_short_length,
+        )
+        # The rank arrays are the largest temporaries; the levels need
+        # only the occurrence links.
+        del ranks
 
         # Every level keeps its relevance array; only the levels whose
         # suffix ranges can outgrow the kernels' scans (rmq_depth) also get
@@ -204,7 +257,7 @@ class UncertainStringListingIndex(PayloadSerializable):
         self._relevance: Dict[int, np.ndarray] = {}
         self._relevance_rmq: Dict[int, object] = {}
         for length in range(1, self._max_short_length + 1):
-            relevance = self._relevance_values(length)
+            relevance = self._relevance_values(length, occurrences)
             self._relevance[length] = relevance
             if length <= depth:
                 self._relevance_rmq[length] = make_rmq(
@@ -212,78 +265,48 @@ class UncertainStringListingIndex(PayloadSerializable):
                 )
 
     # -- construction ----------------------------------------------------------------------
-    def _window_probabilities(self, length: int) -> np.ndarray:
-        """Linear-space occurrence probability of every rank's length-``length`` prefix."""
-        order = self._suffix_array.array
-        ends = order + length
-        values = np.zeros(len(order), dtype=np.float64)
-        in_range = ends <= len(self._transformed.text)
-        values[in_range] = np.exp(
-            self._prefix[ends[in_range]] - self._prefix[order[in_range]]
+    def _relevance_values(self, length: int, occurrences: "_Occurrences") -> np.ndarray:
+        """``R_length``: each (partition, document) group's relevance on its first rank.
+
+        Inside a depth-``length`` partition a document's group is a run of
+        :class:`_Occurrences` (document-then-rank order), so groups are
+        found by a cumulative sum and combined with ``reduceat`` (``max``)
+        or a rank-ordered ``np.add.at``, whose float sums match the
+        per-occurrence order exactly.
+        """
+        # Allocated first, below this level's temporaries: freed, they stay
+        # one contiguous block that the next level's array and temporaries
+        # reuse (temporaries freed under a live array are smaller than the
+        # next one and would pile up as holes).
+        relevance = np.zeros(len(self._rank_documents), dtype=np.float64)
+        probabilities = np.exp(
+            occurrences.end_prefix[occurrences.starts + length] - occurrences.start_prefix
         )
-        return values
-
-    def _relevance_values(self, length: int) -> np.ndarray:
-        """``R_length``: each (partition, document) group's relevance on its first rank."""
-        probabilities = self._window_probabilities(length)
-        partitions = partition_identifiers(self._lcp, length)
-        documents = self._rank_documents
-        positions = self._rank_positions
-
-        valid = (documents >= 0) & (positions >= 0) & (probabilities > 0.0)
-        indices = np.flatnonzero(valid)
-        if len(indices) == 0:
-            return np.zeros(len(probabilities), dtype=np.float64)
-
-        max_position = int(positions[indices].max()) + 2
-        document_count = len(self._collection) + 2
-        # First level of deduplication: one entry per (partition, document,
-        # original position) — different factor copies of the same occurrence
-        # carry identical probabilities.
-        occurrence_keys = (
-            partitions[indices].astype(np.int64) * document_count
-            + (documents[indices].astype(np.int64) + 1)
-        ) * max_position + (positions[indices].astype(np.int64) + 1)
-        _, unique_occurrence_indices = np.unique(occurrence_keys, return_index=True)
-        indices = indices[np.sort(unique_occurrence_indices)]
-
-        # Second level: combine the distinct occurrences of each (partition,
-        # document) group into one relevance value stored on the group's
-        # first rank.
-        group_keys = partitions[indices].astype(np.int64) * document_count + (
-            documents[indices].astype(np.int64) + 1
-        )
-        unique_keys, group_first, inverse = np.unique(
-            group_keys, return_index=True, return_inverse=True
-        )
-        group_values = probabilities[indices]
-        group_count = len(unique_keys)
-
+        # One entry per (partition, document, original position) — factor
+        # copies of one occurrence carry identical probabilities — and only
+        # occurrences the window reaches.
+        kept = np.flatnonzero((occurrences.duplicates < length) & (probabilities > 0.0))
+        groups = np.cumsum(occurrences.continues < length)[kept]
+        firsts = np.flatnonzero(np.diff(groups, prepend=-1))
+        values = probabilities[kept]
         if self._metric == "max":
-            combined = np.zeros(group_count, dtype=np.float64)
-            np.maximum.at(combined, inverse, group_values)
+            combined = np.maximum.reduceat(values, firsts)
         else:
-            counts = np.zeros(group_count, dtype=np.int64)
-            np.add.at(counts, inverse, 1)
-            sums = np.zeros(group_count, dtype=np.float64)
-            np.add.at(sums, inverse, group_values)
-            log_products = np.zeros(group_count, dtype=np.float64)
+            counts = np.diff(firsts, append=len(kept))
+            inverse = np.repeat(np.arange(len(firsts)), counts)
+            sums = np.zeros(len(firsts), dtype=np.float64)
+            np.add.at(sums, inverse, values)
+            log_products = np.zeros(len(firsts), dtype=np.float64)
             if self._metric == "or":
-                np.add.at(log_products, inverse, np.log(group_values))
+                np.add.at(log_products, inverse, np.log(values))
                 combined = sums - np.exp(log_products)
             else:  # noisy_or
-                np.add.at(log_products, inverse, np.log1p(-np.clip(group_values, 0.0, 1.0 - 1e-15)))
+                np.add.at(log_products, inverse, np.log1p(-np.clip(values, 0.0, 1.0 - 1e-15)))
                 combined = 1.0 - np.exp(log_products)
             # A single occurrence degenerates to its own probability (the
             # Σp − Πp formula would cancel to zero for one term).
-            singletons = counts == 1
-            combined = np.where(singletons, sums, combined)
-
-        # Allocated last, as in deduplicate_by_position: the freed
-        # temporaries stay below it for the next level to reuse (a
-        # 16,384-position collection: 226k -> 97k minor page faults).
-        relevance = np.zeros(len(probabilities), dtype=np.float64)
-        relevance[indices[group_first]] = combined
+            combined = np.where(counts == 1, sums, combined)
+        relevance[occurrences.ranks[kept[firsts]]] = combined
         return relevance
 
     # -- metadata --------------------------------------------------------------------------
@@ -413,9 +436,7 @@ class UncertainStringListingIndex(PayloadSerializable):
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau, tau_min=self._tau_min)
         length = len(pattern)
-        interval = suffix_range(
-            self._transformed.text, self._suffix_array.array, pattern
-        )
+        interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(LISTING)
         sp, ep = interval
@@ -445,9 +466,7 @@ class UncertainStringListingIndex(PayloadSerializable):
         # substring indexes' top_k semantics.
         adjusted = threshold - 1e-12
         length = len(pattern)
-        interval = suffix_range(
-            self._transformed.text, self._suffix_array.array, pattern
-        )
+        interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(LISTING)
         sp, ep = interval

@@ -7,7 +7,8 @@ probability array ``C``.  A query finds the pattern's suffix range and then
 against the threshold.  Its weakness — time proportional to the number of
 deterministic matches rather than the number of probable matches — is
 exactly what motivates the RMQ-based efficient index of Section 4.2, and the
-two are compared head-to-head in ``benchmarks/bench_baselines.py``.
+two are compared head-to-head by ``python -m repro.bench --figure
+ablation-variants``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,13 @@ from .generalized import (
     ConcatenatedDocuments,
     GeneralizedSuffixStructure,
 )
-from .lcp import LCPArray, build_lcp_array, naive_lcp_array
+from .lcp import (
+    LCPArray,
+    build_lcp_array,
+    common_prefix_lengths,
+    lcp_from_ranks,
+    naive_lcp_array,
+)
 from .pattern_search import count_occurrences, occurrence_positions, suffix_range
 from .rmq import (
     BlockRMQ,
@@ -20,6 +26,7 @@ from .suffix_array import (
     build_suffix_array,
     inverse_suffix_array,
     naive_suffix_array,
+    prefix_doubling,
 )
 from .suffix_tree import SuffixTree
 
@@ -35,13 +42,16 @@ __all__ = [
     "SuffixTree",
     "build_lcp_array",
     "build_suffix_array",
+    "common_prefix_lengths",
     "count_occurrences",
     "inverse_suffix_array",
+    "lcp_from_ranks",
     "make_rmq",
     "rmq_from_payload",
     "rmq_to_payload",
     "naive_lcp_array",
     "naive_suffix_array",
     "occurrence_positions",
+    "prefix_doubling",
     "suffix_range",
 ]

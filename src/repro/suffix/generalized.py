@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ValidationError
-from .lcp import build_lcp_array
-from .suffix_array import SuffixArray
+from .lcp import lcp_from_ranks
+from .suffix_array import SuffixArray, prefix_doubling
 from .suffix_tree import SuffixTree
 
 #: Default separator inserted between documents.  It must not occur inside
@@ -144,8 +144,10 @@ class GeneralizedSuffixStructure:
 
     def __init__(self, documents: Sequence[str], *, separator: str = DEFAULT_SEPARATOR):
         self._concatenation = ConcatenatedDocuments(documents, separator=separator)
-        self._suffix_array = SuffixArray(self._concatenation.text)
-        self._lcp = build_lcp_array(self._concatenation.text, self._suffix_array.array)
+        text = self._concatenation.text
+        suffix_array, ranks = prefix_doubling(text)
+        self._suffix_array = SuffixArray(text, array=suffix_array)
+        self._lcp = lcp_from_ranks(ranks, suffix_array)
         self._tree: Optional[SuffixTree] = None
 
     @property

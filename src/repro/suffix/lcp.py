@@ -1,26 +1,70 @@
-"""Longest-common-prefix (LCP) arrays via Kasai's algorithm.
+"""Longest-common-prefix (LCP) lengths from the prefix-doubling ranks.
 
 The LCP array is the bridge between the suffix array and the suffix tree:
 ``lcp[i]`` is the length of the longest common prefix of the suffixes with
 lexicographic ranks ``i-1`` and ``i`` (``lcp[0] = 0`` by convention).  The
 compact suffix tree in :mod:`repro.suffix.suffix_tree` is built from the
 suffix array plus this array.
+
+Every length comes from :func:`common_prefix_lengths`, which answers the
+LCP of any batch of suffix pairs by binary lifting over the rank arrays
+that :func:`~repro.suffix.suffix_array.prefix_doubling` leaves behind, in
+``O(log n)`` vectorized steps per batch.  The LCP array is the batch of
+adjacent pairs; the general and listing indexes also ask it for
+non-adjacent pairs (each rank against the previous rank of the same
+original position).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from ..exceptions import ValidationError
-from .suffix_array import SuffixArray, inverse_suffix_array
+from .suffix_array import SuffixArray, prefix_doubling
+
+
+def common_prefix_lengths(
+    ranks: Sequence[np.ndarray], left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """LCP of the suffixes starting at ``left[i]`` and ``right[i]``, for every ``i``.
+
+    ``ranks`` are the doubling rounds of
+    :func:`~repro.suffix.suffix_array.prefix_doubling`.  Two distinct
+    suffixes agree on at most ``2**K - 1`` characters when round ``K`` is
+    the first with all ranks distinct, so the length is built from the
+    highest power of two down: wherever the round-``k`` ranks of the two
+    current offsets are equal, the next ``2**k`` characters match and both
+    offsets move past them.  ``left[i] != right[i]`` is required (a suffix
+    against itself would read as ``2**K - 1``).
+
+    Returns an ``int64`` array of ``len(left)`` lengths.
+    """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    matched = np.zeros(len(left), dtype=np.int64)
+    for power in range(len(ranks) - 2, -1, -1):
+        rank = ranks[power]
+        equal = rank[left + matched] == rank[right + matched]
+        matched[equal] += 1 << power
+    return matched
+
+
+def lcp_from_ranks(ranks: Sequence[np.ndarray], suffix_array: np.ndarray) -> np.ndarray:
+    """The LCP array of ``suffix_array``: the common prefixes of adjacent ranks."""
+    suffix_array = np.asarray(suffix_array, dtype=np.int64)
+    lcp = np.zeros(len(suffix_array), dtype=np.int64)
+    lcp[1:] = common_prefix_lengths(ranks, suffix_array[:-1], suffix_array[1:])
+    return lcp
 
 
 def build_lcp_array(text: str, suffix_array: np.ndarray) -> np.ndarray:
     """Return the LCP array of ``text`` given its suffix array.
 
-    Kasai's algorithm, ``O(n)`` time.
+    Runs :func:`~repro.suffix.suffix_array.prefix_doubling` for the rank
+    arrays; callers that build the suffix array themselves keep its ranks
+    and call :func:`lcp_from_ranks` instead.
 
     Parameters
     ----------
@@ -44,30 +88,11 @@ def build_lcp_array(text: str, suffix_array: np.ndarray) -> np.ndarray:
     n = len(text)
     if n == 0:
         raise ValidationError("cannot build an LCP array over an empty text")
-    suffix_array = np.asarray(suffix_array, dtype=np.int64)
     if len(suffix_array) != n:
         raise ValidationError(
             f"suffix array length {len(suffix_array)} does not match text length {n}"
         )
-    rank = inverse_suffix_array(suffix_array)
-    lcp = np.zeros(n, dtype=np.int64)
-    matched = 0
-    for position in range(n):
-        r = rank[position]
-        if r == 0:
-            matched = 0
-            continue
-        previous = suffix_array[r - 1]
-        while (
-            position + matched < n
-            and previous + matched < n
-            and text[position + matched] == text[previous + matched]
-        ):
-            matched += 1
-        lcp[r] = matched
-        if matched > 0:
-            matched -= 1
-    return lcp
+    return lcp_from_ranks(prefix_doubling(text)[1], suffix_array)
 
 
 def naive_lcp_array(text: str, suffix_array: List[int]) -> List[int]:

@@ -2,8 +2,12 @@
 
 The paper's indexes are all layered on top of a suffix array / suffix tree of
 the deterministic text obtained from the (transformed) uncertain string.
-This module provides an ``O(n log n)`` prefix-doubling construction
-vectorized with numpy, the inverse (rank) array, and convenience accessors.
+This module builds it by prefix doubling, vectorized with numpy:
+:func:`prefix_doubling` returns the suffix array together with the rank
+array of every doubling round, from which
+:func:`repro.suffix.lcp.common_prefix_lengths` reads the longest common
+prefix of any two suffixes (the LCP array is the adjacent pairs).  It also
+provides the inverse (rank) array and convenience accessors.
 
 The implementation works directly on Python strings; internally characters
 are mapped to their Unicode code points, so arbitrary sentinel characters
@@ -12,11 +16,66 @@ are mapped to their Unicode code points, so arbitrary sentinel characters
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ValidationError
+
+
+def prefix_doubling(text: str) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The suffix array of ``text`` and the rank array of every doubling round.
+
+    Round ``k`` ranks every position ``i`` by ``text[i : i + 2**k]``, a tail
+    cut short by the end of the text ranking below its extensions; equal
+    ranks mean equal substrings.  Each round after the first sorts one
+    combined key, ``rank[i] * (n + 1) + rank[i + 2**(k-1)] + 1`` (0 past the
+    end), with one plain ``argsort``: the new ranks depend only on which
+    keys are equal, and the rounds stop at the first one where every rank
+    is distinct, whose order is therefore the suffix array whatever the
+    sort's stability.  That takes ``⌈log2 n⌉`` rounds at most
+    (``"A" * 65536``: 17 rank arrays), ``O(n log n)`` work each.
+
+    Returns
+    -------
+    tuple
+        The suffix array (``int64``) and the rank arrays of rounds
+        ``0, 1, ...`` (``int32``, each one entry longer than the text: the
+        trailing ``-1`` stands for the empty suffix, so
+        :func:`~repro.suffix.lcp.common_prefix_lengths` can compare past
+        the end without a bounds check).
+    """
+    if not isinstance(text, str):
+        raise ValidationError(f"text must be a str, got {type(text).__name__}")
+    n = len(text)
+    if n == 0:
+        raise ValidationError("cannot build a suffix array over an empty text")
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    alphabet, inverse = np.unique(codes, return_inverse=True)
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[:n] = inverse
+    rank[n] = -1
+    ranks = [rank]
+    distinct = len(alphabet)
+    order = np.argsort(rank[:n], kind="stable") if distinct == n else None
+    width = 1
+    while distinct < n:
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[: n - width] += rank[width:n]
+        key[: n - width] += 1
+        order = np.argsort(key)
+        sorted_key = key[order]
+        boundaries = np.empty(n, dtype=np.int32)
+        boundaries[0] = 0
+        np.cumsum(sorted_key[1:] != sorted_key[:-1], dtype=np.int32, out=boundaries[1:])
+        rank = np.empty(n + 1, dtype=np.int32)
+        rank[order] = boundaries
+        rank[n] = -1
+        ranks.append(rank)
+        distinct = int(boundaries[-1]) + 1
+        width *= 2
+    return order.astype(np.int64), ranks
 
 
 def build_suffix_array(text: str) -> np.ndarray:
@@ -40,46 +99,7 @@ def build_suffix_array(text: str) -> np.ndarray:
     >>> build_suffix_array("banana").tolist()
     [5, 3, 1, 0, 4, 2]
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"text must be a str, got {type(text).__name__}")
-    n = len(text)
-    if n == 0:
-        raise ValidationError("cannot build a suffix array over an empty text")
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-
-    # Initial ranks: character code points (dense ranking keeps values small).
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
-    suffix_array = np.argsort(rank, kind="stable").astype(np.int64)
-
-    k = 1
-    temporary = np.empty(n, dtype=np.int64)
-    while True:
-        # Composite key for suffix i: (rank[i], rank[i + k]) with -1 padding.
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        # Sort by (rank, second) using a stable two-pass argsort.
-        order = np.argsort(second, kind="stable")
-        order = order[np.argsort(rank[order], kind="stable")]
-        suffix_array = order.astype(np.int64)
-
-        # Re-rank: adjacent suffixes get the same rank iff both key parts match.
-        first_keys = rank[suffix_array]
-        second_keys = second[suffix_array]
-        new_rank_boundaries = np.empty(n, dtype=np.int64)
-        new_rank_boundaries[0] = 0
-        changed = (first_keys[1:] != first_keys[:-1]) | (second_keys[1:] != second_keys[:-1])
-        new_rank_boundaries[1:] = np.cumsum(changed)
-        temporary[suffix_array] = new_rank_boundaries
-        rank, temporary = temporary, rank
-
-        if rank[suffix_array[-1]] == n - 1:
-            break
-        k *= 2
-        if k >= n:
-            break
-    return suffix_array
+    return prefix_doubling(text)[0]
 
 
 def inverse_suffix_array(suffix_array: np.ndarray) -> np.ndarray:

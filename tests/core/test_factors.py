@@ -1,11 +1,14 @@
 """Tests for repro.core.factors (maximal factors and the Lemma 2 transformation)."""
 
-import math
+import io
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.api import build_index, load_index, read_manifest
 from repro.core.factors import (
+    DEFAULT_SEPARATOR,
     MaximalFactor,
     TransformedString,
     enumerate_maximal_factors,
@@ -13,7 +16,9 @@ from repro.core.factors import (
     transform_uncertain_string,
 )
 from repro.exceptions import ConstructionError, ValidationError
+from repro.payload import array_checksum
 from repro.strings import UncertainString
+from tests.conftest import rezip_archive
 
 
 class TestMaximalFactorDataclass:
@@ -172,11 +177,13 @@ class TestTransformedString:
                 if string.occurrence_probability(pattern, start) >= tau_min:
                     assert pattern in transformed.text
 
-    def test_empty_factor_list_rejected(self):
-        # When no position can reach tau_min the transformation has nothing
-        # to index and must fail loudly rather than build an empty structure.
-        with pytest.raises(ConstructionError):
-            TransformedString([], tau_min=0.1, source_length=1)
+    def test_empty_text_rejected(self):
+        # A transformation holds at least one factor and its separator.
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValidationError):
+            TransformedString(
+                "", np.zeros(0), empty, empty, tau_min=0.1, source_length=1
+            )
 
     def test_transformation_fails_when_every_character_below_threshold(self):
         string = UncertainString.from_table([{"a": 0.5, "b": 0.5}])
@@ -212,3 +219,120 @@ class TestTransformCollection:
                 continue
             assert 0 <= position < len(figure2_collection[document])
             assert character in figure2_collection[document][position].characters
+
+
+def rewrite_transformed(path, edit):
+    """Rewrite an archive's ``transformed`` child through ``edit(text, arrays)``.
+
+    Checksums are recomputed, so only the restore's own layout check can
+    reject what ``edit`` returns.
+    """
+    manifest = read_manifest(path)
+    child = manifest["payload"]["children"]["transformed"]
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    arrays = {
+        name: np.lib.format.read_array(io.BytesIO(members[f"transformed/{name}.npy"]))
+        for name in child["arrays"]
+    }
+    child["meta"]["text"], arrays = edit(child["meta"]["text"], arrays)
+    for name, array in arrays.items():
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, array)
+        members[f"transformed/{name}.npy"] = buffer.getvalue()
+        child["checksums"][name] = array_checksum(array)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return rezip_archive(path, manifest=manifest)
+
+
+def _shorter_positions(text, arrays):
+    arrays["positions"] = arrays["positions"][:-1]
+    return text, arrays
+
+
+def _separator_position(text, arrays):
+    arrays["positions"][text.index(DEFAULT_SEPARATOR)] = 0
+    return text, arrays
+
+
+def _gapped_positions(text, arrays):
+    arrays["positions"][1] += 1
+    return text, arrays
+
+
+def _empty_factor(text, arrays):
+    # A second separator straight after the first one.
+    at = text.index(DEFAULT_SEPARATOR) + 1
+    inserted = {"probabilities": 1.0, "positions": -1, "documents": -1}
+    arrays = {name: np.insert(array, at, inserted[name]) for name, array in arrays.items()}
+    return text[:at] + DEFAULT_SEPARATOR + text[at:], arrays
+
+
+def _unterminated_text(text, arrays):
+    return text[:-1], {name: array[:-1] for name, array in arrays.items()}
+
+
+class TestArrayOnlyRestore:
+    """A malformed ``transformed`` child raises ValidationError, eager and mmap."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        string = UncertainString.from_table(
+            [{"a": 0.6, "b": 0.4}, {"a": 1.0}, {"b": 0.7, "c": 0.3}, {"a": 0.5, "c": 0.5}] * 6
+        )
+        return {
+            "general": build_index(string, tau_min=0.1),
+            "approximate": build_index(string, tau_min=0.1, epsilon=0.05),
+            "listing": build_index([string, string], tau_min=0.1),
+        }
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("kind", ["general", "approximate", "listing"])
+    def test_round_trip_keeps_the_stored_arrays(self, engines, kind, compact, tmp_path):
+        engine = engines[kind]
+        path = engine.save(tmp_path / "index", compact=compact)
+        for mmap in (False, True):
+            restored = load_index(path, mmap=mmap).index.transformed
+            original = engine.index.transformed
+            assert restored.text == original.text
+            assert restored.factors == original.factors
+            for name in ("probabilities", "positions", "documents"):
+                stored = getattr(restored, name)
+                assert (stored == getattr(original, name)).all()
+                if compact and name != "probabilities":
+                    assert stored.dtype.itemsize < 8
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_shorter_positions, "as long as the text"),
+            (_separator_position, "disagree with the separators"),
+            (_gapped_positions, "disagree with the separators"),
+            (_empty_factor, "empty factor"),
+            (_unterminated_text, "ending in the separator"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["general", "approximate", "listing"])
+    def test_malformed_child_rejected(self, engines, kind, edit, message, mmap, tmp_path):
+        path = rewrite_transformed(engines[kind].save(tmp_path / "index"), edit)
+        with pytest.raises(ValidationError, match=message):
+            load_index(path, mmap=mmap)
+
+    def test_factors_are_the_runs_between_separators(self, engines):
+        transformed = engines["listing"].index.transformed
+        factors = transformed.factors
+        assert len(factors) == transformed.factor_count
+        assert DEFAULT_SEPARATOR.join(f.characters for f in factors) + DEFAULT_SEPARATOR == (
+            transformed.text
+        )
+        assert {factor.document for factor in factors} == {0, 1}
+        flat = [p for factor in factors for p in factor.probabilities]
+        inside = transformed.positions >= 0
+        assert flat == transformed.probabilities[inside].tolist()
+        assert [factor.start for factor in factors] == [
+            int(transformed.positions[first])
+            for first in np.flatnonzero(np.diff(inside.astype(np.int8), prepend=0) == 1)
+        ]

@@ -4,49 +4,56 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import BruteForceOracle
-from repro.core.general_index import (
-    GeneralUncertainStringIndex,
-    deduplicate_by_position,
-    partition_identifiers,
-)
+from repro.core.general_index import GeneralUncertainStringIndex, duplicate_depths
 from repro.exceptions import PatternTooLongError, ThresholdError, ValidationError
 from repro.strings import CorrelationModel, CorrelationRule, UncertainString
+from repro.suffix.suffix_array import prefix_doubling
+
+
+def abab_depths(keys, limit=4):
+    """``duplicate_depths`` over ``"abab\x01"`` with one key per rank.
+
+    Suffix array [4, 2, 0, 3, 1]: ranks "\x01", "ab\x01", "abab\x01",
+    "b\x01", "bab\x01", adjacent LCPs [0, 0, 2, 0, 1].
+    """
+    suffix_array, ranks = prefix_doubling("abab\x01")
+    assert suffix_array.tolist() == [4, 2, 0, 3, 1]
+    return duplicate_depths(ranks, suffix_array, np.asarray(keys), limit)
 
 
 class TestPartitionHelpers:
-    def test_partition_identifiers_split_at_small_lcp(self):
-        lcp = np.asarray([0, 2, 1, 3, 0])
-        assert partition_identifiers(lcp, 2).tolist() == [0, 0, 1, 1, 2]
-        assert partition_identifiers(lcp, 1).tolist() == [0, 0, 0, 0, 1]
+    """Section 5.2's duplicate elimination, read off ``duplicate_depths``."""
 
-    def test_partition_identifiers_invalid_length(self):
-        with pytest.raises(ValidationError):
-            partition_identifiers(np.asarray([0, 1]), 0)
+    KEYS = [-1, 7, 7, 3, 3]
+
+    def test_partitions_split_at_small_lcp(self):
+        depths = abab_depths(self.KEYS)
+        # Ranks 1 and 2 agree on "ab": one depth-2 partition, two depth-3 ones.
+        assert depths[2] >= 2 and depths[2] < 3
+        # Ranks 3 and 4 agree on "b" only.
+        assert depths[4] >= 1 and depths[4] < 2
 
     def test_deduplicate_keeps_one_entry_per_position(self):
-        values = np.asarray([0.5, 0.5, 0.4, 0.9, 0.9], dtype=float)
-        partitions = np.asarray([0, 0, 0, 1, 1])
-        positions = np.asarray([7, 7, 3, 2, 2])
-        deduplicated = deduplicate_by_position(np.log(values), partitions, positions)
-        finite = np.isfinite(deduplicated)
-        # Partition 0 keeps positions {7, 3} once each; partition 1 keeps {2}.
-        assert finite.sum() == 3
-        assert finite[2]  # the only copy of position 3 survives
+        depths = abab_depths(self.KEYS)
+        assert depths.tolist() == [4, 0, 2, 0, 1]
+        # Level 1: partitions {1, 2} and {3, 4} keep positions 7 and 3 once.
+        assert np.flatnonzero(depths < 1).tolist() == [1, 3]
 
     def test_deduplicate_masks_separator_positions(self):
-        values = np.log(np.asarray([0.5, 0.6], dtype=float))
-        deduplicated = deduplicate_by_position(
-            values, np.asarray([0, 0]), np.asarray([-1, 4])
-        )
-        assert not np.isfinite(deduplicated[0])
-        assert np.isfinite(deduplicated[1])
+        depths = abab_depths(self.KEYS, limit=9)
+        assert depths[0] == 9
+        assert depths.dtype == np.uint8
 
     def test_same_position_in_different_partitions_kept(self):
-        values = np.log(np.asarray([0.5, 0.6], dtype=float))
-        deduplicated = deduplicate_by_position(
-            values, np.asarray([0, 1]), np.asarray([4, 4])
-        )
-        assert np.isfinite(deduplicated).all()
+        depths = abab_depths(self.KEYS)
+        # Level 2 splits {3, 4}: both copies of position 3 stay.
+        assert np.flatnonzero(depths < 2).tolist() == [1, 3, 4]
+        assert np.flatnonzero(depths < 3).tolist() == [1, 2, 3, 4]
+
+    def test_depths_clip_to_the_limit(self):
+        depths = abab_depths([0, 5, 5, 6, 6], limit=1)
+        assert depths.tolist() == [0, 0, 1, 0, 1]
+        assert abab_depths(self.KEYS, limit=300).dtype == np.uint16
 
 
 class TestFigure10RunningExample:

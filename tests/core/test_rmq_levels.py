@@ -29,7 +29,7 @@ from repro.api.persistence import (
 from repro.core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH, rmq_depth
 from repro.core.baseline import BruteForceOracle
 from repro.core.factors import DEFAULT_SEPARATOR
-from repro.core.general_index import GeneralUncertainStringIndex, partition_identifiers
+from repro.core.general_index import GeneralUncertainStringIndex
 from repro.core.listing import UncertainStringListingIndex
 from repro.exceptions import ValidationError
 from repro.strings import UncertainStringCollection
@@ -50,7 +50,10 @@ def lcp_with_partition(width, *, total, start=5, depth=4):
 
 
 def widest_by_bincount(lcp, length):
-    return int(np.bincount(partition_identifiers(lcp, length)).max())
+    # Rank r opens a new depth-``length`` partition where lcp[r] < length.
+    opens = (lcp < length).astype(np.int64)
+    opens[0] = 0
+    return int(np.bincount(np.cumsum(opens)).max())
 
 
 class TestRmqDepth:

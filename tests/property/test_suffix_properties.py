@@ -1,10 +1,21 @@
 """Property-based tests for the suffix-array / LCP / suffix-tree substrate."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.suffix.lcp import build_lcp_array, naive_lcp_array
+from repro.suffix.lcp import (
+    build_lcp_array,
+    common_prefix_lengths,
+    lcp_from_ranks,
+    naive_lcp_array,
+)
 from repro.suffix.pattern_search import suffix_range
-from repro.suffix.suffix_array import SuffixArray, build_suffix_array, naive_suffix_array
+from repro.suffix.suffix_array import (
+    SuffixArray,
+    build_suffix_array,
+    naive_suffix_array,
+    prefix_doubling,
+)
 from repro.suffix.suffix_tree import SuffixTree
 
 #: Texts over a tiny alphabet maximize repeated substrings, which is where
@@ -116,3 +127,62 @@ def test_locus_is_highest_node_spelling_pattern(text, data):
     assert tree.node_depth(locus) >= length
     parent = tree.node_parent(locus)
     assert parent == -1 or tree.node_depth(parent) < length
+
+
+#: Separators, non-BMP code points and periodic texts: the inputs the
+#: doubling rounds find hardest (long equal runs, many rounds).
+wide_alphabet_texts = st.text(
+    alphabet=["a", "b", "\x01", "\U0001F600", "\U00010348"], min_size=1, max_size=90
+)
+periodic_texts = st.builds(
+    lambda unit, repeats, tail: unit * repeats + tail,
+    st.text(alphabet="ab\x01", min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=40),
+    st.text(alphabet="ab\x01", max_size=3),
+)
+doubling_texts = st.one_of(wide_alphabet_texts, periodic_texts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doubling_texts)
+def test_doubling_suffix_array_and_lcp_match_naive(text):
+    suffix_array = build_suffix_array(text)
+    assert suffix_array.tolist() == naive_suffix_array(text)
+    assert build_lcp_array(text, suffix_array).tolist() == naive_lcp_array(
+        text, suffix_array.tolist()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubling_texts, st.data())
+def test_common_prefix_of_any_two_suffixes(text, data):
+    suffix_array, ranks = prefix_doubling(text)
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(text) - 1),
+                st.integers(min_value=0, max_value=len(text) - 1),
+            ).filter(lambda pair: pair[0] != pair[1]),
+            max_size=12,
+        )
+    )
+    left = np.asarray([a for a, _ in pairs], dtype=np.int64)
+    right = np.asarray([b for _, b in pairs], dtype=np.int64)
+    expected = [
+        next(
+            (k for k in range(min(len(text) - a, len(text) - b)) if text[a + k] != text[b + k]),
+            min(len(text) - a, len(text) - b),
+        )
+        for a, b in pairs
+    ]
+    assert common_prefix_lengths(ranks, left, right).tolist() == expected
+
+
+def test_one_letter_run_takes_seventeen_rounds():
+    n = 65536
+    suffix_array, ranks = prefix_doubling("A" * n)
+    assert len(ranks) == 17
+    assert all(rank.dtype == np.int32 and len(rank) == n + 1 for rank in ranks)
+    # Shorter suffixes sort first, and each shares all of itself with the next.
+    assert (suffix_array == np.arange(n - 1, -1, -1)).all()
+    assert (lcp_from_ranks(ranks, suffix_array) == np.arange(n)).all()
