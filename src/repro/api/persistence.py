@@ -54,7 +54,7 @@ from ..core.simple_index import SimpleSpecialIndex
 from ..core.special_index import SpecialUncertainStringIndex
 from ..exceptions import ValidationError
 from ..faults import SITE_ARCHIVE_LOAD, fire
-from ..payload import PAYLOAD_VERSION, IndexPayload, verify_manifest_checksums
+from ..payload import COMPACT_META_KEY, PAYLOAD_VERSION, IndexPayload, verify_manifest_checksums
 
 FORMAT_NAME = "repro-index"
 FORMAT_VERSION = 3
@@ -107,7 +107,7 @@ def index_to_payload(index: Any) -> IndexPayload:
             f"cannot serialize a {type(index).__name__}; supported index "
             f"classes: {sorted(cls.__name__ for cls in _KIND_BY_CLASS)}"
         )
-    payload = index.to_payload().validate()
+    payload = index.recorded_payload().validate()
     expected = INDEX_SCHEMA_PREFIX + kind
     if payload.schema != expected:
         raise ValidationError(
@@ -136,9 +136,20 @@ def index_from_payload(payload: IndexPayload) -> Any:
     Bit-packed boolean arrays (see :meth:`IndexPayload.compact`) are
     expanded here — the one boundary between the compact storage currency
     and the query-time index classes; narrowed integer arrays stay narrow
-    and the index kernels widen lazily where arithmetic demands it.
+    and the index kernels widen lazily where arithmetic demands it.  The
+    index keeps the narrowed arrays' dtype records
+    (:meth:`~repro.core.base.PayloadSerializable.recorded_payload`).
     """
-    return _CLASS_BY_KIND[payload_kind(payload)].from_payload(payload.expand())
+    expanded = payload.expand()
+    index = _CLASS_BY_KIND[payload_kind(payload)].from_payload(expanded)
+    records = {
+        path: node.meta[COMPACT_META_KEY]
+        for path, node in expanded.walk()
+        if COMPACT_META_KEY in node.meta
+    }
+    if records:
+        index._compact_records = records
+    return index
 
 
 # ---------------------------------------------------------------------------

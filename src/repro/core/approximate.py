@@ -362,7 +362,6 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
                 "link_count": len(links),
             },
             arrays=arrays,
-            derived={"suffix_rank": self._suffix_array.rank},
             children=children,
         )
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .._validation import check_threshold
 from ..exceptions import ValidationError
-from ..payload import IndexPayload
+from ..payload import COMPACT_META_KEY, IndexPayload
 
 #: Smallest threshold substituted when a ``top_k`` caller passes ``tau=None``
 #: to an index whose ``tau_min`` is zero (thresholds enter log space, so an
@@ -718,6 +718,19 @@ def _top_values_frontier(
     return _cut_top(sorted_ranks, sorted_vals, k, include_ties)
 
 
+def stored_array(payload: IndexPayload, name: str) -> np.ndarray:
+    """The stored array ``name`` of ``payload``.
+
+    A payload without it (one written in an earlier layout, or a
+    hand-edited archive manifest) raises
+    :class:`~repro.exceptions.ValidationError` naming the array.
+    """
+    array = payload.arrays.get(name)
+    if array is None:
+        raise ValidationError(f"{payload.schema!r} payload has no {name!r} array")
+    return array
+
+
 def restore_child_rmq(
     payload: IndexPayload, name: str, values: np.ndarray
 ) -> "SupportsRangeMaximum":
@@ -748,11 +761,32 @@ class PayloadSerializable:
     never disagree about an index's contents.
     """
 
+    #: ``meta[COMPACT_META_KEY]`` of every node of the payload this
+    #: structure was restored from, keyed by :meth:`IndexPayload.walk` path
+    #: (empty for a fresh build); ``index_from_payload`` sets it.
+    _compact_records: Dict[str, Dict[str, Any]] = {}
+
     def to_payload(self) -> IndexPayload:
         """The versioned array-schema payload describing this structure."""
         raise NotImplementedError(
             f"{type(self).__name__} does not define a payload schema"
         )
+
+    def recorded_payload(self) -> IndexPayload:
+        """:meth:`to_payload` carrying the compact dtype records it was restored with.
+
+        What space accounting, archives and worker exports read.  An index
+        restored from a compact payload holds narrowed arrays but rebuilds
+        its meta from its own fields; the records name the arrays' logical
+        dtypes, so ``space_report()["total_wide"]`` counts them wide.
+        """
+        payload = self.to_payload()
+        for path, node in payload.walk():
+            record = self._compact_records.get(path)
+            if record:
+                # to_payload builds a fresh tree, so no shared meta changes.
+                node.meta = {**node.meta, COMPACT_META_KEY: record}
+        return payload
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the index payload in bytes."""
@@ -770,7 +804,7 @@ class PayloadSerializable:
         cached = self.__dict__.get("_space_report_cache")
         if cached is None:
             try:
-                cached = self.to_payload().space_report()
+                cached = self.recorded_payload().space_report()
             except NotImplementedError:
                 # Structures without a payload schema (baselines) that
                 # override nbytes() still answer the interface with a

@@ -5,26 +5,33 @@ The index is built in three steps (Algorithm 3):
 1. transform the general uncertain string into a special one by
    concatenating its maximal factors w.r.t. ``τ_min`` (Lemma 2), keeping the
    ``Pos`` array that maps transformed positions back to original positions;
-2. build the suffix array, the cumulative probability array ``C`` and the
-   per-length arrays ``C_i`` (``i ≤ ⌈log2 N⌉``) over the transformed text,
-   eliminating duplicates inside every depth-``i`` locus partition so that
-   each original position keeps a single finite entry;
-3. build a range-maximum structure over a deduplicated ``C_i`` only where a
-   suffix range can outgrow the kernels' scans: where the widest depth-``i``
-   partition is wider than :data:`~repro.core.base.TOP_K_SCAN_WIDTH`
-   (:func:`~repro.core.base.rmq_depth`).  On every other level each range
-   is scanned, so an RMQ there would never be probed.  Only the shallowest
-   levels, whose partitions are few and wide, keep one, and on small texts
-   none does.
+2. build the suffix array, the cumulative probability array ``C`` and, per
+   rank, the depth of its duplicate (:func:`duplicate_depths`): the
+   per-length array ``C_i`` (``i ≤ ⌈log2 N⌉``) is ``C[A[j]+i] − C[A[j]]`` in
+   log space, with every copy of an original position but a depth-``i``
+   locus partition's first masked to ``−inf``, so each original position
+   keeps a single finite entry.  A query computes ``C_i`` over the ranks it
+   scans from ``C``, the suffix array and that one byte per rank, as
+   Section 4.2 reads ``C_i[j]`` off ``C``;
+3. store a deduplicated ``C_i`` and build a range-maximum structure over it
+   only where a suffix range can outgrow the kernels' scans: where the
+   widest depth-``i`` partition is wider than
+   :data:`~repro.core.base.TOP_K_SCAN_WIDTH`
+   (:func:`~repro.core.base.rmq_depth`).  A range that wide runs the RMQ
+   frontier over the stored array; every narrower one is scanned over its
+   computed values, so a stored array or an RMQ on any other level would
+   never be read.  Only the shallowest levels, whose partitions are few and
+   wide, keep them, and on small texts none does.
 
 A query (Algorithm 4) finds the pattern's suffix range and reports
 ``Pos[A[j]]`` for every entry whose probability exceeds the query
 threshold: one scan of ``C_i`` over the range, or recursive range-maximum
 queries where the range is wider than the scan cut-off — ``O(m + occ)``
 either way for patterns of length up to ``log N``.  Longer patterns use the
-paper's blocking scheme when a structure for that length was materialized
-and otherwise fall back to a vectorized scan of the suffix range (identical
-answers, see DESIGN.md).
+paper's blocking scheme (per-block maxima and their RMQ; the candidate
+blocks' values are computed like a scan's) when a structure for that length
+was materialized and otherwise fall back to a vectorized scan of the suffix
+range (identical answers, see DESIGN.md).
 
 Correlated strings are supported: the transformation stores optimistic
 (upper-bound) probabilities for correlated characters and every candidate is
@@ -35,7 +42,7 @@ never loses an answer and nothing wrong is ever reported.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +57,7 @@ from ..strings.uncertain import UncertainString
 from ..suffix.lcp import common_prefix_lengths, lcp_from_ranks
 from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray, prefix_doubling
+from . import base
 from .base import (
     OCCURRENCE,
     MatchArrays,
@@ -60,6 +68,7 @@ from .base import (
     resolve_tau,
     restore_child_rmq,
     rmq_depth,
+    stored_array,
     top_values_above_threshold,
 )
 from .cumulative import (
@@ -200,58 +209,46 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             for length in set(int(value) for value in long_lengths)
             if self._max_short_length < length <= N
         )
-        duplicates = duplicate_depths(
+        # A query computes a level's values from the prefix sums and this one
+        # byte per rank (_level_values).  The rank arrays are the largest
+        # temporaries and only the depths need them.
+        self._duplicate_depths = duplicate_depths(
             ranks,
             suffix_array,
             self._rank_positions,
             max([self._max_short_length, *block_lengths]),
         )
-        # The rank arrays are the largest temporaries; the levels need
-        # only the duplicate depths.
         del ranks
 
-        # Every level keeps its values; only the levels whose suffix ranges
-        # can outgrow the kernels' scans (rmq_depth) also get an RMQ.
-        depth = rmq_depth(self._lcp, self._max_short_length)
+        # Only the levels whose suffix ranges can outgrow the kernels' scans
+        # (rmq_depth) store their values, for the RMQ frontier.
         self._short_values: Dict[int, np.ndarray] = {}
         self._short_rmq: Dict[int, object] = {}
-        for length in range(1, self._max_short_length + 1):
-            values = self._deduplicated_values(length, duplicates)
+        for length in range(1, rmq_depth(self._lcp, self._max_short_length) + 1):
+            values = self._deduplicated_values(length)
             self._short_values[length] = values
-            if length <= depth:
-                self._short_rmq[length] = make_rmq(
-                    values, mode="max", implementation=self._rmq_implementation
-                )
+            self._short_rmq[length] = make_rmq(
+                values, mode="max", implementation=self._rmq_implementation
+            )
 
         self._block_maxima: Dict[int, np.ndarray] = {}
-        self._block_values: Dict[int, np.ndarray] = {}
         self._block_rmq: Dict[int, object] = {}
         for length in block_lengths:
-            self._build_blocking_structure(length, duplicates)
+            values = self._deduplicated_values(length)
+            maxima = np.maximum.reduceat(values, np.arange(0, len(values), length))
+            self._block_maxima[length] = maxima
+            self._block_rmq[length] = make_rmq(
+                maxima, mode="max", implementation=self._rmq_implementation
+            )
 
     # -- construction helpers ------------------------------------------------------------
-    def _deduplicated_values(self, length: int, duplicates: np.ndarray) -> np.ndarray:
-        """``C_length`` with every copy but a partition's first masked (:func:`duplicate_depths`)."""
+    def _deduplicated_values(self, length: int) -> np.ndarray:
+        """The whole ``C_length``; a partition's later copies masked (:func:`duplicate_depths`)."""
         values = prefix_length_log_probabilities(
             self._prefix, self._suffix_array.array, length
         )
-        values[duplicates >= length] = NEGATIVE_INFINITY
+        values[self._duplicate_depths >= length] = NEGATIVE_INFINITY
         return values
-
-    def _build_blocking_structure(self, length: int, duplicates: np.ndarray) -> None:
-        values = self._deduplicated_values(length, duplicates)
-        n = len(values)
-        block_count = (n + length - 1) // length
-        maxima = np.full(block_count, NEGATIVE_INFINITY, dtype=np.float64)
-        for block in range(block_count):
-            start = block * length
-            end = min(start + length, n)
-            maxima[block] = values[start:end].max()
-        self._block_values[length] = values
-        self._block_maxima[length] = maxima
-        self._block_rmq[length] = make_rmq(
-            maxima, mode="max", implementation=self._rmq_implementation
-        )
 
     # -- metadata -------------------------------------------------------------------------
     @property
@@ -299,15 +296,14 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             "lcp": self._lcp,
             "prefix": self._prefix,
             "rank_positions": self._rank_positions,
+            "duplicate_depths": self._duplicate_depths,
         }
         children = {"transformed": self._transformed.to_payload()}
         for length, values in self._short_values.items():
             arrays[f"short_values_{length}"] = values
-        for length, rmq in self._short_rmq.items():
-            children[f"rmq_short_{length}"] = rmq_to_payload(rmq)
-        for length in self._block_maxima:
-            arrays[f"block_values_{length}"] = self._block_values[length]
-            arrays[f"block_maxima_{length}"] = self._block_maxima[length]
+            children[f"rmq_short_{length}"] = rmq_to_payload(self._short_rmq[length])
+        for length, maxima in self._block_maxima.items():
+            arrays[f"block_maxima_{length}"] = maxima
             children[f"rmq_block_{length}"] = rmq_to_payload(self._block_rmq[length])
         return IndexPayload(
             schema=GENERAL_INDEX_SCHEMA,
@@ -315,19 +311,22 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
                 "string": uncertain_string_to_manifest(self._string),
                 "tau_min": self._tau_min,
                 "max_short_length": self._max_short_length,
-                "short_lengths": sorted(self._short_values),
                 "block_lengths": sorted(self._block_maxima),
                 "long_pattern_mode": self._long_pattern_mode,
                 "rmq_implementation": self._rmq_implementation,
             },
             arrays=arrays,
-            derived={"suffix_rank": self._suffix_array.rank},
             children=children,
         )
 
     @classmethod
     def from_payload(cls, payload: IndexPayload) -> "GeneralUncertainStringIndex":
-        """Restore an index from :meth:`to_payload` output (no construction)."""
+        """Restore an index from :meth:`to_payload` output (no construction).
+
+        A payload without ``duplicate_depths`` (one written when every level
+        stored its values) raises :class:`~repro.exceptions.ValidationError`:
+        rebuild the index from its input.
+        """
         expect_schema(payload, GENERAL_INDEX_SCHEMA)
         meta = payload.meta
         index = cls.__new__(cls)
@@ -345,24 +344,19 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         index._lcp = payload.arrays["lcp"]
         index._prefix = payload.arrays["prefix"]
         index._rank_positions = payload.arrays["rank_positions"]
+        index._duplicate_depths = stored_array(payload, "duplicate_depths")
         index._max_short_length = int(meta["max_short_length"])
-        index._short_values = {
-            int(length): payload.arrays[f"short_values_{length}"]
-            for length in meta["short_lengths"]
-        }
-        # The levels that carry an RMQ follow from the stored lcp: surplus
-        # rmq_short children (an archive that gave every level one) are not
-        # restored, and a missing needed one raises.
-        depth = rmq_depth(index._lcp, index._max_short_length)
-        index._short_rmq = {
-            length: restore_child_rmq(payload, f"rmq_short_{length}", values)
-            for length, values in index._short_values.items()
-            if length <= depth
-        }
-        index._block_values = {
-            int(length): payload.arrays[f"block_values_{length}"]
-            for length in meta["block_lengths"]
-        }
+        # The levels that store values and an RMQ follow from the stored
+        # lcp: surplus rmq_short children are not restored, and a missing
+        # needed array or child raises.
+        index._short_values = {}
+        index._short_rmq = {}
+        for length in range(1, rmq_depth(index._lcp, index._max_short_length) + 1):
+            values = stored_array(payload, f"short_values_{length}")
+            index._short_values[length] = values
+            index._short_rmq[length] = restore_child_rmq(
+                payload, f"rmq_short_{length}", values
+            )
         index._block_maxima = {
             int(length): payload.arrays[f"block_maxima_{length}"]
             for length in meta["block_lengths"]
@@ -442,13 +436,14 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             length <= self._max_short_length
             and not self._needs_verification
         ):
-            values = self._short_values[length]
-            rmq = self._short_rmq.get(length)
+            rmq, values, offset = self._level(sp, ep, length, base.TOP_K_SCAN_WIDTH)
             ranks = top_values_above_threshold(
-                rmq, values, sp, ep, k, log_threshold, include_ties=True
+                rmq, values, sp - offset, ep - offset, k, log_threshold, include_ties=True
             )
             answer = MatchArrays(
-                OCCURRENCE, self._rank_positions[ranks], exp_values(values[ranks])
+                OCCURRENCE,
+                self._rank_positions[offset:][ranks],
+                exp_values(values[ranks]),
             )
         else:
             candidates = self._candidates_scan(sp, ep, length, log_threshold)
@@ -459,19 +454,54 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
     # -- candidate generation strategies ----------------------------------------------------------
     # Every strategy returns two parallel arrays — original positions and
     # window log-probabilities, each position exactly once — and candidates
-    # only become an answer at the _finalize boundary.
+    # only become an answer at the _finalize boundary.  Every rank they read
+    # lies in the pattern's suffix range, so its suffix starts with the
+    # pattern: no window runs off the text or starts at a separator.
+    def _window_values(self, ranks: Union[slice, np.ndarray], length: int) -> np.ndarray:
+        """``C[A[j] + length] − C[A[j]]`` at ``ranks`` of one length-``length`` suffix range.
+
+        The same float64 subtraction the build stores for a level, so the
+        values keep their bits.  A compact payload's narrow suffix-array
+        entries are widened first: gathering with them takes numpy's slow
+        index path, which costs more than the copy (6.1 against 4.6 µs for
+        the level of a typical 11-rank range).
+        """
+        suffixes = self._suffix_array.array[ranks].astype(np.intp, copy=False)
+        return self._prefix[length:][suffixes] - self._prefix[suffixes]
+
+    def _level_values(self, ranks: Union[slice, np.ndarray], length: int) -> np.ndarray:
+        """``C_length`` at ``ranks``: the windows, ``−inf`` where a duplicate is masked."""
+        values = self._window_values(ranks, length)
+        values[self._duplicate_depths[ranks] >= length] = NEGATIVE_INFINITY
+        return values
+
+    def _level(
+        self, sp: int, ep: int, length: int, scan_width: int
+    ) -> Tuple[Optional[object], np.ndarray, int]:
+        """What a kernel reads for ``C_length`` over ranks ``[sp, ep]``.
+
+        Returns ``(rmq, values, offset)``; the kernel reads ranks
+        ``[sp − offset, ep − offset]`` of ``values``.  A range no wider than
+        the kernel's scan cut-off ``scan_width`` (read from :mod:`.base` at
+        call time, as the kernels read it) is scanned over its values
+        computed from the prefix sums, rebased so that rank ``sp`` is entry
+        0.  A wider one — only the levels ``1..rmq_depth`` have one — runs
+        the frontier over the stored ``C_length`` and its RMQ.
+        """
+        if ep - sp + 1 <= scan_width:
+            return None, self._level_values(slice(sp, ep + 1), length), sp
+        return self._short_rmq[length], self._short_values[length], 0
+
     def _candidates_short(
         self, sp: int, ep: int, length: int, log_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        values = self._short_values[length]
-        rmq = self._short_rmq.get(length)
-        ranks = report_above_threshold(rmq, values, sp, ep, log_threshold)
-        return self._rank_positions[ranks], values[ranks]
+        rmq, values, offset = self._level(sp, ep, length, base.SCAN_WIDTH)
+        ranks = report_above_threshold(rmq, values, sp - offset, ep - offset, log_threshold)
+        return self._rank_positions[offset:][ranks], values[ranks]
 
     def _candidates_blocked(
         self, sp: int, ep: int, length: int, log_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        values = self._block_values[length]
         ranks = blocked_candidate_ranks(
             self._block_rmq[length],
             self._block_maxima[length],
@@ -480,7 +510,7 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             length,
             log_threshold,
         )
-        rank_values = values[ranks]
+        rank_values = self._level_values(ranks, length)
         keep = rank_values > log_threshold
         return self._deduplicate_candidates(
             self._rank_positions[ranks[keep]], rank_values[keep]
@@ -489,18 +519,11 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
     def _candidates_scan(
         self, sp: int, ep: int, length: int, log_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        # Widen before the window arithmetic: compacted payloads restore
-        # narrow suffix arrays and ``suffix_array + length`` can exceed
-        # their dtype range.  Positions only face comparisons and gathers.
-        suffix_array = self._suffix_array.array[sp : ep + 1].astype(np.int64, copy=False)
-        positions = self._rank_positions[sp : ep + 1]
-        ends = suffix_array + length
-        in_range = (ends <= len(self._transformed.text)) & (positions >= 0)
-        suffix_array = suffix_array[in_range]
-        positions = positions[in_range]
-        values = self._prefix[suffix_array + length] - self._prefix[suffix_array]
+        values = self._window_values(slice(sp, ep + 1), length)
         keep = values > log_threshold
-        return self._deduplicate_candidates(positions[keep], values[keep])
+        return self._deduplicate_candidates(
+            self._rank_positions[sp : ep + 1][keep], values[keep]
+        )
 
     @staticmethod
     def _deduplicate_candidates(

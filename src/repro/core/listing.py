@@ -383,7 +383,6 @@ class UncertainStringListingIndex(PayloadSerializable):
                 "rmq_implementation": self._rmq_implementation,
             },
             arrays=arrays,
-            derived={"suffix_rank": self._suffix_array.rank},
             children=children,
         )
 

@@ -105,7 +105,6 @@ class SimpleSpecialIndex(UncertainSubstringIndex):
             },
             # The inverse suffix array is a cheap O(n) function of the
             # suffix array; restore recomputes it instead of storing it.
-            derived={"suffix_rank": self._suffix_array.rank},
         )
 
     @classmethod

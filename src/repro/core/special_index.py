@@ -240,7 +240,6 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
                 "rmq_implementation": self._rmq_implementation,
             },
             arrays=arrays,
-            derived={"suffix_rank": self._suffix_array.rank},
             children=children,
         )
 

@@ -165,7 +165,7 @@ class SuffixArray:
                     f"suffix array length {len(candidate)} does not match text length {len(text)}"
                 )
             self._array = candidate
-        self._rank = inverse_suffix_array(self._array)
+        self._rank: Optional[np.ndarray] = None
 
     # -- accessors ----------------------------------------------------------------
     @property
@@ -180,7 +180,13 @@ class SuffixArray:
 
     @property
     def rank(self) -> np.ndarray:
-        """The inverse array (text position -> lexicographic rank)."""
+        """The inverse array (text position -> lexicographic rank).
+
+        Built on first read and cached: no index query reads it, so a
+        build or a restore does not pay for it.
+        """
+        if self._rank is None:
+            self._rank = inverse_suffix_array(self._array)
         return self._rank
 
     def __len__(self) -> int:
@@ -195,4 +201,5 @@ class SuffixArray:
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the numpy payload in bytes."""
-        return int(self._array.nbytes + self._rank.nbytes)
+        rank = 0 if self._rank is None else self._rank.nbytes
+        return int(self._array.nbytes + rank)

@@ -246,14 +246,17 @@ class TestMemoryFrontierSmoke:
 
 
 class TestNoNeverProbedRmqs:
-    """The general and listing kinds build no RMQ that no query can probe.
+    """The general and listing kinds store no level that no query reads.
 
     A level keeps its RMQ only where some suffix range can be wider than
     ``TOP_K_SCAN_WIDTH``, the smaller scan cut-off
     (``repro.core.base.rmq_depth``).  No small-scale input has such a
     level, so ``rmq_short`` / ``rmq_relevance`` bytes in a space report
     mean structures built, shipped back from build workers and copied into
-    shared memory for nothing.
+    shared memory for nothing.  The general index also computes every
+    scanned range's ``C_L`` from the prefix sums, so it stores a level's
+    values only for that RMQ: ``short_values`` / ``block_values`` bytes
+    on these inputs would be levels no query reads.
     """
 
     def test_small_scale_indexes_carry_no_level_rmq(self):
@@ -290,4 +293,14 @@ class TestNoNeverProbedRmqs:
                     f"{label} (compact={compact}) holds {held} bytes of per-level "
                     "RMQs that no query can probe"
                 )
+                if kind == "general":
+                    stored = {
+                        name: size
+                        for name, size in report.items()
+                        if name in ("short_values", "block_values")
+                    }
+                    assert not stored, (
+                        f"{label} (compact={compact}) holds {stored} bytes of stored "
+                        "levels that every query computes instead"
+                    )
 

@@ -3,13 +3,23 @@
 The indexes mask duplicates and group documents through links between
 ranks (``duplicate_depths``, the listing's occurrence runs).  The reference
 below is the earlier construction, which sorted every level's keys with
-``np.unique``; each level array must equal it byte for byte.
+``np.unique``; each level array must equal it byte for byte.  The general
+index computes a level's values at query time and stores them only on the
+levels that keep an RMQ, so every level is checked through the values a
+query computes, and the stored ones as arrays.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.persistence import (
+    index_from_payload,
+    index_to_payload,
+    load_index_payload,
+    save_index_payload,
+)
+from repro.core.base import rmq_depth
 from repro.core.cumulative import NEGATIVE_INFINITY
 from repro.core.general_index import GeneralUncertainStringIndex
 from repro.core.listing import UncertainStringListingIndex
@@ -49,7 +59,7 @@ def deduplicate_by_position(values, partition_ids, original_positions):
 
 
 def windowed_values(index, length):
-    suffix_array = index._suffix_array.array
+    suffix_array = index._suffix_array.array.astype(np.int64)
     ends = suffix_array + length
     values = np.full(len(suffix_array), NEGATIVE_INFINITY, dtype=np.float64)
     in_range = ends <= len(index.transformed.text)
@@ -139,12 +149,30 @@ def correlated(string):
 
 
 def assert_general_levels_match(index):
+    """Every level a query can read equals the reference, byte for byte.
+
+    A length-``L`` query reads ``C_L`` over its suffix range, whose suffixes
+    all start with the pattern, so the values it computes cover exactly the
+    ranks whose suffix is at least ``L`` long; on every other rank the
+    reference holds ``-inf`` (the window runs off the text).  The levels
+    that keep an RMQ also store the whole array, which must match as is.
+    """
+    suffix_array = index._suffix_array.array.astype(np.int64)
+    text_length = len(index.transformed.text)
+    lengths = [*range(1, index.max_short_length + 1), *index.block_lengths]
+    for length in lengths:
+        expected = reference_general_level(index, length)
+        long_enough = suffix_array + length <= text_length
+        computed = index._level_values(np.flatnonzero(long_enough), length)
+        assert computed.dtype == expected.dtype
+        assert computed.tobytes() == expected[long_enough].tobytes(), length
+        assert np.all(expected[~long_enough] == NEGATIVE_INFINITY), length
+    depth = rmq_depth(index._lcp, index.max_short_length)
+    assert sorted(index._short_values) == list(range(1, depth + 1))
     for length, values in index._short_values.items():
         expected = reference_general_level(index, length)
         assert values.dtype == expected.dtype
         assert values.tobytes() == expected.tobytes(), length
-    for length, values in index._block_values.items():
-        assert values.tobytes() == reference_general_level(index, length).tobytes(), length
 
 
 def assert_listing_levels_match(index):
@@ -194,6 +222,38 @@ class TestGeneralLevels:
     def test_levels_match_reference_property(self, length, theta, seed, tau_min):
         string = make_random_uncertain_string(length, theta, seed, alphabet="AB")
         assert_general_levels_match(GeneralUncertainStringIndex(string, tau_min=tau_min))
+
+
+def restored(index, how, tmp_path):
+    """``index`` restored from a compact payload, or memory-mapped from an archive."""
+    if how == "compact":
+        return index_from_payload(index_to_payload(index).compact())
+    path = save_index_payload(index, None, tmp_path / how, compact=how == "mmap-compact")
+    return load_index_payload(path, mmap=True)[0]
+
+
+class TestRestoredGeneralLevels:
+    """Compact and memory-mapped indexes compute the same levels from narrow arrays."""
+
+    @pytest.mark.parametrize("how", ["compact", "mmap-wide", "mmap-compact"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: (generate_uncertain_string(400, theta=0.3, seed=1), {}),
+            lambda: (
+                make_random_uncertain_string(300, 0.3, 4, alphabet="ACGT"),
+                {"max_short_length": 4, "long_lengths": (6, 9, 15)},
+            ),
+            lambda: (correlated(make_random_uncertain_string(120, 0.5, 7, alphabet="ACG")), {}),
+        ],
+        ids=["random", "long-lengths", "correlated"],
+    )
+    def test_levels_match_reference(self, tmp_path, how, source):
+        string, options = source()
+        index = restored(GeneralUncertainStringIndex(string, tau_min=0.1, **options), how, tmp_path)
+        if how != "mmap-wide":
+            assert index._suffix_array.array.dtype != np.int64
+        assert_general_levels_match(index)
 
 
 class TestListingLevels:

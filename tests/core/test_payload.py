@@ -15,7 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import build_index, index_from_payload, index_to_payload
+from repro.api import build_index, index_from_payload, index_to_payload, load_index
+from repro.datasets.synthetic import generate_uncertain_string
 from repro.exceptions import ValidationError
 from repro.payload import (
     COMPACT_META_KEY,
@@ -161,6 +162,27 @@ class TestCompactPayload:
         # A never-compacted payload reports both totals equal.
         wide_report = IndexPayload("s", arrays={"x": np.arange(8)}).space_report()
         assert wide_report["total_wide"] == wide_report["total"]
+
+    def test_compact_engine_reports_its_wide_total(self, tmp_path):
+        # A compact restore rebuilds its meta from its own fields; the
+        # dtype record it was restored with must survive, or total_wide
+        # reads the narrow total.  No level of this input keeps an RMQ, so
+        # no derived table differs between the wide and compact builds.
+        string = generate_uncertain_string(400, theta=0.3, seed=1)
+        wide = build_index(string, tau_min=0.1).space_report()
+        assert wide["total_wide"] == wide["total"]
+        engine = build_index(string, tau_min=0.1, compact=True)
+        compact = engine.space_report()
+        assert compact["total_wide"] == wide["total"]
+        assert compact["total"] < wide["total"]
+        # The record travels with the payload: an archive of the compact
+        # engine, wide or compact, reports the same pair, eager and mmap.
+        for save_compact in (False, True):
+            path = engine.save(tmp_path / f"compact-{save_compact}", compact=save_compact)
+            for mmap in (False, True):
+                loaded = load_index(path, mmap=mmap).space_report()
+                assert loaded["total_wide"] == wide["total"], (save_compact, mmap)
+                assert loaded["total"] == compact["total"], (save_compact, mmap)
 
     def test_checksums_recorded_and_verified(self):
         assert array_checksum(np.empty(0)) == 0

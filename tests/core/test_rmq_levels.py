@@ -1,15 +1,19 @@
 """Which per-length levels carry an RMQ: ``rmq_depth`` and what depends on it.
 
-The general and listing indexes keep a level's value array always, but
-build its range-maximum structure only when some suffix range of that
-level can be wider than the kernels' scan cut-offs.  The tests here pin:
+The listing index keeps a level's value array always, the general index
+computes it at query time; both build a level's range-maximum structure
+(and the general index stores that level's values) only when some suffix
+range of the level can be wider than the kernels' scan cut-offs.  The
+tests here pin:
 
 * the rule itself on synthetic ``lcp`` arrays around ``TOP_K_SCAN_WIDTH``;
 * with the cut-offs patched low, indexes whose shallow levels keep an RMQ
   (and run the frontier on it) while the deep ones do not, answering like
   the oracle and byte-identically to an all-scan build;
-* archives written with an RMQ child for every level (the earlier layout)
-  loading eager and mmap with identical answers;
+* listing archives written with an RMQ child for every level (the earlier
+  layout) loading eager and mmap with identical answers, and general
+  archives of that layout (every level's values stored, no
+  ``duplicate_depths``) failing loudly;
 * an archive missing the child of a level that needs one failing loudly.
 """
 
@@ -249,8 +253,34 @@ LAYOUT = {
 }
 
 
+def old_general_layout(index, implementation):
+    """``index``'s payload as written when every level stored its values and an RMQ."""
+    payload = index_to_payload(index)
+    del payload.arrays["duplicate_depths"]
+    for length in range(1, index.max_short_length + 1):
+        payload.arrays[f"short_values_{length}"] = index._deduplicated_values(length)
+    payload.meta["short_lengths"] = list(range(1, index.max_short_length + 1))
+    return with_every_level_rmq(payload, *LAYOUT["general"], implementation)
+
+
 class TestArchivesWithAnRmqOnEveryLevel:
-    @pytest.mark.parametrize("kind", ["general", "listing"])
+    @pytest.mark.parametrize("implementation", ["block", "sparse"])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_old_general_layout_raises(
+        self, tmp_path, monkeypatch, low_cut_offs, implementation, mmap
+    ):
+        index = build("general", rmq_implementation=implementation)
+        assert 1 <= len(index._short_rmq) < index.max_short_length
+        payload = old_general_layout(index, implementation)
+        assert sum(name.startswith("rmq_") for name in payload.children) == (
+            index.max_short_length
+        )
+        monkeypatch.setattr(index, "to_payload", lambda: payload)
+        path = save_index_payload(index, None, tmp_path / "general-every-level")
+        with pytest.raises(ValidationError, match="duplicate_depths"):
+            load_index_payload(path, mmap=mmap)
+
+    @pytest.mark.parametrize("kind", ["listing"])
     @pytest.mark.parametrize("implementation", ["block", "sparse"])
     @pytest.mark.parametrize("mmap", [False, True])
     def test_surplus_children_load_and_answer_identically(

@@ -40,6 +40,7 @@ from repro.core.base import (
     top_values_above_threshold,
     top_values_above_threshold_scalar,
 )
+from repro.core.cumulative import prefix_length_log_probabilities
 from repro.suffix.rmq import (
     BlockRMQ,
     CompactRMQ,
@@ -396,9 +397,14 @@ def replay_general_short(index, pattern, tau):
     if interval is None:
         return []
     sp, ep = interval
-    values = index._short_values[len(pattern)]
-    # The index keeps an RMQ only on levels whose ranges can outgrow the
-    # scan, so the replay builds its own reference over the same values.
+    # The index stores a level's values and RMQ only where its ranges can
+    # outgrow the scan, so the replay builds the whole C_L itself (the
+    # windows, minus every duplicate copy) and its own RMQ over it.
+    length = len(pattern)
+    values = prefix_length_log_probabilities(
+        index._prefix, index._suffix_array.array, length
+    )
+    values[index._duplicate_depths >= length] = -np.inf
     rmq = make_rmq(values)
     occurrences = []
     for rank in report_above_threshold_scalar(rmq, values, sp, ep, math.log(tau)):
