@@ -45,24 +45,19 @@ from .persistence import (
     SHARDED_FORMAT_VERSION,
 )
 from .planner import (
-    CALIBRATION_WINDOW,
     DEFAULT_MAX_PATTERN_LEN,
     DEFAULT_TAU_MIN,
     INDEX_CLASSES,
     IndexPlan,
     ShardSpec,
-    calibration_snapshot,
     normalize_input,
     plan_index,
-    record_build_observation,
-    reset_calibration,
     shard_input,
 )
 from .requests import SearchRequest, SearchResult
 from .sharding import ShardedEngine, build_sharded_index
 
 __all__ = [
-    "CALIBRATION_WINDOW",
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_MAX_PATTERN_LEN",
     "DEFAULT_TAU_MIN",
@@ -81,7 +76,6 @@ __all__ = [
     "ShardedEngine",
     "build_index",
     "build_sharded_index",
-    "calibration_snapshot",
     "execute_batch",
     "index_from_payload",
     "index_to_payload",
@@ -93,8 +87,6 @@ __all__ = [
     "plan_index",
     "read_manifest",
     "read_sharded_manifest",
-    "record_build_observation",
-    "reset_calibration",
     "save_index_payload",
     "save_sharded_payload",
     "shard_input",

@@ -35,13 +35,7 @@ from .persistence import (
     load_index_payload,
     save_index_payload,
 )
-from .planner import (
-    IndexInput,
-    IndexPlan,
-    normalize_input,
-    plan_index,
-    record_build_observation,
-)
+from .planner import IndexInput, IndexPlan, normalize_input, plan_index
 from .requests import Match, SearchRequest, SearchResult
 
 
@@ -226,17 +220,6 @@ class Engine(QueryEngine):
             "reason": self._plan.reason,
             "tau_min": self.tau_min,
             "profile": dict(self._plan.profile),
-            # Space-estimate accuracy (planner feedback): present once the
-            # engine was built through build_index over a planned estimate,
-            # None for hand-made or restored plans.  "calibration" is the
-            # per-kind multiplicative correction the planner applied to
-            # this plan's estimate (fed by past estimate_error
-            # observations over a decay window).  kind/reason live at the
-            # top level already and are not repeated here.
-            "plan": {
-                "estimate_error": self._plan.profile.get("estimate_error"),
-                "calibration": self._plan.profile.get("calibration"),
-            },
             "cache": self._cache.stats(),
             "space_report": self.space_report(),
         }
@@ -356,6 +339,12 @@ def build_index(
     overrides), constructs the selected :mod:`repro.core` index and
     returns it wrapped in an :class:`Engine`.
 
+    ``space_budget_bytes`` steers one choice only: a special-string input
+    whose RMQ-based special index is estimated above the budget gets the
+    linear-space simple index instead.  ``epsilon=`` selects the
+    approximate index for a general input.  The plan depends only on the
+    input and these arguments.
+
     ``compact=True`` re-materializes the freshly built index from its
     dtype-minimized payload (:meth:`repro.payload.IndexPayload.compact`):
     every stored integer array is narrowed to the smallest dtype that
@@ -392,10 +381,6 @@ def build_index(
         # property of the stored arrays, so restore-from-compact yields an
         # index whose in-RAM arrays carry the narrow dtypes directly.
         index = index_from_payload(index_to_payload(index).compact())
-    # Planner feedback: record the measured footprint against the coarse
-    # estimate so describe()["plan"]["estimate_error"] makes space-budget
-    # routing accuracy observable.
-    record_build_observation(plan, index.nbytes())
     return Engine(
         index, plan, cache_size=cache_size, cache_ttl_seconds=cache_ttl_seconds
     )

@@ -164,13 +164,21 @@ def _plan_manifest(plan: Any) -> Dict[str, Any]:
     }
 
 
+#: Timestamp stamped on every archive member: the zip epoch, so saving the
+#: same index twice writes the same bytes (the reader never reads it).
+_MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
 def _write_npy_member(archive: zipfile.ZipFile, key: str, array: np.ndarray) -> None:
     """Write one array as the ``{key}.npy`` member of an open zip archive."""
     buffer = io.BytesIO()
     np.lib.format.write_array(
         buffer, np.ascontiguousarray(array), allow_pickle=False
     )
-    archive.writestr(f"{key}.npy", buffer.getvalue())
+    info = zipfile.ZipInfo(f"{key}.npy", date_time=_MEMBER_DATE_TIME)
+    info.compress_type = zipfile.ZIP_STORED
+    info.external_attr = 0o600 << 16
+    archive.writestr(info, buffer.getvalue())
 
 
 def save_index_payload(
@@ -417,12 +425,7 @@ def save_sharded_payload(
             "overlap": spec.overlap,
             "max_pattern_len": spec.max_pattern_len,
         },
-        "plan": {
-            "kind": plan.kind,
-            "tau_min": plan.tau_min,
-            "reason": plan.reason,
-            "profile": dict(plan.profile),
-        },
+        "plan": _plan_manifest(plan),
         "shards": shard_files,
     }
     (path / SHARDED_MANIFEST_NAME).write_text(

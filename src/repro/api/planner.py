@@ -20,24 +20,21 @@ Selection rules (``kind="auto"``)
    when a ``space_budget_bytes`` is given and the RMQ tower will not fit,
    the planner falls back to the O(n)-space :class:`SimpleSpecialIndex`.
 3. A general uncertain string becomes a
-   :class:`GeneralUncertainStringIndex`; when a ``space_budget_bytes`` is
-   given and the per-length structures over the transformed text will not
-   fit — or when ``epsilon`` is passed explicitly — the planner selects the
-   :class:`ApproximateSubstringIndex` instead (smaller, additive-error).
+   :class:`GeneralUncertainStringIndex`, or the
+   :class:`ApproximateSubstringIndex` when ``epsilon`` is passed.  The
+   approximate index trades exactness (additive error ε) for O(m + occ)
+   queries at every pattern length; it does not save space, so a budget
+   never selects it.
 
-Space estimates are deliberately coarse (the honest number requires
-building the index); they exist so a budget can steer the choice, and the
-formulas are documented next to the code.  They are also *calibrated*:
-every build records its measured size (:func:`record_build_observation`),
-and the observed-vs-estimated ratio feeds a per-kind multiplicative
-correction with a decaying window (:data:`CALIBRATION_WINDOW`) that later
-plans apply — surfaced through ``describe()["plan"]["calibration"]``.
+The space estimates are closed forms of what a fresh default build of the
+two special-string indexes stores, documented next to the code.  A plan
+depends only on the input and the arguments: the planner keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -101,7 +98,8 @@ class IndexPlan:
         Extra constructor keyword arguments.
     profile:
         Facts about the input the decision was based on (length, alphabet
-        size, uncertain fraction, document count, estimated sizes).
+        size, uncertain fraction, document count) and, on auto-planned
+        special and simple plans, the chosen index's ``estimated_bytes``.
     prepared_input:
         The exact object the index constructor should receive (e.g. the
         special-string view the planner already derived), so building the
@@ -224,170 +222,26 @@ def _profile(
 
 # -- space estimates ----------------------------------------------------------------------
 def _estimate_special_bytes(n: int) -> int:
-    """Coarse size of the RMQ-tower special index.
+    """Bytes a fresh default :class:`SpecialUncertainStringIndex` over ``n`` positions stores.
 
-    Suffix array + inverse (16 n) + cumulative table (8 n) + one C_i array
-    with its RMQ (~16 n) per length up to ⌈log2 n⌉.
+    Suffix array (8 n) + cumulative log-probability table (8 (n + 1)),
+    plus, on each level ``1..L`` with ``L = ⌈log2(n + 1)⌉`` (the default
+    ``max_short_length``), a ``C_L`` values array (8 n) and a
+    :class:`~repro.suffix.rmq.SparseTableRMQ` table of ``n.bit_length()``
+    rows of n int64 positions.  Left out: each RMQ's stored block optima,
+    about 8 n / log2 n bytes per level, so the form reads 0.97–1.0x of
+    the measured size for n = 24 … 65,536.
     """
-    levels = max(1, math.ceil(math.log2(n + 1)))
-    return int(24 * n + 16 * n * levels)
+    levels = n.bit_length()  # == ⌈log2(n + 1)⌉ for n >= 1
+    return 16 * n + 8 + levels * 8 * n * (1 + n.bit_length())
 
 
 def _estimate_simple_bytes(n: int) -> int:
-    """Suffix array + inverse + cumulative table only."""
-    return int(24 * n)
+    """Bytes a :class:`SimpleSpecialIndex` over ``n`` positions stores, exactly.
 
-
-def _expansion_factor(tau_min: float) -> float:
-    """Heuristic expansion of the maximal-factor transformation.
-
-    The paper bounds the transformed length by O((1/τ_min)² · n); real
-    inputs land far below that, so the planner uses a capped 1/τ_min.
+    Suffix array (8 n) + cumulative log-probability table (8 (n + 1)).
     """
-    return max(1.0, min(16.0, 1.0 / tau_min))
-
-
-def _estimate_general_bytes(n: int, tau_min: float) -> int:
-    """Special-index estimate over the (expansion-adjusted) transformed text."""
-    m = int(n * _expansion_factor(tau_min))
-    return _estimate_special_bytes(m) + 24 * m  # + LCP and position maps
-
-
-def _estimate_approximate_bytes(n: int, tau_min: float) -> int:
-    """Links + tree over the transformed text — no per-length tower."""
-    m = int(n * _expansion_factor(tau_min))
-    return int(64 * m)
-
-
-def _estimate_listing_bytes(n: int, tau_min: float) -> int:
-    """The listing index is a general-style index over the concatenation,
-    plus the per-rank document array."""
-    return _estimate_general_bytes(n, tau_min) + 8 * int(n * _expansion_factor(tau_min))
-
-
-# -- calibration: feeding estimate_error back into the formulas ---------------------------
-#: Decay window (in recorded builds) of the per-kind calibration: each new
-#: observation carries weight ``1/CALIBRATION_WINDOW`` once that many
-#: observations exist (plain averaging before that), so the correction
-#: tracks the workload with an effective memory of about one window.
-CALIBRATION_WINDOW = 8
-
-#: Clamp on the per-kind log2 correction: a single wild observation (or a
-#: degenerate tiny input) can never push an estimate further than this many
-#: doublings from the raw formula.
-CALIBRATION_LOG2_CLAMP = 6.0
-
-_calibration_lock = threading.Lock()
-_calibration_state: Dict[str, Dict[str, float]] = {}  # guarded-by: _calibration_lock
-
-
-def reset_calibration() -> None:
-    """Drop every recorded calibration correction (estimates revert to raw)."""
-    with _calibration_lock:
-        _calibration_state.clear()
-
-
-def calibration_factor(kind: str) -> float:
-    """Current multiplicative correction applied to ``kind``'s size estimate."""
-    with _calibration_lock:
-        state = _calibration_state.get(kind)
-        return 2.0 ** state["log2_correction"] if state else 1.0
-
-
-def calibration_snapshot() -> Dict[str, Dict[str, Any]]:
-    """Per-kind calibration state: correction factor + observation count."""
-    with _calibration_lock:
-        return {
-            kind: {
-                "correction": 2.0 ** state["log2_correction"],
-                "log2_correction": state["log2_correction"],
-                "observations": int(state["observations"]),
-                "window": CALIBRATION_WINDOW,
-            }
-            for kind, state in _calibration_state.items()
-        }
-
-
-def _plan_calibration(kind: str) -> Dict[str, Any]:
-    """The calibration record a plan carries (surfaced by ``describe()``)."""
-    with _calibration_lock:
-        state = _calibration_state.get(kind)
-        return {
-            "kind": kind,
-            "correction": 2.0 ** state["log2_correction"] if state else 1.0,
-            "observations": int(state["observations"]) if state else 0,
-            "window": CALIBRATION_WINDOW,
-        }
-
-
-def _calibrated_estimate(kind: str, raw_bytes: int) -> int:
-    """Apply the per-kind multiplicative correction to a raw formula output."""
-    return max(1, int(round(raw_bytes * calibration_factor(kind))))
-
-
-def _observe_calibration(kind: str, raw_estimated: int, observed: int) -> None:
-    """Fold one ``observed / raw_estimate`` ratio into the kind's correction.
-
-    Log-space exponential moving average: weight ``1/(n+1)`` while fewer
-    than :data:`CALIBRATION_WINDOW` observations exist (so the first few
-    builds converge like a plain mean) and ``1/CALIBRATION_WINDOW``
-    afterwards (so the correction keeps adapting with a bounded memory —
-    the "decay window").  The error term is clamped to
-    ±:data:`CALIBRATION_LOG2_CLAMP` doublings.
-    """
-    if raw_estimated <= 0 or observed <= 0:
-        return
-    error = math.log2(observed / float(raw_estimated))
-    error = max(-CALIBRATION_LOG2_CLAMP, min(CALIBRATION_LOG2_CLAMP, error))
-    with _calibration_lock:
-        state = _calibration_state.setdefault(
-            kind, {"log2_correction": 0.0, "observations": 0}
-        )
-        observations = int(state["observations"])
-        alpha = 1.0 / min(observations + 1, CALIBRATION_WINDOW)
-        state["log2_correction"] = (
-            (1.0 - alpha) * state["log2_correction"] + alpha * error
-        )
-        state["log2_correction"] = max(
-            -CALIBRATION_LOG2_CLAMP,
-            min(CALIBRATION_LOG2_CLAMP, state["log2_correction"]),
-        )
-        state["observations"] = observations + 1
-
-
-def record_build_observation(plan: IndexPlan, observed_bytes: int) -> None:
-    """Record the *measured* size of a freshly built index into its plan.
-
-    The planner's ``_estimate_*`` formulas are deliberately coarse; this
-    feedback hook makes their accuracy observable *and feeds it back*:
-    the ``observed / raw_estimate`` ratio updates the per-kind
-    multiplicative correction (decaying window, see
-    :func:`_observe_calibration`) that future :func:`plan_index` calls
-    apply to the same kind's estimate.  Writes ``observed_bytes`` into
-    ``plan.profile`` and, when the plan carried an ``estimated_bytes``
-    prediction, an ``estimate_error`` record — surfaced by
-    ``Engine.describe()["plan"]["estimate_error"]``:
-
-    * ``estimated_bytes`` / ``observed_bytes`` — the two sides,
-    * ``ratio`` — ``observed / estimated`` (1.0 means a perfect estimate),
-    * ``log2_error`` — signed doubling error, the natural scale for a
-      formula that only tries to be right within a small power of two.
-    """
-    profile = plan.profile
-    observed = int(observed_bytes)
-    profile["observed_bytes"] = observed
-    estimated = profile.get("estimated_bytes")
-    if estimated and estimated > 0 and observed > 0:
-        ratio = observed / float(estimated)
-        profile["estimate_error"] = {
-            "estimated_bytes": int(estimated),
-            "observed_bytes": observed,
-            "ratio": ratio,
-            "log2_error": math.log2(ratio),
-        }
-        _observe_calibration(
-            plan.kind, int(profile.get("raw_estimated_bytes", estimated)), observed
-        )
+    return 16 * n + 8
 
 
 def plan_index(
@@ -415,9 +269,9 @@ def plan_index(
         ``"auto"`` (default) or an explicit override naming any key of
         :data:`INDEX_CLASSES`.
     space_budget_bytes:
-        Optional soft budget steering auto-selection towards the smaller
-        variant (simple instead of special, approximate instead of
-        general).
+        Optional soft budget on a special-string input: when the special
+        index's estimated size exceeds it, auto-selection picks the
+        linear-space simple index instead.  Other inputs ignore it.
     epsilon:
         Additive error bound; passing it explicitly selects the
         approximate index for general inputs under ``kind="auto"``.
@@ -447,13 +301,6 @@ def plan_index(
             )
         plan_options = dict(options)
         plan_options["metric"] = metric
-        raw_estimate = _estimate_listing_bytes(n, effective_tau_min)
-        profile = dict(
-            profile,
-            estimated_bytes=_calibrated_estimate("listing", raw_estimate),
-            raw_estimated_bytes=raw_estimate,
-            calibration=_plan_calibration("listing"),
-        )
         return IndexPlan(
             kind="listing",
             tau_min=effective_tau_min,
@@ -480,35 +327,21 @@ def plan_index(
             profile, options, reason=f"explicit kind={kind!r} override",
         )
 
-    # 3. Special-string inputs.
+    # 3. Special-string inputs: the only route a budget steers.
     if special is not None:
-        raw_estimate = _estimate_special_bytes(n)
-        estimate = _calibrated_estimate("special", raw_estimate)
-        profile = dict(
-            profile,
-            estimated_bytes=estimate,
-            raw_estimated_bytes=raw_estimate,
-            calibration=_plan_calibration("special"),
-        )
+        estimate = _estimate_special_bytes(n)
         if space_budget_bytes is not None and estimate > space_budget_bytes:
-            raw_simple = _estimate_simple_bytes(n)
-            profile = dict(
-                profile,
-                estimated_bytes=_calibrated_estimate("simple", raw_simple),
-                raw_estimated_bytes=raw_simple,
-                calibration=_plan_calibration("simple"),
-            )
+            simple_estimate = _estimate_simple_bytes(n)
             return IndexPlan(
                 kind="simple",
                 tau_min=0.0,
                 reason=(
                     f"special uncertain string of length {n}, but the RMQ tower "
                     f"(~{estimate} B) exceeds the {space_budget_bytes} B budget → "
-                    f"linear-space scanning index "
-                    f"(~{_calibrated_estimate('simple', raw_simple)} B)"
+                    f"linear-space scanning index (~{simple_estimate} B)"
                 ),
                 options=dict(options),
-                profile=profile,
+                profile=dict(profile, estimated_bytes=simple_estimate),
                 prepared_input=special,
             )
         return IndexPlan(
@@ -520,48 +353,20 @@ def plan_index(
                 f"O(m + occ) short-pattern queries at any threshold"
             ),
             options=dict(options),
-            profile=profile,
+            profile=dict(profile, estimated_bytes=estimate),
             prepared_input=special,
         )
 
     # 4. General uncertain strings.
-    raw_estimate = _estimate_general_bytes(n, effective_tau_min)
-    estimate = _calibrated_estimate("general", raw_estimate)
-    profile = dict(
-        profile,
-        estimated_bytes=estimate,
-        raw_estimated_bytes=raw_estimate,
-        calibration=_plan_calibration("general"),
-    )
-    wants_approximate = epsilon is not None or (
-        space_budget_bytes is not None and estimate > space_budget_bytes
-    )
-    if wants_approximate:
-        plan_options = dict(options)
-        if epsilon is not None:
-            plan_options["epsilon"] = epsilon
-        why = (
-            f"epsilon={epsilon} requested"
-            if epsilon is not None
-            else f"estimated {estimate} B exceeds the {space_budget_bytes} B budget"
-        )
-        raw_approximate = _estimate_approximate_bytes(n, effective_tau_min)
-        approximate_estimate = _calibrated_estimate("approximate", raw_approximate)
-        profile = dict(
-            profile,
-            estimated_bytes=approximate_estimate,
-            raw_estimated_bytes=raw_approximate,
-            calibration=_plan_calibration("approximate"),
-        )
+    if epsilon is not None:
         return IndexPlan(
             kind="approximate",
             tau_min=effective_tau_min,
             reason=(
-                f"general uncertain string of length {n}; {why} → link-based "
-                f"approximate index (additive error, "
-                f"~{approximate_estimate} B)"
+                f"general uncertain string of length {n}; epsilon={epsilon} "
+                f"requested → link-based approximate index (additive error)"
             ),
-            options=plan_options,
+            options=dict(options, epsilon=epsilon),
             profile=profile,
             prepared_input=normalized,
         )

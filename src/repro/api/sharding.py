@@ -115,7 +115,6 @@ from .planner import (
     ShardSpec,
     normalize_input,
     plan_index,
-    record_build_observation,
     shard_input,
 )
 from .requests import SearchRequest
@@ -614,10 +613,6 @@ class ShardedEngine(QueryEngine):
             "kind": self.kind,
             "reason": self._plan.reason,
             "tau_min": self.tau_min,
-            "plan": {
-                "estimate_error": self._plan.profile.get("estimate_error"),
-                "calibration": self._plan.profile.get("calibration"),
-            },
             "sharding": {
                 "mode": self._spec.mode,
                 "shard_count": self._spec.shard_count,
@@ -1172,9 +1167,11 @@ def build_sharded_index(
 
     The index kind is planned **once**, on the full input (honouring the
     same ``kind`` / ``space_budget_bytes`` / ``epsilon`` knobs as
-    :func:`~repro.api.engine.build_index`), then forced onto every shard —
-    a chunk of a general string could otherwise plan to a different
-    variant than its siblings and change answer semantics mid-merge.
+    :func:`~repro.api.engine.build_index`; the budget is held against the
+    full input's special-index estimate and steers special → simple only),
+    then forced onto every shard — a chunk of a general string could
+    otherwise plan to a different variant than its siblings and change
+    answer semantics mid-merge.
 
     ``shards`` is clamped to the number of documents (collections) or
     positions (single strings).  ``max_pattern_len`` fixes the chunk
@@ -1262,9 +1259,6 @@ def build_sharded_index(
         engines = [
             build_index(part, cache_size=0, **build_kwargs) for part in parts
         ]
-    # Planner feedback on the ensemble plan: measured total vs the full-input
-    # estimate (chunk overlap makes the sharded total slightly larger).
-    record_build_observation(plan, sum(engine.nbytes() for engine in engines))
     return ShardedEngine(
         engines,
         spec,

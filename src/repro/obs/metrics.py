@@ -82,7 +82,8 @@ METRIC_TABLE: Dict[str, str] = {
     # repro.faults — FaultInjector (labeled per site)
     "fault_calls_total": "Traversals of a fault-injection site, labeled by site.",
     "fault_fired_total": "Faults actually fired at a site, labeled by site.",
-    # repro.obs.profile — KernelProfiler (labeled per stage / index kind)
+    # repro.obs.profile — KernelProfiler; stage = an unsharded engine's index
+    # kind (sharded engines never pass its hook)
     "kernel_eval_ms": "Sampled vectorized-kernel evaluation time, labeled by stage.",
     # repro.serving.loadgen
     "loadgen_latency_ms": "Load-generator observed end-to-end request latency.",

@@ -11,9 +11,12 @@ Usage::
         run_bench()
     print(profiler.stats())   # per-stage count / mean / p95 / max (ms)
 
-Hook sites live in ``Engine._evaluate`` (stage = index kind) and the
-sharded per-shard evaluation (stage = ``shard``); bench runs use the
-stats to attribute an occ/s regression to a stage.
+The one hook site is ``Engine._evaluate`` (stage = the engine's index
+kind), so only an unsharded engine is sampled: a ``ShardedEngine``'s
+thread executor calls ``evaluate_request`` on each shard index directly,
+and its process executor evaluates in worker processes, so neither passes
+the hook.  Bench runs use the stats to attribute an occ/s regression to
+an index kind.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Shared mutable state in the façade declares its lock with a trailing
 comment on the attribute's initialising assignment::
 
     self._entries = OrderedDict()   # guarded-by: _lock
-    _calibration_state = {}         # guarded-by: _calibration_lock
+    _PROFILER = None                # guarded-by: _INSTALL_LOCK
 
 The rule registers every annotated attribute (instance attributes
 initialised in a class body, and module-level globals) and then verifies

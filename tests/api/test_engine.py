@@ -266,53 +266,6 @@ class TestSearchMany:
         assert low.matches == listing_engine.index.query("B", 0.05)
 
 
-class TestPlannerFeedback:
-    """Observed-vs-estimated size feedback recorded at build time."""
-
-    def test_estimate_error_recorded_for_general(self, figure3_string):
-        engine = build_index(figure3_string, tau_min=0.1)
-        plan_info = engine.describe()["plan"]
-        error = plan_info["estimate_error"]
-        assert error is not None
-        assert error["observed_bytes"] == engine.nbytes()
-        assert error["estimated_bytes"] == engine.plan.profile["estimated_bytes"]
-        assert error["ratio"] == pytest.approx(
-            error["observed_bytes"] / error["estimated_bytes"]
-        )
-        import math
-
-        assert error["log2_error"] == pytest.approx(math.log2(error["ratio"]))
-
-    def test_estimate_error_recorded_for_listing(self):
-        engine = build_index(["banana", "ananas", "bandana"], tau_min=0.1)
-        error = engine.describe()["plan"]["estimate_error"]
-        assert error is not None
-        assert error["observed_bytes"] > 0
-
-    def test_observed_bytes_always_recorded(self):
-        engine = build_index("banana" * 4)
-        assert engine.plan.profile["observed_bytes"] == engine.nbytes()
-
-    def test_restored_plan_has_no_estimate_error(self, tmp_path, figure3_string):
-        engine = build_index(figure3_string, tau_min=0.1)
-        path = engine.save(tmp_path / "fb")
-        from repro.api import load_index
-
-        loaded = load_index(path)
-        # The archive round-trips the profile, so the recorded feedback
-        # survives; a hand-made plan (no estimate) reports None.
-        assert loaded.describe()["plan"]["estimate_error"] is not None
-
-    def test_sharded_plan_records_ensemble_total(self):
-        from repro.api import build_sharded_index
-
-        engine = build_sharded_index("banana" * 20, shards=3, max_pattern_len=6)
-        error = engine.describe()["plan"]["estimate_error"]
-        assert error is not None
-        assert error["observed_bytes"] == engine.nbytes()
-        engine.close()
-
-
 class KernelCallCounter:
     """An index proxy counting ``query`` / ``top_k`` calls, and only those.
 

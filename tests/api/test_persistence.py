@@ -398,6 +398,36 @@ class TestShardedManifest:
         engine.close()
         loaded.close()
 
+    def test_saving_twice_writes_the_same_bytes(self, tmp_path):
+        engine = build_sharded_index("BANANA" * 5, shards=2, max_pattern_len=4)
+        first = engine.save(tmp_path / "first")
+        second = engine.save(tmp_path / "second")
+        engine.close()
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        for name in read_sharded_manifest(first)["shards"]:
+            with zipfile.ZipFile(first / name) as archive:
+                stamps = {info.date_time for info in archive.infolist()}
+            assert stamps == {(1980, 1, 1, 0, 0, 0)}, name
+
+    def test_plan_record_matches_a_single_archive(self, tmp_path):
+        # Both manifests write the plan through one helper, so the
+        # ensemble's record reads like any single archive's.
+        engine = build_sharded_index(
+            "BANANA" * 5, shards=2, max_pattern_len=4, space_budget_bytes=10
+        )
+        path = engine.save(tmp_path / "sharded-plan-record")
+        single = save_index_payload(
+            engine.shards[0].index, engine.plan, tmp_path / "single-plan-record"
+        )
+        engine.close()
+        record = read_sharded_manifest(path)["plan"]
+        assert record == read_manifest(single)["plan"]
+        assert record["kind"] == "simple"
+        assert set(record) == {"kind", "tau_min", "reason", "profile"}
+
 
 class TestManifest:
     def test_read_manifest_contents(self, tmp_path, general_string):
@@ -540,6 +570,11 @@ class TestFormatVersions:
         resaved = loaded.save(tmp_path / "resaved", compact=compact)
         with zipfile.ZipFile(original) as first, zipfile.ZipFile(resaved) as second:
             assert first.namelist() == second.namelist()
+            # A fixed stamp, not the wall clock: saving twice writes the same bytes.
+            for info in first.infolist() + second.infolist():
+                assert info.date_time == (1980, 1, 1, 0, 0, 0), info.filename
+                assert info.compress_type == zipfile.ZIP_STORED
+                assert info.external_attr == 0o600 << 16
             for name in first.namelist():
                 if name != "__manifest__.npy":  # the plan reason notes its source
                     assert first.read(name) == second.read(name), name
@@ -588,6 +623,53 @@ class TestFormatVersions:
             load_index_payload(path, mmap=mmap)
         with pytest.raises(ValidationError):
             read_manifest(path)
+
+
+class TestArchivesWithRetiredProfileKeys:
+    """Archives written while plans recorded build-time sizes still load.
+
+    Their plan profiles carry keys no plan holds any more
+    (``raw_estimated_bytes``, ``observed_bytes``) and their members carry
+    the wall-clock time of the save; the reader reads neither.
+    """
+
+    RETIRED = {"raw_estimated_bytes": 4_096, "observed_bytes": 8_192}
+
+    def _age(self, path):
+        manifest = read_manifest(path)
+        manifest["plan"]["profile"].update(self.RETIRED)
+        rezip_archive(path, manifest=manifest)  # writestr stamps the wall clock
+        with zipfile.ZipFile(path) as archive:
+            assert all(info.date_time[0] > 1980 for info in archive.infolist())
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_single_archive_loads(self, tmp_path, general_string, mmap):
+        engine = build_index(general_string, tau_min=0.1)
+        path = engine.save(tmp_path / "aged")
+        self._age(path)
+        loaded = load_index(path, mmap=mmap)
+        assert loaded.kind == "general"
+        assert loaded.plan.profile["observed_bytes"] == 8_192
+        _assert_same_answers(engine, loaded, ["Q", "QP", "PP", "SP", "F"], [0.1, 0.3, 0.6])
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_sharded_archive_loads(self, tmp_path, mmap):
+        string = make_random_uncertain_string(50, 0.3, seed=3)
+        engine = build_sharded_index(string, shards=3, tau_min=0.1, max_pattern_len=5)
+        path = engine.save(tmp_path / "aged-sharded")
+        manifest = read_sharded_manifest(path)
+        manifest["plan"]["profile"].update(self.RETIRED)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        for name in manifest["shards"]:
+            self._age(path / name)
+        loaded = load_index(path, mmap=mmap)
+        assert loaded.spec == engine.spec
+        assert loaded.plan.profile["raw_estimated_bytes"] == 4_096
+        backbone = string.most_likely_string()
+        patterns = {backbone[start : start + 3] for start in range(0, 45, 4)}
+        _assert_same_answers(engine, loaded, sorted(patterns), [0.1, 0.4])
+        engine.close()
+        loaded.close()
 
 
 class TestChecksumVerification:

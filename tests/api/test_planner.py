@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import build_index, plan_index
+from repro.api import build_index, build_sharded_index, plan_index, read_manifest
 from repro.core.approximate import ApproximateSubstringIndex
 from repro.core.general_index import GeneralUncertainStringIndex
 from repro.core.listing import UncertainStringListingIndex
@@ -16,6 +16,7 @@ from repro.strings import (
     UncertainString,
     UncertainStringCollection,
 )
+from tests.conftest import make_random_special_string, make_random_uncertain_string
 
 
 @pytest.fixture
@@ -90,9 +91,13 @@ class TestAutoRouting:
         assert plan.kind == "simple"
         assert plan.index_class is SimpleSpecialIndex
 
-    def test_tight_budget_general_routes_to_approximate(self, general_string):
-        plan = plan_index(general_string, tau_min=0.1, space_budget_bytes=10)
-        assert plan.kind == "approximate"
+    def test_budget_never_steers_a_general_string(self, general_string, collection):
+        assert plan_index(general_string, tau_min=0.1, space_budget_bytes=10).kind == "general"
+        assert (
+            plan_index(general_string, tau_min=0.1, space_budget_bytes=10, epsilon=0.05).kind
+            == "approximate"
+        )
+        assert plan_index(collection, tau_min=0.1, space_budget_bytes=10).kind == "listing"
 
     def test_large_budget_keeps_default_choice(self, general_string, special_string):
         assert (
@@ -193,76 +198,84 @@ class TestBuildIndex:
         assert [occ.position for occ in engine.query("ana", tau=0.9)] == [1, 3]
 
 
-class TestCalibration:
-    """estimate_error feedback folds into the per-kind size estimates."""
+class TestSpaceBudget:
+    """Closed-form size estimates of a fresh default build steer special → simple."""
 
-    def test_first_observation_moves_the_next_estimate(self, general_string):
-        from repro.api.planner import calibration_snapshot
+    @pytest.mark.parametrize("n", [24, 1_000, 16_384])
+    def test_estimates_match_a_fresh_default_build(self, n):
+        string = make_random_special_string(n, seed=n)
+        special = build_index(string)
+        simple = build_index(string, space_budget_bytes=1)
+        assert (special.kind, simple.kind) == ("special", "simple")
+        for engine in (special, simple):
+            assert engine.plan.profile["estimated_bytes"] == pytest.approx(
+                engine.nbytes(), rel=0.05
+            )
 
-        before = plan_index(general_string, tau_min=0.1)
-        assert before.profile["calibration"]["observations"] == 0
-        assert before.profile["calibration"]["correction"] == pytest.approx(1.0)
-        assert before.profile["estimated_bytes"] == before.profile["raw_estimated_bytes"]
+    def test_budget_between_the_two_sizes_plans_simple(self):
+        string = make_random_special_string(1_000, seed=3)
+        special_bytes = build_index(string).nbytes()
+        simple_bytes = build_index(string, kind="simple").nbytes()
+        between = (simple_bytes + special_bytes) // 2
+        assert plan_index(string, space_budget_bytes=between).kind == "simple"
+        assert plan_index(string, space_budget_bytes=special_bytes).kind == "special"
 
-        engine = build_index(general_string, tau_min=0.1)
-        ratio = engine.plan.profile["estimate_error"]["ratio"]
-        snapshot = calibration_snapshot()["general"]
-        assert snapshot["observations"] == 1
-        # With one observation the correction IS the observed ratio.
-        assert snapshot["correction"] == pytest.approx(ratio, rel=1e-9)
 
-        after = plan_index(general_string, tau_min=0.1)
-        assert after.profile["calibration"]["observations"] == 1
-        assert after.profile["estimated_bytes"] == pytest.approx(
-            after.profile["raw_estimated_bytes"] * ratio, abs=1.0
-        )
-        # The calibrated estimate now matches the observed size, so a
-        # second build of the same input reports ~zero estimate error.
-        engine2 = build_index(general_string, tau_min=0.1)
-        assert abs(engine2.plan.profile["estimate_error"]["log2_error"]) < 0.01
+class TestHistoryIndependence:
+    """Plans and archives depend only on the input and the arguments."""
 
-    def test_decay_window_bounds_the_memory(self):
-        from repro.api.planner import (
-            CALIBRATION_WINDOW,
-            _observe_calibration,
-            calibration_snapshot,
-            reset_calibration,
-        )
+    def test_earlier_builds_change_no_plan_and_no_archive(
+        self, tmp_path, general_string, collection
+    ):
+        long_special = make_random_special_string(16_384, seed=5)
 
-        reset_calibration()
-        for _ in range(50):
-            _observe_calibration("special", 100, 200)  # ratio 2.0 forever
-        state = calibration_snapshot()["special"]
-        assert state["observations"] == 50
-        assert state["window"] == CALIBRATION_WINDOW
-        assert state["correction"] == pytest.approx(2.0, rel=1e-6)
-        # One opposite observation moves it by ~1/window in log space.
-        _observe_calibration("special", 200, 100)
-        moved = calibration_snapshot()["special"]["correction"]
-        import math
+        def plan_and_save(tag):
+            plan = plan_index(long_special, space_budget_bytes=10_000_000)
+            paths = [
+                build_index(general_string, tau_min=0.1).save(tmp_path / f"general-{tag}"),
+                build_index(collection, tau_min=0.1).save(tmp_path / f"listing-{tag}"),
+            ]
+            return plan, paths
 
-        assert math.log2(2.0) - math.log2(moved) == pytest.approx(
-            2.0 / CALIBRATION_WINDOW, rel=1e-6
-        )
+        first_plan, first_paths = plan_and_save("first")
+        general = make_random_uncertain_string(60, 0.3, seed=9)
+        build_index(make_random_special_string(4_096, seed=6))
+        build_index(make_random_special_string(300, seed=7), kind="simple")
+        build_index(general, tau_min=0.1)
+        build_index(general, tau_min=0.1, epsilon=0.05)
+        build_index([general, make_random_uncertain_string(40, 0.3, seed=10)], tau_min=0.1)
+        second_plan, second_paths = plan_and_save("second")
 
-    def test_clamp_bounds_wild_observations(self):
-        from repro.api.planner import _observe_calibration, calibration_snapshot, reset_calibration
+        # The special index (~31.7 MB) does not fit 10 MB.
+        assert first_plan.kind == "simple"
+        assert second_plan == first_plan
+        for first, second in zip(first_paths, second_paths):
+            assert read_manifest(first) == read_manifest(second)
+            assert first.read_bytes() == second.read_bytes()
 
-        reset_calibration()
-        _observe_calibration("listing", 1, 10**12)
-        assert calibration_snapshot()["listing"]["correction"] <= 2.0 ** 6.0
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_describe_ignores_earlier_builds(self, general_string, collection, sharded):
+        long_special = make_random_special_string(16_384, seed=5)
 
-    def test_describe_surfaces_calibration(self, general_string):
-        engine = build_index(general_string, tau_min=0.1)
-        info = engine.describe()["plan"]["calibration"]
-        assert info["kind"] == "general"
-        assert set(info) == {"kind", "correction", "observations", "window"}
+        def describe(source, **kwargs):
+            if not sharded:
+                return build_index(source, **kwargs).describe()
+            engine = build_sharded_index(source, shards=2, **kwargs)
+            try:
+                return engine.describe()
+            finally:
+                engine.close()
 
-    def test_per_kind_isolation(self, general_string, special_string):
-        from repro.api.planner import calibration_snapshot
+        def describe_all():
+            return [
+                describe(long_special, space_budget_bytes=10_000_000),
+                describe(general_string, tau_min=0.1),
+                describe(collection, tau_min=0.1),
+            ]
 
-        build_index(general_string, tau_min=0.1)
-        snapshot = calibration_snapshot()
-        assert "general" in snapshot and "special" not in snapshot
-        build_index(special_string)
-        assert "special" in calibration_snapshot()
+        first = describe_all()
+        build_index(make_random_special_string(4_096, seed=6))
+        build_index(make_random_uncertain_string(60, 0.3, seed=9), tau_min=0.1)
+        second = describe_all()
+        assert [info["kind"] for info in first] == ["simple", "general", "listing"]
+        assert second == first

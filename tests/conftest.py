@@ -28,21 +28,6 @@ from repro.strings import (
 TEST_ALPHABET = "ABCD"
 
 
-@pytest.fixture(autouse=True)
-def _reset_planner_calibration():
-    """Isolate tests from the planner's process-global calibration state.
-
-    Every ``build_index`` records an observed-vs-estimated size ratio into
-    the per-kind calibration corrections; without a reset, a test's
-    estimates would depend on which tests ran before it.
-    """
-    from repro.api.planner import reset_calibration
-
-    reset_calibration()
-    yield
-    reset_calibration()
-
-
 def make_random_uncertain_string(
     length: int,
     theta: float,
