@@ -27,22 +27,13 @@ Design constraints, in order:
   registry, because a serving cache nobody can measure is a serving
   cache nobody can size.
 
-Two invalidation mechanisms exist for serving deployments whose index is
-not immutable-forever:
-
-* **Generation tags** — every entry is stored under the cache's current
-  *generation*; :meth:`bump_generation` makes every existing entry
-  unreachable in O(1), so an engine whose index was reloaded or replaced
-  can never serve a stale hit (the old entries age out through ordinary
-  LRU eviction).  ``Engine.replace_index`` bumps the generation
-  automatically.
-* **TTL** — an optional ``ttl_seconds`` bounds the lifetime of every
-  entry; expired entries count as misses (and as ``expirations`` in
-  :meth:`stats`) and are dropped on access.  Expired entries are also
-  purged eagerly on every :meth:`put` and :meth:`stats` call — an entry
-  past its TTL must not keep occupying LRU capacity (evicting live
-  entries) or inflate the reported occupancy.  The clock is injectable
-  for deterministic tests.
+One invalidation mechanism serves deployments whose index is not
+immutable-forever: **generation tags**.  Every entry is stored under the
+cache's current *generation*; :meth:`bump_generation` makes every existing
+entry unreachable in O(1), so an engine whose index was reloaded or
+replaced can never serve a stale hit (the old entries age out through
+ordinary LRU eviction).  An index changes under a key only through
+``Engine.replace_index``, which bumps the generation automatically.
 
 Errors are never cached: an evaluation that raises (e.g. a
 :class:`~repro.exceptions.ThresholdError` for a ``tau`` below ``tau_min``)
@@ -59,9 +50,8 @@ degraded answer served until eviction.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 from ..core.base import MatchArrays
 from ..exceptions import ValidationError
@@ -89,33 +79,13 @@ class ResultCache:
         Maximum number of distinct keys to retain.  ``0`` disables the
         cache entirely — :meth:`wrap` then returns the computation
         unchanged, so a disabled cache costs nothing on the query path.
-    ttl_seconds:
-        Optional maximum entry age.  ``None`` (default) means entries
-        never expire; a positive value drops entries older than that on
-        access, counting an expiration plus a miss.
-    clock:
-        Monotonic time source used for TTL stamps (defaults to
-        :func:`time.monotonic`); injectable so TTL behaviour is testable
-        without sleeping.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CACHE_SIZE,
-        *,
-        ttl_seconds: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
         if capacity < 0:
             raise ValidationError(f"cache capacity must be >= 0, got {capacity}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValidationError(
-                f"ttl_seconds must be positive (or None), got {ttl_seconds}"
-            )
         self._capacity = int(capacity)
-        self._ttl_seconds = ttl_seconds
-        self._clock = clock if clock is not None else time.monotonic
-        self._entries: "OrderedDict[_StoredKey, Tuple[MatchArrays, float]]" = OrderedDict()  # guarded-by: _lock
+        self._entries: "OrderedDict[_StoredKey, MatchArrays]" = OrderedDict()  # guarded-by: _lock
         # Re-entrant so registry updates made while the cache lock is
         # already held (and stats() snapshots) serialize on one monitor.
         self._lock = threading.RLock()
@@ -124,7 +94,6 @@ class ResultCache:
         self._hits = self._metrics.counter("cache_hits_total")
         self._misses = self._metrics.counter("cache_misses_total")
         self._evictions = self._metrics.counter("cache_evictions_total")
-        self._expirations = self._metrics.counter("cache_expirations_total")
         self._metrics.gauge("cache_size_count", fn=lambda: float(len(self._entries)))
         self._metrics.gauge("cache_generation_count", fn=lambda: float(self._generation))
 
@@ -138,11 +107,6 @@ class ResultCache:
     def enabled(self) -> bool:
         """Whether the cache retains anything at all."""
         return self._capacity > 0
-
-    @property
-    def ttl_seconds(self) -> Optional[float]:
-        """Maximum entry age (``None``: entries never expire)."""
-        return self._ttl_seconds
 
     @property
     def generation(self) -> int:
@@ -159,47 +123,19 @@ class ResultCache:
             f"generation={self._generation})"
         )
 
-    def _expired_keys(self) -> List[_StoredKey]:
-        """Stored keys past their TTL (read-only; caller holds ``_lock``).
-
-        :meth:`put` and :meth:`stats` purge these eagerly so expired
-        entries cannot occupy LRU capacity (evicting live entries) or
-        inflate the reported size; each dropped entry counts an
-        expiration, the same counter the lazy drop in :meth:`get` ticks.
-        """
-        if self._ttl_seconds is None or not self._entries:
-            return []
-        now = self._clock()
-        return [
-            stored
-            for stored, (_, stamp) in self._entries.items()
-            if now - stamp > self._ttl_seconds
-        ]
-
     # -- core operations ----------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[MatchArrays]:
         """The cached answer for ``key``, or ``None`` (counts a hit or miss).
 
-        Only entries written under the current generation are reachable,
-        and entries older than ``ttl_seconds`` are dropped (counting an
-        expiration) instead of served.
+        Only entries written under the current generation are reachable.
         """
         if not self.enabled:
             return None
         fire(SITE_CACHE_ACCESS)
         with self._lock:
             stored = (self._generation, key)
-            entry = self._entries.get(stored)
-            if entry is None:
-                self._misses.inc()
-                return None
-            value, stamp = entry
-            if (
-                self._ttl_seconds is not None
-                and self._clock() - stamp > self._ttl_seconds
-            ):
-                del self._entries[stored]
-                self._expirations.inc()
+            value = self._entries.get(stored)
+            if value is None:
                 self._misses.inc()
                 return None
             self._entries.move_to_end(stored)
@@ -217,13 +153,7 @@ class ResultCache:
         if not self.enabled:
             return False
         with self._lock:
-            entry = self._entries.get((self._generation, key))
-            if entry is None:
-                return False
-            return (
-                self._ttl_seconds is None
-                or self._clock() - entry[1] <= self._ttl_seconds
-            )
+            return (self._generation, key) in self._entries
 
     def put(
         self, key: CacheKey, value: MatchArrays, *, generation: Optional[int] = None
@@ -244,18 +174,12 @@ class ResultCache:
         with self._lock:
             if generation is not None and generation != self._generation:
                 return
-            # Purge before the capacity check: an expired entry must never
-            # force a live one out through ordinary LRU eviction.
-            for expired in self._expired_keys():
-                del self._entries[expired]
-                self._expirations.inc()
             stored = (self._generation, key)
-            stamp = self._clock()
             if stored in self._entries:
                 self._entries.move_to_end(stored)
-                self._entries[stored] = (value, stamp)
+                self._entries[stored] = value
                 return
-            self._entries[stored] = (value, stamp)
+            self._entries[stored] = value
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._evictions.inc()
@@ -284,7 +208,7 @@ class ResultCache:
             if value.failed_shards:
                 # Never cache a degraded answer: a shard outage must cost
                 # re-evaluation on the next request, not pin the partial
-                # result until eviction / TTL / generation bump.
+                # result until eviction or a generation bump.
                 return value
             self.put(key, value, generation=generation)
             return value
@@ -312,12 +236,11 @@ class ResultCache:
             self._entries.clear()
 
     def reset_stats(self) -> None:
-        """Zero the hit / miss / eviction / expiration counters."""
+        """Zero the hit / miss / eviction counters."""
         with self._lock:
             self._hits.reset()
             self._misses.reset()
             self._evictions.reset()
-            self._expirations.reset()
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -331,11 +254,7 @@ class ResultCache:
         the metrics registry), so no counter can advance between reads.
         """
         with self._lock:
-            for expired in self._expired_keys():
-                del self._entries[expired]
-                self._expirations.inc()
             hits, misses, evictions = self._hits.value, self._misses.value, self._evictions.value
-            expirations = self._expirations.value
             generation = self._generation
             size = len(self._entries)
         lookups = hits + misses
@@ -346,8 +265,6 @@ class ResultCache:
             "hits": hits,
             "misses": misses,
             "evictions": evictions,
-            "expirations": expirations,
             "generation": generation,
-            "ttl_seconds": self._ttl_seconds,
             "hit_rate": (hits / lookups) if lookups else 0.0,
         }

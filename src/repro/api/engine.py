@@ -176,11 +176,10 @@ class Engine(QueryEngine):
         plan: IndexPlan,
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_ttl_seconds: Optional[float] = None,
     ) -> None:
         self._index = index
         self._plan = plan
-        self._cache = ResultCache(cache_size, ttl_seconds=cache_ttl_seconds)
+        self._cache = ResultCache(cache_size)
 
     # -- introspection -----------------------------------------------------------------
     @property
@@ -302,7 +301,6 @@ class Engine(QueryEngine):
         path: Union[str, Path],
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_ttl_seconds: Optional[float] = None,
         mmap: bool = False,
     ) -> "Engine":
         """Restore an engine saved with :meth:`save`.
@@ -312,9 +310,7 @@ class Engine(QueryEngine):
         pages) — see :func:`repro.api.persistence.load_index_payload`.
         """
         index, plan = load_index_payload(path, mmap=mmap)
-        return cls(
-            index, plan, cache_size=cache_size, cache_ttl_seconds=cache_ttl_seconds
-        )
+        return cls(index, plan, cache_size=cache_size)
 
 
 def build_index(
@@ -322,11 +318,9 @@ def build_index(
     *,
     tau_min: Optional[float] = None,
     kind: str = "auto",
-    space_budget_bytes: Optional[int] = None,
     epsilon: Optional[float] = None,
     metric: str = "max",
     cache_size: int = DEFAULT_CACHE_SIZE,
-    cache_ttl_seconds: Optional[float] = None,
     compact: bool = False,
     **options: Any,
 ) -> Engine:
@@ -339,11 +333,9 @@ def build_index(
     overrides), constructs the selected :mod:`repro.core` index and
     returns it wrapped in an :class:`Engine`.
 
-    ``space_budget_bytes`` steers one choice only: a special-string input
-    whose RMQ-based special index is estimated above the budget gets the
-    linear-space simple index instead.  ``epsilon=`` selects the
-    approximate index for a general input.  The plan depends only on the
-    input and these arguments.
+    ``epsilon=`` selects the approximate index for a general input, and
+    ``kind="simple"`` the linear-space index for a special-string input.
+    The plan depends only on the input and these arguments.
 
     ``compact=True`` re-materializes the freshly built index from its
     dtype-minimized payload (:meth:`repro.payload.IndexPayload.compact`):
@@ -370,7 +362,6 @@ def build_index(
         normalized,
         tau_min=tau_min,
         kind=kind,
-        space_budget_bytes=space_budget_bytes,
         epsilon=epsilon,
         metric=metric,
         **options,
@@ -381,9 +372,7 @@ def build_index(
         # property of the stored arrays, so restore-from-compact yields an
         # index whose in-RAM arrays carry the narrow dtypes directly.
         index = index_from_payload(index_to_payload(index).compact())
-    return Engine(
-        index, plan, cache_size=cache_size, cache_ttl_seconds=cache_ttl_seconds
-    )
+    return Engine(index, plan, cache_size=cache_size)
 
 
 def _construct(plan: IndexPlan, normalized: Any) -> Any:
@@ -419,7 +408,6 @@ def load_index(
     path: Union[str, Path],
     *,
     cache_size: int = DEFAULT_CACHE_SIZE,
-    cache_ttl_seconds: Optional[float] = None,
     mmap: bool = False,
     query_executor: str = "thread",
 ) -> Any:
@@ -443,10 +431,7 @@ def load_index(
         return ShardedEngine.load(
             path,
             cache_size=cache_size,
-            cache_ttl_seconds=cache_ttl_seconds,
             mmap=mmap,
             query_executor=query_executor,
         )
-    return Engine.load(
-        path, cache_size=cache_size, cache_ttl_seconds=cache_ttl_seconds, mmap=mmap
-    )
+    return Engine.load(path, cache_size=cache_size, mmap=mmap)

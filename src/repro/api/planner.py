@@ -4,10 +4,9 @@ The paper defines four index variants plus baselines; which one fits depends
 on the *shape* of the input, not on anything a caller should have to know
 about the theory.  :func:`plan_index` inspects the input — special
 vs. general uncertain string, single string vs. collection, alphabet size,
-length, optional space budget — and produces an :class:`IndexPlan` naming
-the :mod:`repro.core` class to build, the constructor options and a
-human-readable reason for the choice.  Explicit ``kind=...`` overrides are
-always honoured.
+length — and produces an :class:`IndexPlan` naming the :mod:`repro.core`
+class to build, the constructor options and a human-readable reason for
+the choice.  Explicit ``kind=...`` overrides are always honoured.
 
 Selection rules (``kind="auto"``)
 ---------------------------------
@@ -16,20 +15,17 @@ Selection rules (``kind="auto"``)
    listing is the only query the paper defines over collections.
 2. A special uncertain string — ``SpecialUncertainString``, a plain ``str``
    (certain characters) or an ``UncertainString`` with a single probable
-   character per position — becomes a :class:`SpecialUncertainStringIndex`;
-   when a ``space_budget_bytes`` is given and the RMQ tower will not fit,
-   the planner falls back to the O(n)-space :class:`SimpleSpecialIndex`.
+   character per position — becomes a :class:`SpecialUncertainStringIndex`.
+   ``kind="simple"`` asks for the O(n)-space :class:`SimpleSpecialIndex`
+   instead.
 3. A general uncertain string becomes a
    :class:`GeneralUncertainStringIndex`, or the
    :class:`ApproximateSubstringIndex` when ``epsilon`` is passed.  The
    approximate index trades exactness (additive error ε) for O(m + occ)
-   queries at every pattern length; it does not save space, so a budget
-   never selects it.
+   queries at every pattern length.
 
-The space estimates are closed forms of what a fresh default build of the
-two special-string indexes stores, documented next to the code.  A plan
-depends only on the input and the arguments: the planner keeps no state
-between calls.
+A plan depends only on the input and the arguments: the planner keeps no
+state between calls.
 """
 
 from __future__ import annotations
@@ -98,8 +94,7 @@ class IndexPlan:
         Extra constructor keyword arguments.
     profile:
         Facts about the input the decision was based on (length, alphabet
-        size, uncertain fraction, document count) and, on auto-planned
-        special and simple plans, the chosen index's ``estimated_bytes``.
+        size, uncertain fraction, document count).
     prepared_input:
         The exact object the index constructor should receive (e.g. the
         special-string view the planner already derived), so building the
@@ -220,36 +215,11 @@ def _profile(
     }
 
 
-# -- space estimates ----------------------------------------------------------------------
-def _estimate_special_bytes(n: int) -> int:
-    """Bytes a fresh default :class:`SpecialUncertainStringIndex` over ``n`` positions stores.
-
-    Suffix array (8 n) + cumulative log-probability table (8 (n + 1)),
-    plus, on each level ``1..L`` with ``L = ⌈log2(n + 1)⌉`` (the default
-    ``max_short_length``), a ``C_L`` values array (8 n) and a
-    :class:`~repro.suffix.rmq.SparseTableRMQ` table of ``n.bit_length()``
-    rows of n int64 positions.  Left out: each RMQ's stored block optima,
-    about 8 n / log2 n bytes per level, so the form reads 0.97–1.0x of
-    the measured size for n = 24 … 65,536.
-    """
-    levels = n.bit_length()  # == ⌈log2(n + 1)⌉ for n >= 1
-    return 16 * n + 8 + levels * 8 * n * (1 + n.bit_length())
-
-
-def _estimate_simple_bytes(n: int) -> int:
-    """Bytes a :class:`SimpleSpecialIndex` over ``n`` positions stores, exactly.
-
-    Suffix array (8 n) + cumulative log-probability table (8 (n + 1)).
-    """
-    return 16 * n + 8
-
-
 def plan_index(
     data: IndexInput,
     *,
     tau_min: Optional[float] = None,
     kind: str = "auto",
-    space_budget_bytes: Optional[int] = None,
     epsilon: Optional[float] = None,
     metric: str = "max",
     **options: Any,
@@ -268,10 +238,6 @@ def plan_index(
     kind:
         ``"auto"`` (default) or an explicit override naming any key of
         :data:`INDEX_CLASSES`.
-    space_budget_bytes:
-        Optional soft budget on a special-string input: when the special
-        index's estimated size exceeds it, auto-selection picks the
-        linear-space simple index instead.  Other inputs ignore it.
     epsilon:
         Additive error bound; passing it explicitly selects the
         approximate index for general inputs under ``kind="auto"``.
@@ -327,23 +293,8 @@ def plan_index(
             profile, options, reason=f"explicit kind={kind!r} override",
         )
 
-    # 3. Special-string inputs: the only route a budget steers.
+    # 3. Special-string inputs.
     if special is not None:
-        estimate = _estimate_special_bytes(n)
-        if space_budget_bytes is not None and estimate > space_budget_bytes:
-            simple_estimate = _estimate_simple_bytes(n)
-            return IndexPlan(
-                kind="simple",
-                tau_min=0.0,
-                reason=(
-                    f"special uncertain string of length {n}, but the RMQ tower "
-                    f"(~{estimate} B) exceeds the {space_budget_bytes} B budget → "
-                    f"linear-space scanning index (~{simple_estimate} B)"
-                ),
-                options=dict(options),
-                profile=dict(profile, estimated_bytes=simple_estimate),
-                prepared_input=special,
-            )
         return IndexPlan(
             kind="special",
             tau_min=0.0,
@@ -353,7 +304,7 @@ def plan_index(
                 f"O(m + occ) short-pattern queries at any threshold"
             ),
             options=dict(options),
-            profile=dict(profile, estimated_bytes=estimate),
+            profile=profile,
             prepared_input=special,
         )
 

@@ -49,13 +49,10 @@ deadline, retry, partial-answer and tracing logic: a bad request fails
 only itself, a dead worker pool re-dispatches the window's open requests,
 and every request of a degraded window names the same failed shards.
 
-Per-shard *construction* can fan out on a process pool (``workers=N`` —
-suffix-array and RMQ building is GIL-bound Python + numpy, so real
-parallelism needs processes), answering byte-identically to a serial
-build.  The merged evaluation sits behind the same
-:class:`~repro.api.cache.ResultCache` an unsharded engine uses (the shard
-engines run with their caches disabled so counters are not
-double-counted), and :meth:`ShardedEngine.save` /
+Shards are built one after another in the calling process.  The merged
+evaluation sits behind the same :class:`~repro.api.cache.ResultCache` an
+unsharded engine uses (the shard engines run with their caches disabled so
+counters are not double-counted), and :meth:`ShardedEngine.save` /
 :func:`repro.api.engine.load_index` round-trip the whole ensemble through a
 directory of ordinary ``.npz`` shard archives plus a JSON shard manifest.
 """
@@ -100,14 +97,9 @@ from ..obs.metrics import MetricSample, MetricsRegistry
 from .batch import WindowEvaluator
 from .cache import DEFAULT_CACHE_SIZE, ResultCache
 from .engine import Engine, QueryEngine, build_index
-from .persistence import (
-    index_from_payload,
-    index_to_payload,
-    load_sharded_payload,
-    save_sharded_payload,
-)
+from .persistence import load_sharded_payload, save_sharded_payload
 from .shm import export_for_index
-from .workers import close_sockets_worker, initialize_worker, query_worker
+from .workers import initialize_worker, query_worker
 from .planner import (
     DEFAULT_MAX_PATTERN_LEN,
     IndexInput,
@@ -471,7 +463,6 @@ class ShardedEngine(QueryEngine):
         plan: IndexPlan,
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_ttl_seconds: Optional[float] = None,
         max_workers: Optional[int] = None,
         query_executor: str = "thread",
         partial: bool = False,
@@ -508,7 +499,7 @@ class ShardedEngine(QueryEngine):
         self._worker_retry_backoff_s = worker_retry_backoff_s
         self._spec = spec
         self._plan = plan
-        self._cache = ResultCache(cache_size, ttl_seconds=cache_ttl_seconds)
+        self._cache = ResultCache(cache_size)
         self._max_workers = max_workers
         self._query_executor = query_executor
         self._executor: Optional[ThreadPoolExecutor] = None  # guarded-by: _executor_lock
@@ -1081,7 +1072,6 @@ class ShardedEngine(QueryEngine):
         path: Union[str, Path],
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_ttl_seconds: Optional[float] = None,
         max_workers: Optional[int] = None,
         mmap: bool = False,
         query_executor: str = "thread",
@@ -1110,7 +1100,6 @@ class ShardedEngine(QueryEngine):
             archive.spec,
             archive.plan,
             cache_size=cache_size,
-            cache_ttl_seconds=cache_ttl_seconds,
             max_workers=max_workers,
             query_executor=query_executor,
             partial=partial,
@@ -1122,26 +1111,6 @@ class ShardedEngine(QueryEngine):
         return engine
 
 
-def _build_shard_payload(
-    arguments: Tuple[IndexInput, Dict[str, Any]]
-) -> Tuple[Any, IndexPlan]:
-    """Build one shard's index in a worker process.
-
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  Returns
-    ``(payload, plan)`` — the shard's
-    :class:`~repro.payload.IndexPayload`, the same currency the archives
-    and query workers use — instead of the engine or the live index: the
-    engine's result cache holds a ``threading.Lock`` that cannot cross the
-    process boundary, and the payload ships as flat ndarrays with no
-    Python object graph.  The parent rebuilds the index with
-    ``from_payload`` and wraps it in a cache-less :class:`Engine`, exactly
-    as :meth:`ShardedEngine.load` does.
-    """
-    part, build_kwargs = arguments
-    engine = build_index(part, cache_size=0, **build_kwargs)
-    return index_to_payload(engine.index), engine.plan
-
-
 def build_sharded_index(
     data: IndexInput,
     *,
@@ -1150,14 +1119,12 @@ def build_sharded_index(
     kind: str = "auto",
     max_pattern_len: int = DEFAULT_MAX_PATTERN_LEN,
     cache_size: int = DEFAULT_CACHE_SIZE,
-    cache_ttl_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     workers: Optional[int] = None,
     query_executor: str = "thread",
     partial: bool = False,
     worker_retries: int = 1,
     worker_retry_backoff_s: float = 0.05,
-    space_budget_bytes: Optional[int] = None,
     epsilon: Optional[float] = None,
     metric: str = "max",
     compact: bool = False,
@@ -1166,27 +1133,19 @@ def build_sharded_index(
     """Partition ``data``, build one engine per shard, wrap them as one.
 
     The index kind is planned **once**, on the full input (honouring the
-    same ``kind`` / ``space_budget_bytes`` / ``epsilon`` knobs as
-    :func:`~repro.api.engine.build_index`; the budget is held against the
-    full input's special-index estimate and steers special → simple only),
-    then forced onto every shard — a chunk of a general string could
-    otherwise plan to a different variant than its siblings and change
-    answer semantics mid-merge.
+    same ``kind`` / ``epsilon`` knobs as
+    :func:`~repro.api.engine.build_index`), then forced onto every shard —
+    a chunk of a general string could otherwise plan to a different
+    variant than its siblings and change answer semantics mid-merge.
 
     ``shards`` is clamped to the number of documents (collections) or
     positions (single strings).  ``max_pattern_len`` fixes the chunk
     overlap (``max_pattern_len - 1``) and the longest pattern a
     chunk-sharded engine accepts; document-sharded engines ignore it.
 
-    ``workers`` parallelizes *construction*: with ``workers > 1`` the
-    per-shard suffix array / RMQ builds fan out on a
-    :class:`ProcessPoolExecutor` (suffix-array construction is pure-Python
-    + numpy, so threads would serialize on the GIL); shard builds ship
-    ``(payload, plan)`` pairs — flat :class:`~repro.payload.IndexPayload`
-    arrays, not pickled index objects — back to the parent.  The
-    partition, the plan and the per-shard build arguments are identical
-    to the serial path, so the resulting ensemble answers queries
-    byte-identically to a ``workers=1`` build.
+    Every shard is built in the calling process, one after another.
+    ``workers`` has no effect: it is accepted (and must be at least 1)
+    only so existing callers keep working.
 
     ``query_executor`` selects the *query* fan-out: ``"thread"`` (default)
     shares one thread pool, ``"process"`` starts persistent worker
@@ -1195,9 +1154,8 @@ def build_sharded_index(
     payloads — buying real parallelism for the GIL-bound Python portions
     of the query path at the cost of per-request IPC.  Both modes answer
     byte-identically.  ``max_workers`` sizes the query fan-out in either
-    mode and is independent of ``workers``; by default one thread /
-    process per shard, and smaller values share workers across shards
-    (see :class:`ShardedEngine`).
+    mode; by default one thread / process per shard, and smaller values
+    share workers across shards (see :class:`ShardedEngine`).
 
     ``compact=True`` applies the same dtype-minimized payload round-trip
     as :func:`~repro.api.engine.build_index` to every shard — narrow
@@ -1225,7 +1183,6 @@ def build_sharded_index(
         normalized,
         tau_min=tau_min,
         kind=kind,
-        space_budget_bytes=space_budget_bytes,
         epsilon=epsilon,
         metric=metric,
         **options,
@@ -1239,32 +1196,13 @@ def build_sharded_index(
         compact=compact,
         **options,
     )
-    if workers is not None and workers > 1 and len(parts) > 1:
-        # close_sockets_worker: a build launched from a live serving
-        # process must not trap its open connections in the forked builders.
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(parts)),
-            initializer=close_sockets_worker,
-        ) as pool:
-            payloads = list(
-                pool.map(_build_shard_payload, [(part, build_kwargs) for part in parts])
-            )
-        engines = [
-            # Rebuild from the shipped payloads; the ensemble cache fronts
-            # queries, so the per-shard engines stay cache-less.
-            Engine(index_from_payload(payload), shard_plan, cache_size=0)
-            for payload, shard_plan in payloads
-        ]
-    else:
-        engines = [
-            build_index(part, cache_size=0, **build_kwargs) for part in parts
-        ]
+    # The ensemble cache fronts queries, so the shard engines stay cache-less.
+    engines = [build_index(part, cache_size=0, **build_kwargs) for part in parts]
     return ShardedEngine(
         engines,
         spec,
         plan,
         cache_size=cache_size,
-        cache_ttl_seconds=cache_ttl_seconds,
         max_workers=max_workers,
         query_executor=query_executor,
         partial=partial,

@@ -128,16 +128,17 @@ def _materialize(spec: WorkerSpec) -> Any:
 def close_sockets_worker() -> None:
     """Drop socket fds the fork copied from the parent process.
 
-    Query pools start lazily — often mid-traffic, and again whenever a
-    crashed pool is rebuilt — so on fork-start platforms a new worker
-    inherits a duplicate of every socket the serving parent had open: the
-    HTTP listener, accepted connections, the event loop's self-pipe pair.
-    The worker never uses them, but each duplicate keeps its TCP session
-    established after the parent closes its own copy — a peer reading to
-    EOF then waits forever, and ``Connection: close`` responses never
-    finish closing.  Workers talk to the parent exclusively over pipes
-    (``multiprocessing`` queues), so every inherited *socket* past stdio
-    is a leak: close them all before touching shard state.
+    The first step of :func:`initialize_worker`, the only pool
+    initializer.  Query pools start lazily — often mid-traffic, and again
+    whenever a crashed pool is rebuilt — so on fork-start platforms a new
+    worker inherits a duplicate of every socket the serving parent had
+    open: the HTTP listener, accepted connections, the event loop's
+    self-pipe pair.  The worker never uses them, but each duplicate keeps
+    its TCP session established after the parent closes its own copy — a
+    peer reading to EOF then waits forever, and ``Connection: close``
+    responses never finish closing.  Workers talk to the parent exclusively
+    over pipes (``multiprocessing`` queues), so every inherited *socket*
+    past stdio is a leak: close them all before touching shard state.
     """
     try:
         fds = [int(name) for name in os.listdir("/proc/self/fd")]

@@ -78,8 +78,6 @@ class ExperimentScale:
     #: measurement that fixes :data:`~repro.core.base.SCAN_WIDTH` and
     #: :data:`~repro.core.base.TOP_K_SCAN_WIDTH`.
     kernel_scan_widths: Tuple[int, ...] = (1 << 10, TOP_K_SCAN_WIDTH, SCAN_WIDTH)
-    #: Worker counts exercised by the ``shard-build`` experiment.
-    shard_build_workers: Tuple[int, ...] = (1, 2, 4)
     #: Replica counts exercised by the ``network-serving`` experiment.
     serving_replica_counts: Tuple[int, ...] = (1, 2, 4)
 
@@ -102,7 +100,6 @@ SMALL_SCALE = ExperimentScale(
     tau_min_panel_size=500,
     query_repeats=1,
     kernel_occ_targets=(100, 1000),
-    shard_build_workers=(1, 2),
     serving_replica_counts=(1, 2),
 )
 
@@ -125,7 +122,6 @@ DEFAULT_SCALE = ExperimentScale(
     query_repeats=3,
     kernel_occ_targets=(100, 10_000, 1_000_000),
     kernel_scan_widths=tuple(1 << e for e in (6, 8, 10, 12, 14, 15, 16, 17, 18)),
-    shard_build_workers=(1, 2, 4),
 )
 
 LARGE_SCALE = ExperimentScale(
@@ -146,7 +142,6 @@ LARGE_SCALE = ExperimentScale(
     tau_min_panel_size=8000,
     query_repeats=3,
     kernel_occ_targets=(100, 10_000, 1_000_000),
-    shard_build_workers=(1, 2, 4),
 )
 
 SCALES: Dict[str, ExperimentScale] = {
@@ -890,50 +885,6 @@ def query_kernel(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     return table
 
 
-def shard_build(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
-    """Sharded construction: process-pool workers vs serial build time.
-
-    Builds the same 4-shard general-index ensemble at increasing
-    ``workers`` counts (``build_sharded_index(..., workers=N)``) and
-    reports wall-clock build time plus the speedup over ``workers=1``.
-    Speedup tracks the machine's core count — a single-core runner reports
-    ~1x (plus process spawn overhead), which is the honest number.
-    """
-    from ..api.sharding import build_sharded_index
-
-    table = FigureTable(
-        figure_id="shard-build",
-        title="Sharded construction: build time vs process-pool workers",
-        x_label="workers",
-        y_label="see series label",
-        notes=(
-            f"general engine, n={scale.fixed_string_size}, "
-            f"theta={scale.thetas[-1]}, tau_min={scale.tau_min}, 4 shards"
-        ),
-    )
-    theta = scale.thetas[-1]
-    string = cached_uncertain_string(scale.fixed_string_size, theta)
-    build_time = Series("build time (s)")
-    speedup = Series("speedup vs workers=1 (x)")
-    serial_elapsed = None
-    for workers in scale.shard_build_workers:
-        elapsed = time_callable(
-            lambda: build_sharded_index(
-                string,
-                shards=4,
-                tau_min=scale.tau_min,
-                kind="general",
-                workers=workers,
-            )
-        )
-        if serial_elapsed is None:
-            serial_elapsed = elapsed
-        build_time.add(workers, elapsed)
-        speedup.add(workers, serial_elapsed / max(elapsed, 1e-12))
-    table.series.extend([build_time, speedup])
-    return table
-
-
 def serving_throughput(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     """Coalesced async serving vs naive sequential QPS.
 
@@ -1090,13 +1041,13 @@ def network_serving(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     that set's executor threads as much as routing (one run per count put
     the 2-/1-replica QPS ratio anywhere in 0.37-2.2).
 
-    Honest single-core caveat (as with ``shard-build``): replica
-    parallelism needs spare cores.  On a single-core runner the replicas
-    share one CPU and whole-batch least-loaded dispatch does the same
-    total work at every count, so the curves stay flat — the experiment
-    then demonstrates that routing overhead is negligible, not that
-    replicas speed anything up.  Result caches are disabled so QPS
-    measures dispatch plus evaluation, not cache hits.
+    Honest single-core caveat: replica parallelism needs spare cores.  On
+    a single-core runner the replicas share one CPU and whole-batch
+    least-loaded dispatch does the same total work at every count, so the
+    curves stay flat — the experiment then demonstrates that routing
+    overhead is negligible, not that replicas speed anything up.  Result
+    caches are disabled so QPS measures dispatch plus evaluation, not
+    cache hits.
     """
     import asyncio
     import tempfile
@@ -1449,7 +1400,6 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentScale], FigureTable]] = {
     "ablation-approx": ablation_approximate,
     "ablation-transformation": ablation_transformation,
     "query-kernel": query_kernel,
-    "shard-build": shard_build,
     "serving-throughput": serving_throughput,
     "network-serving": network_serving,
     "observability-overhead": observability_overhead,

@@ -30,8 +30,8 @@ queries where the range is wider than the scan cut-off — ``O(m + occ)``
 either way for patterns of length up to ``log N``.  Longer patterns use the
 paper's blocking scheme (per-block maxima and their RMQ; the candidate
 blocks' values are computed like a scan's) when a structure for that length
-was materialized and otherwise fall back to a vectorized scan of the suffix
-range (identical answers, see DESIGN.md).
+was materialized, and a vectorized scan of the suffix range otherwise
+(identical answers).
 
 Correlated strings are supported: the transformation stores optimistic
 (upper-bound) probabilities for correlated characters and every candidate is
@@ -47,7 +47,7 @@ from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import check_nonempty_pattern, check_threshold
-from ..exceptions import PatternTooLongError, ValidationError
+from ..exceptions import ValidationError
 from ..payload import IndexPayload, expect_schema
 from ..strings.serialization import (
     uncertain_string_from_manifest,
@@ -77,8 +77,6 @@ from .cumulative import (
     prefix_length_log_probabilities,
 )
 from .factors import DEFAULT_SEPARATOR, TransformedString, transform_uncertain_string
-
-LongPatternMode = Literal["fallback", "block", "error"]
 
 #: Payload schema of this index kind (see :mod:`repro.payload`).
 GENERAL_INDEX_SCHEMA = "index/general"
@@ -134,10 +132,8 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         (default ``⌈log2 N⌉`` where ``N`` is the transformed text length).
     long_lengths:
         Pattern lengths above ``max_short_length`` for which the blocking
-        structures are materialized at construction time.
-    long_pattern_mode:
-        Behaviour for long patterns without a blocking structure:
-        ``"fallback"`` (scan, default), ``"block"`` or ``"error"``.
+        structures are materialized at construction time; a long pattern of
+        any other length scans its suffix range.
     max_factor_length:
         Optional cap on maximal-factor length (see
         :func:`repro.core.factors.enumerate_maximal_factors`).
@@ -171,18 +167,12 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         *,
         max_short_length: Optional[int] = None,
         long_lengths: Iterable[int] = (),
-        long_pattern_mode: LongPatternMode = "fallback",
         max_factor_length: Optional[int] = None,
         rmq_implementation: Literal["sparse", "block"] = "block",
         separator: str = DEFAULT_SEPARATOR,
     ):
         self._string = string
         self._tau_min = check_threshold(tau_min)
-        if long_pattern_mode not in ("fallback", "block", "error"):
-            raise ValidationError(
-                f"long_pattern_mode must be 'fallback', 'block' or 'error', got {long_pattern_mode!r}"
-            )
-        self._long_pattern_mode = long_pattern_mode
         self._rmq_implementation = rmq_implementation
         self._needs_verification = bool(string.correlations)
 
@@ -312,7 +302,6 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
                 "tau_min": self._tau_min,
                 "max_short_length": self._max_short_length,
                 "block_lengths": sorted(self._block_maxima),
-                "long_pattern_mode": self._long_pattern_mode,
                 "rmq_implementation": self._rmq_implementation,
             },
             arrays=arrays,
@@ -332,7 +321,6 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
         index = cls.__new__(cls)
         index._string = uncertain_string_from_manifest(meta["string"])
         index._tau_min = float(meta["tau_min"])
-        index._long_pattern_mode = meta["long_pattern_mode"]
         index._rmq_implementation = meta["rmq_implementation"]
         index._needs_verification = bool(index._string.correlations)
         index._transformed = TransformedString.from_payload(
@@ -391,17 +379,8 @@ class GeneralUncertainStringIndex(UncertainSubstringIndex):
             candidates = self._candidates_short(sp, ep, length, log_threshold)
         elif length in self._block_rmq:
             candidates = self._candidates_blocked(sp, ep, length, log_threshold)
-        elif self._long_pattern_mode == "fallback":
-            candidates = self._candidates_scan(sp, ep, length, log_threshold)
-        elif self._long_pattern_mode == "block":
-            raise PatternTooLongError(
-                f"no blocking structure was built for pattern length {length}; "
-                f"available lengths: {self.block_lengths}"
-            )
         else:
-            raise PatternTooLongError(
-                f"pattern length {length} exceeds max_short_length={self._max_short_length}"
-            )
+            candidates = self._candidates_scan(sp, ep, length, log_threshold)
         return self._finalize(pattern, *candidates, log_threshold)
 
     def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:

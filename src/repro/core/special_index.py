@@ -13,9 +13,8 @@ array is cut into blocks of ``m`` entries, only the per-block maximum is kept
 scanning the ``m`` entries inside each touched block — ``O(m · occ)``.
 Because materializing ``PB_i`` for *every* ``i ∈ [log n, n]`` costs
 ``Θ(n²)`` array work, blocks are built only for the lengths listed in
-``long_lengths``; other long patterns fall back to a vectorized scan of the
-suffix range, which returns identical results (see DESIGN.md, substitution
-table).
+``long_lengths``; every other long pattern takes a vectorized scan of its
+suffix range, which returns identical results.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, Iterable, List, Literal, Optional, Tuple
 import numpy as np
 
 from .._validation import check_nonempty_pattern, check_threshold
-from ..exceptions import PatternTooLongError, ValidationError
+from ..exceptions import ValidationError
 from ..payload import IndexPayload, expect_schema
 from ..strings.correlation import CorrelationModel
 from ..strings.serialization import (
@@ -58,8 +57,6 @@ from .cumulative import (
     prefix_length_log_probabilities,
 )
 
-LongPatternMode = Literal["fallback", "block", "error"]
-
 #: Payload schema of this index kind (see :mod:`repro.payload`).
 SPECIAL_INDEX_SCHEMA = "index/special"
 
@@ -79,12 +76,8 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         Defaults to ``⌈log2 n⌉`` as in the paper.
     long_lengths:
         Pattern lengths above ``max_short_length`` for which the blocking
-        structures of the paper are materialized.
-    long_pattern_mode:
-        What to do with a long pattern whose length has no blocking
-        structure: ``"fallback"`` (default) scans the suffix range,
-        ``"block"`` requires a materialized length and otherwise raises,
-        ``"error"`` always raises.
+        structures of the paper are materialized; a long pattern of any
+        other length scans its suffix range.
     rmq_implementation:
         ``"sparse"`` (O(1) query, O(n log n) space) or ``"block"``
         (O(log n) query, O(n) space).
@@ -107,17 +100,11 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         correlations: Optional[CorrelationModel] = None,
         max_short_length: Optional[int] = None,
         long_lengths: Iterable[int] = (),
-        long_pattern_mode: LongPatternMode = "fallback",
         rmq_implementation: Literal["sparse", "block"] = "sparse",
     ):
         self._string = string
         self._correlations = correlations if correlations is not None else CorrelationModel()
         self._correlations.validate_against_length(len(string))
-        if long_pattern_mode not in ("fallback", "block", "error"):
-            raise ValidationError(
-                f"long_pattern_mode must be 'fallback', 'block' or 'error', got {long_pattern_mode!r}"
-            )
-        self._long_pattern_mode = long_pattern_mode
         self._rmq_implementation = rmq_implementation
 
         n = len(string)
@@ -236,7 +223,6 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
                 "max_short_length": self._max_short_length,
                 "short_lengths": sorted(self._short_values),
                 "block_lengths": sorted(self._block_maxima),
-                "long_pattern_mode": self._long_pattern_mode,
                 "rmq_implementation": self._rmq_implementation,
             },
             arrays=arrays,
@@ -255,7 +241,6 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         index = cls.__new__(cls)
         index._string = special_string_from_manifest(meta["string"])
         index._correlations = correlation_rules_from_manifest(meta["correlations"])
-        index._long_pattern_mode = meta["long_pattern_mode"]
         index._rmq_implementation = meta["rmq_implementation"]
         index._suffix_array = SuffixArray(
             index._string.text, array=payload.arrays["suffix_array"]
@@ -302,16 +287,7 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             return self._query_short(sp, ep, length, log_threshold)
         if length in self._block_rmq:
             return self._query_blocked(sp, ep, length, log_threshold)
-        if self._long_pattern_mode == "fallback":
-            return self._query_scan(sp, ep, length, log_threshold)
-        if self._long_pattern_mode == "block":
-            raise PatternTooLongError(
-                f"no blocking structure was built for pattern length {length}; "
-                f"available lengths: {self.block_lengths}"
-            )
-        raise PatternTooLongError(
-            f"pattern length {length} exceeds max_short_length={self._max_short_length}"
-        )
+        return self._query_scan(sp, ep, length, log_threshold)
 
     def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
         """The ``k`` most probable occurrences of ``pattern``.

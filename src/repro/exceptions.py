@@ -37,11 +37,12 @@ class QueryError(ReproError):
 
 
 class PatternTooLongError(QueryError):
-    """Raised when a pattern exceeds what an index was configured to answer.
+    """Raised when a pattern exceeds what an engine was configured to answer.
 
-    Only raised by indexes explicitly configured with
-    ``long_pattern_mode="error"``; the default configuration falls back to a
-    suffix-range scan for long patterns instead of raising.
+    The only raiser is a chunk-sharded engine, for a pattern longer than
+    its ``max_pattern_len`` (such a pattern could straddle a chunk
+    boundary).  Every index answers a pattern of any length: a long one
+    without a blocking structure scans its suffix range.
     """
 
 

@@ -51,8 +51,7 @@ METRIC_TABLE: Dict[str, str] = {
     "cache_hits_total": "Result-cache lookups answered from a live entry.",
     "cache_misses_total": "Result-cache lookups that fell through to evaluation.",
     "cache_evictions_total": "Result-cache entries evicted by LRU capacity pressure.",
-    "cache_expirations_total": "Result-cache entries dropped after their TTL lapsed.",
-    "cache_size_count": "Live (unexpired) entries currently held by the result cache.",
+    "cache_size_count": "Entries currently held by the result cache, older generations included.",
     "cache_generation_count": "Current result-cache generation tag (bumped on index swaps).",
     # repro.api.sharding — ShardedEngine resilience
     "sharding_pool_recoveries_total": "Crashed worker pools discarded and rebuilt from retained shard specs.",

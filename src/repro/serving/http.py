@@ -28,11 +28,11 @@ Routes::
     POST /search             same parameters as a JSON object body
 
 Tracing: every ``/search`` response echoes ``X-Repro-Trace-Id`` when the
-request was traced.  A trace is minted (or adopted from a caller-supplied
-``X-Repro-Trace-Id`` header) when the caller passes ``debug=trace``, when
-the app was built with ``trace_all=True``, or when a slow-query log is
-attached; only ``debug=trace`` adds the full span tree to the response
-payload as ``"trace"``.  Untraced requests pay a single ``is None`` test.
+request was traced.  A trace is minted when the caller passes
+``debug=trace`` or when a slow-query log is attached, and adopted when the
+caller supplies an ``X-Repro-Trace-Id`` header; only ``debug=trace`` adds
+the full span tree to the response payload as ``"trace"``.  Untraced
+requests pay a single ``is None`` test.
 
 Error contract — every error body is ``{"error": {"type", "message",
 "status"}}`` and the status comes from the first matching row of
@@ -321,9 +321,6 @@ class SearchHttpApp:
         Optional :class:`~repro.obs.trace.SlowQueryLog`; attaching one
         traces every ``/search`` request and retains the worst span
         trees, dumped under ``"slow_queries"`` in ``/stats``.
-    trace_all:
-        Trace every request even without ``debug=trace`` (the span tree
-        still only appears in the payload when the caller asks).
     """
 
     def __init__(
@@ -331,11 +328,9 @@ class SearchHttpApp:
         service: AsyncSearchService,
         *,
         slow_log: Optional[SlowQueryLog] = None,
-        trace_all: bool = False,
     ) -> None:
         self._service = service
         self._slow_log = slow_log
-        self._trace_all = bool(trace_all)
 
     @property
     def service(self) -> AsyncSearchService:
@@ -473,7 +468,6 @@ class SearchHttpApp:
         traced = (
             debug == "trace"
             or supplied is not None
-            or self._trace_all
             or self._slow_log is not None
         )
         if not traced:

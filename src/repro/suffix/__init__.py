@@ -1,10 +1,5 @@
 """Deterministic string-indexing substrate (suffix arrays, trees, RMQ)."""
 
-from .generalized import (
-    DEFAULT_SEPARATOR,
-    ConcatenatedDocuments,
-    GeneralizedSuffixStructure,
-)
 from .lcp import (
     LCPArray,
     build_lcp_array,
@@ -33,9 +28,6 @@ from .suffix_tree import SuffixTree
 __all__ = [
     "BlockRMQ",
     "CompactRMQ",
-    "ConcatenatedDocuments",
-    "DEFAULT_SEPARATOR",
-    "GeneralizedSuffixStructure",
     "LCPArray",
     "SparseTableRMQ",
     "SuffixArray",

@@ -44,9 +44,7 @@ class TestResultCacheUnit:
             "hits": 0,
             "misses": 1,
             "evictions": 0,
-            "expirations": 0,
             "generation": 0,
-            "ttl_seconds": None,
             "hit_rate": 0.0,
         }
 
@@ -60,6 +58,7 @@ class TestResultCacheUnit:
         assert cache.get("a") == answer(1)
         assert cache.get("c") == answer(3)
         assert cache.stats()["evictions"] == 1
+        assert len(cache) == 2
 
     def test_put_refreshes_recency_and_value(self):
         cache = ResultCache(2)
@@ -152,9 +151,7 @@ class TestEngineCaching:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "expirations": 0,
             "generation": 0,
-            "ttl_seconds": None,
             "hit_rate": 0.0,
         }
 
@@ -253,8 +250,8 @@ class TestBatchCaching:
         assert stats["hits"] + stats["misses"] == 1
 
 
-class TestGenerationAndTTL:
-    """Index-generation tags and TTL expiry (serving invalidation)."""
+class TestGenerationTags:
+    """Index-generation tags, the cache's one invalidation mechanism."""
 
     def test_bump_generation_invalidates_everything(self):
         cache = ResultCache(4)
@@ -283,36 +280,6 @@ class TestGenerationAndTTL:
         assert cache.get("c") == answer(3)
         assert cache.get("d") == answer(4)
 
-    def test_ttl_expires_entries_with_injected_clock(self):
-        now = [0.0]
-        cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", answer(1))
-        now[0] = 9.0
-        assert cache.get("a") == answer(1)  # still fresh
-        now[0] = 20.5
-        assert cache.get("a") is None  # expired -> miss
-        stats = cache.stats()
-        assert stats["expirations"] == 1
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        assert stats["ttl_seconds"] == 10.0
-        assert stats["size"] == 0  # expired entry was dropped
-
-    def test_put_refreshes_ttl_stamp(self):
-        now = [0.0]
-        cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", answer(1))
-        now[0] = 8.0
-        cache.put("a", answer(2))  # rewrite refreshes the stamp
-        now[0] = 15.0
-        assert cache.get("a") == answer(2)
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValidationError):
-            ResultCache(4, ttl_seconds=0.0)
-        with pytest.raises(ValidationError):
-            ResultCache(4, ttl_seconds=-1.0)
-
     def test_replace_index_cannot_serve_stale_hits(self, figure3_string):
         # Two different indexes behind one engine: after replace_index the
         # cached answers of the old index must be unreachable.
@@ -324,11 +291,6 @@ class TestGenerationAndTTL:
         fresh = engine.query("PA", tau=0.2)
         assert fresh == other.query("PA", tau=0.2)
         assert fresh != stale
-
-    def test_engine_cache_ttl_wiring(self, figure3_string):
-        engine = build_index(figure3_string, tau_min=0.1, cache_ttl_seconds=60.0)
-        assert engine.cache.ttl_seconds == 60.0
-        assert engine.describe()["cache"]["ttl_seconds"] == 60.0
 
     def test_in_flight_evaluation_not_cached_across_generation_bump(self):
         # A slow evaluation racing a generation bump (index replaced while
@@ -350,86 +312,3 @@ class TestGenerationAndTTL:
         assert cache.get("k") == answer(1)
         cache.put("stale", answer(2), generation=cache.generation - 1)
         assert cache.get("stale") is None
-
-    def test_ttl_reachable_from_load_paths(self, figure3_string, tmp_path):
-        from repro.api import load_index
-
-        engine = build_index(figure3_string, tau_min=0.1)
-        path = engine.save(tmp_path / "ttl")
-        loaded = load_index(path, cache_ttl_seconds=30.0)
-        assert loaded.cache.ttl_seconds == 30.0
-        from repro.api import build_sharded_index
-
-        sharded = build_sharded_index(
-            "banana" * 10, shards=2, max_pattern_len=6, cache_ttl_seconds=15.0
-        )
-        assert sharded.cache.ttl_seconds == 15.0
-        sharded_path = sharded.save(tmp_path / "ttl-sharded")
-        sharded.close()
-        reloaded = load_index(sharded_path, cache_ttl_seconds=20.0)
-        assert reloaded.cache.ttl_seconds == 20.0
-        reloaded.close()
-
-
-class TestEagerTtlPurge:
-    """Regression: expired entries must not occupy LRU capacity or inflate
-    the reported occupancy.
-
-    Pre-fix, TTL expiry happened only lazily inside ``get``: an expired
-    entry nobody re-requested sat in the store indefinitely, counting
-    toward capacity (forcing live entries out through LRU eviction) and
-    toward ``len()`` / ``stats()['size']``.  Post-fix, ``put`` and
-    ``stats`` purge expired entries eagerly, ticking the same
-    ``expirations`` counter the lazy drop uses.
-    """
-
-    def test_expired_entries_do_not_evict_live_ones(self):
-        now = [0.0]
-        cache = ResultCache(2, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", answer(1))
-        cache.put("b", answer(2))
-        now[0] = 20.0  # both entries are past their TTL
-        cache.put("c", answer(3))
-        stats = cache.stats()
-        # Pre-fix: "a" was LRU-evicted to make room for "c" while the
-        # expired "b" stayed, so evictions=1 and the dead entry survived.
-        assert stats["evictions"] == 0
-        assert stats["expirations"] == 2
-        assert len(cache) == 1
-        assert cache.get("c") == answer(3)
-
-    def test_stats_reports_live_occupancy_only(self):
-        now = [0.0]
-        cache = ResultCache(8, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", answer(1))
-        cache.put("b", answer(2))
-        assert cache.stats()["size"] == 2
-        now[0] = 11.0
-        stats = cache.stats()
-        # Pre-fix: size stayed 2 (the dead entries were never touched).
-        assert stats["size"] == 0
-        assert stats["expirations"] == 2
-        assert len(cache) == 0
-
-    def test_eager_and_lazy_expiry_share_the_counter(self):
-        now = [0.0]
-        cache = ResultCache(4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("a", answer(1))
-        cache.put("b", answer(2))
-        now[0] = 11.0
-        assert cache.get("a") is None  # lazy drop in get(): expirations=1
-        cache.put("c", answer(3))  # eager purge of "b": expirations=2
-        stats = cache.stats()
-        assert stats["expirations"] == 2
-        assert stats["evictions"] == 0
-        assert len(cache) == 1
-
-    def test_no_ttl_means_no_purge_scan(self):
-        cache = ResultCache(2)  # ttl_seconds=None
-        cache.put("a", answer(1))
-        cache.put("b", answer(2))
-        cache.put("c", answer(3))  # plain LRU eviction still applies
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["expirations"] == 0
-        assert len(cache) == 2

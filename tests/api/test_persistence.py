@@ -70,7 +70,7 @@ class TestRoundTrips:
         assert loaded.index.string.name == "banana"
 
     def test_simple_round_trip(self, tmp_path):
-        engine = build_index("banana" * 4, space_budget_bytes=10)
+        engine = build_index("banana" * 4, kind="simple")
         assert engine.kind == "simple"
         loaded = load_index(engine.save(tmp_path / "simple"))
         _assert_same_answers(engine, loaded, ["ana", "nab", "q"], [0.2, 0.8])
@@ -416,7 +416,7 @@ class TestShardedManifest:
         # Both manifests write the plan through one helper, so the
         # ensemble's record reads like any single archive's.
         engine = build_sharded_index(
-            "BANANA" * 5, shards=2, max_pattern_len=4, space_budget_bytes=10
+            "BANANA" * 5, shards=2, max_pattern_len=4, kind="simple"
         )
         path = engine.save(tmp_path / "sharded-plan-record")
         single = save_index_payload(
@@ -629,8 +629,9 @@ class TestArchivesWithRetiredProfileKeys:
     """Archives written while plans recorded build-time sizes still load.
 
     Their plan profiles carry keys no plan holds any more
-    (``raw_estimated_bytes``, ``observed_bytes``) and their members carry
-    the wall-clock time of the save; the reader reads neither.
+    (``raw_estimated_bytes``, ``observed_bytes``, ``estimated_bytes``),
+    their index meta may name a ``long_pattern_mode``, and their members
+    carry the wall-clock time of the save; the reader reads none of them.
     """
 
     RETIRED = {"raw_estimated_bytes": 4_096, "observed_bytes": 8_192}
@@ -670,6 +671,35 @@ class TestArchivesWithRetiredProfileKeys:
         _assert_same_answers(engine, loaded, sorted(patterns), [0.1, 0.4])
         engine.close()
         loaded.close()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("mode", ["block", "error"])
+    @pytest.mark.parametrize("kind", ["special", "general"])
+    def test_long_pattern_mode_is_ignored(self, tmp_path, kind, mode, mmap):
+        # Index meta used to name what a long pattern without a blocking
+        # structure did: "block" and "error" raised, "fallback" scanned.
+        # Special plans also recorded an ``estimated_bytes``.  The reader
+        # reads neither, and every such long pattern scans its range.
+        if kind == "special":
+            engine = build_index(make_random_special_string(64, seed=11))
+            text = engine.index.string.text
+        else:
+            string = make_random_uncertain_string(40, 0.0, seed=80)
+            engine = build_index(string, tau_min=0.1, kind="general")
+            text = string.most_likely_string()
+        path = engine.save(tmp_path / f"{kind}-{mode}")
+        manifest = read_manifest(path)
+        manifest["payload"]["meta"]["long_pattern_mode"] = mode
+        if kind == "special":
+            manifest["plan"]["profile"]["estimated_bytes"] = 31_719_432
+        rezip_archive(path, manifest=manifest)
+        loaded = load_index(path, mmap=mmap)
+        pattern = text[:12]
+        assert len(pattern) > loaded.index.max_short_length
+        assert not loaded.index.block_lengths
+        answer = loaded.query(pattern, tau=0.1 if kind == "general" else 1e-9)
+        assert 0 in [occurrence.position for occurrence in answer]
+        _assert_same_answers(engine, loaded, [pattern, text[5:15]], [0.1, 0.5])
 
 
 class TestChecksumVerification:

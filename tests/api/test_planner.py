@@ -86,26 +86,6 @@ class TestAutoRouting:
         assert plan.index_class is ApproximateSubstringIndex
         assert plan.options["epsilon"] == pytest.approx(0.05)
 
-    def test_tight_budget_special_routes_to_simple(self, special_string):
-        plan = plan_index(special_string, space_budget_bytes=10)
-        assert plan.kind == "simple"
-        assert plan.index_class is SimpleSpecialIndex
-
-    def test_budget_never_steers_a_general_string(self, general_string, collection):
-        assert plan_index(general_string, tau_min=0.1, space_budget_bytes=10).kind == "general"
-        assert (
-            plan_index(general_string, tau_min=0.1, space_budget_bytes=10, epsilon=0.05).kind
-            == "approximate"
-        )
-        assert plan_index(collection, tau_min=0.1, space_budget_bytes=10).kind == "listing"
-
-    def test_large_budget_keeps_default_choice(self, general_string, special_string):
-        assert (
-            plan_index(general_string, tau_min=0.1, space_budget_bytes=10**12).kind
-            == "general"
-        )
-        assert plan_index(special_string, space_budget_bytes=10**12).kind == "special"
-
     def test_correlated_single_character_string_stays_general(self):
         string = UncertainString(
             [{"a": 1.0}, {"b": 1.0}, {"z": 1.0}],
@@ -172,7 +152,7 @@ class TestBuildIndex:
                 ApproximateSubstringIndex,
             ),
             (lambda f: f["collection"], {"tau_min": 0.1}, UncertainStringListingIndex),
-            (lambda f: "banana", {"space_budget_bytes": 10}, SimpleSpecialIndex),
+            (lambda f: "banana", {"kind": "simple"}, SimpleSpecialIndex),
         ],
     )
     def test_builds_expected_class(
@@ -198,29 +178,6 @@ class TestBuildIndex:
         assert [occ.position for occ in engine.query("ana", tau=0.9)] == [1, 3]
 
 
-class TestSpaceBudget:
-    """Closed-form size estimates of a fresh default build steer special → simple."""
-
-    @pytest.mark.parametrize("n", [24, 1_000, 16_384])
-    def test_estimates_match_a_fresh_default_build(self, n):
-        string = make_random_special_string(n, seed=n)
-        special = build_index(string)
-        simple = build_index(string, space_budget_bytes=1)
-        assert (special.kind, simple.kind) == ("special", "simple")
-        for engine in (special, simple):
-            assert engine.plan.profile["estimated_bytes"] == pytest.approx(
-                engine.nbytes(), rel=0.05
-            )
-
-    def test_budget_between_the_two_sizes_plans_simple(self):
-        string = make_random_special_string(1_000, seed=3)
-        special_bytes = build_index(string).nbytes()
-        simple_bytes = build_index(string, kind="simple").nbytes()
-        between = (simple_bytes + special_bytes) // 2
-        assert plan_index(string, space_budget_bytes=between).kind == "simple"
-        assert plan_index(string, space_budget_bytes=special_bytes).kind == "special"
-
-
 class TestHistoryIndependence:
     """Plans and archives depend only on the input and the arguments."""
 
@@ -230,7 +187,7 @@ class TestHistoryIndependence:
         long_special = make_random_special_string(16_384, seed=5)
 
         def plan_and_save(tag):
-            plan = plan_index(long_special, space_budget_bytes=10_000_000)
+            plan = plan_index(long_special)
             paths = [
                 build_index(general_string, tau_min=0.1).save(tmp_path / f"general-{tag}"),
                 build_index(collection, tau_min=0.1).save(tmp_path / f"listing-{tag}"),
@@ -246,8 +203,7 @@ class TestHistoryIndependence:
         build_index([general, make_random_uncertain_string(40, 0.3, seed=10)], tau_min=0.1)
         second_plan, second_paths = plan_and_save("second")
 
-        # The special index (~31.7 MB) does not fit 10 MB.
-        assert first_plan.kind == "simple"
+        assert first_plan.kind == "special"
         assert second_plan == first_plan
         for first, second in zip(first_paths, second_paths):
             assert read_manifest(first) == read_manifest(second)
@@ -268,7 +224,7 @@ class TestHistoryIndependence:
 
         def describe_all():
             return [
-                describe(long_special, space_budget_bytes=10_000_000),
+                describe(long_special),
                 describe(general_string, tau_min=0.1),
                 describe(collection, tau_min=0.1),
             ]
@@ -277,5 +233,5 @@ class TestHistoryIndependence:
         build_index(make_random_special_string(4_096, seed=6))
         build_index(make_random_uncertain_string(60, 0.3, seed=9), tau_min=0.1)
         second = describe_all()
-        assert [info["kind"] for info in first] == ["simple", "general", "listing"]
+        assert [info["kind"] for info in first] == ["special", "general", "listing"]
         assert second == first

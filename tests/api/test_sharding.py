@@ -436,89 +436,63 @@ class TestShardedEngineSurface:
         assert sharded._executor is None
 
 
-class TestParallelConstruction:
-    """build_sharded_index(workers=N) answers identically to a serial build.
-
-    The process-pool path must not change anything observable: same
-    partition, same per-shard plans, byte-identical answers (both paths run
-    the exact same per-shard construction, only in different processes).
-    """
+class TestShardConstruction:
+    """Every shard builds in the calling process; ``workers`` has no effect."""
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValidationError):
             build_sharded_index("ABAB" * 8, shards=2, max_pattern_len=3, workers=0)
 
-    def test_chunk_mode_identical_to_serial(self):
-        string = make_random_uncertain_string(120, 0.3, seed=42)
-        serial = build_sharded_index(
-            string, shards=3, tau_min=0.1, kind="general", max_pattern_len=6
-        )
-        parallel = build_sharded_index(
-            string,
-            shards=3,
-            tau_min=0.1,
-            kind="general",
-            max_pattern_len=6,
-            workers=3,
-        )
-        assert parallel.shard_count == serial.shard_count
-        assert parallel.spec == serial.spec
-        assert [engine.kind for engine in parallel.shards] == [
-            engine.kind for engine in serial.shards
-        ]
-        backbone = string.most_likely_string()
-        for pattern in (backbone[:2], backbone[10:14], backbone[50:53]):
-            for tau in (0.1, 0.3):
-                assert parallel.query(pattern, tau=tau) == serial.query(
-                    pattern, tau=tau
-                )
-            assert parallel.top_k(pattern, 5) == serial.top_k(pattern, 5)
-        serial.close()
-        parallel.close()
-
-    def test_document_mode_identical_to_serial(self):
+    @staticmethod
+    def _input(shape):
+        """An input of ``shape`` and a few patterns that occur in it."""
+        if shape == "general-chunks":
+            data = make_random_uncertain_string(120, 0.3, seed=42)
+            backbone = data.most_likely_string()
+            return data, (backbone[:2], backbone[10:14], backbone[50:53])
+        if shape == "special-chunks":
+            data = make_random_special_string(100, seed=7)
+            return data, (data.text[:2], data.text[10:13], data.text[40:45])
         documents = [
             make_random_uncertain_string(24, 0.4, seed=100 + index)
             for index in range(6)
         ]
-        collection = UncertainStringCollection(documents)
-        serial = build_sharded_index(collection, shards=3, tau_min=0.1)
-        parallel = build_sharded_index(collection, shards=3, tau_min=0.1, workers=2)
         backbone = documents[0].most_likely_string()
-        for pattern in (backbone[:2], backbone[3:6]):
-            for tau in (0.1, 0.25):
-                assert parallel.query(pattern, tau=tau) == serial.query(
-                    pattern, tau=tau
-                )
-            assert parallel.top_k(pattern, 3) == serial.top_k(pattern, 3)
-        serial.close()
-        parallel.close()
+        return UncertainStringCollection(documents), (backbone[:2], backbone[3:6])
 
-    def test_special_chunk_mode_identical_to_serial(self):
-        string = make_random_special_string(100, seed=7)
-        serial = build_sharded_index(string, shards=4, max_pattern_len=5)
-        parallel = build_sharded_index(
-            string, shards=4, max_pattern_len=5, workers=4
-        )
-        pattern = string.text[10:13]
-        assert parallel.query(pattern, tau=0.1) == serial.query(pattern, tau=0.1)
-        assert parallel.top_k(pattern, 4) == serial.top_k(pattern, 4)
-        serial.close()
-        parallel.close()
+    @pytest.mark.parametrize("compact", [False, True], ids=["wide", "compact"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("shape", ["general-chunks", "special-chunks", "documents"])
+    def test_workers_start_no_process_pool(self, monkeypatch, shape, executor, compact):
+        """A ``workers=2`` build answers exactly like a serial, wide, thread build."""
+        from repro.api import sharding
 
-    def test_parallel_build_round_trips_through_save(self, tmp_path):
-        from repro.api import load_index
+        data, patterns = self._input(shape)
+        options = dict(shards=3, tau_min=0.1, max_pattern_len=6)
+        reference = build_sharded_index(data, **options)
 
-        string = make_random_special_string(60, seed=11)
-        parallel = build_sharded_index(
-            string, shards=2, max_pattern_len=4, workers=2
-        )
-        path = parallel.save(tmp_path / "ensemble")
-        restored = load_index(path)
-        pattern = string.text[5:8]
-        assert restored.query(pattern, tau=0.2) == parallel.query(pattern, tau=0.2)
-        parallel.close()
-        restored.close()
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shard build started a process pool")
+
+        # Only the build is guarded: the process executor starts its query
+        # pools lazily, on the first query.
+        with monkeypatch.context() as patch:
+            patch.setattr(sharding, "ProcessPoolExecutor", refuse)
+            built = build_sharded_index(
+                data, workers=2, query_executor=executor, compact=compact, **options
+            )
+        try:
+            assert built.spec == reference.spec
+            assert [shard.kind for shard in built.shards] == [
+                shard.kind for shard in reference.shards
+            ]
+            for pattern in patterns:
+                for tau in (0.1, 0.3):
+                    assert built.query(pattern, tau=tau) == reference.query(pattern, tau=tau)
+                assert built.top_k(pattern, 5) == reference.top_k(pattern, 5)
+        finally:
+            reference.close()
+            built.close()
 
 
 class TestResilienceConfig:

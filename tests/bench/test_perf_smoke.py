@@ -40,7 +40,6 @@ from repro.bench.experiments import (
     SMALL_SCALE,
     query_kernel,
     serving_throughput,
-    shard_build,
 )
 from repro.core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH
 
@@ -93,17 +92,6 @@ class TestQueryKernelSmoke:
         ):
             assert ratio > 0.0
             assert abs(ratio - fast / slow) / ratio < 1e-6
-
-
-class TestShardBuildSmoke:
-    def test_reports_all_worker_counts(self):
-        table = shard_build(SMALL_SCALE)
-        build_time = table.series_by_label("build time (s)")
-        speedup = table.series_by_label("speedup vs workers=1 (x)")
-        assert build_time.xs == list(SMALL_SCALE.shard_build_workers)
-        assert all(value > 0.0 for value in build_time.values)
-        # workers=1 is its own baseline by construction.
-        assert speedup.values[0] == 1.0
 
 
 class TestServingSmoke:

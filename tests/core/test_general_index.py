@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.baseline import BruteForceOracle
 from repro.core.general_index import GeneralUncertainStringIndex, duplicate_depths
-from repro.exceptions import PatternTooLongError, ThresholdError, ValidationError
+from repro.exceptions import ThresholdError, ValidationError
 from repro.strings import CorrelationModel, CorrelationRule, UncertainString
 from repro.suffix.suffix_array import prefix_doubling
 
@@ -99,12 +99,6 @@ class TestQueryValidation:
         index = GeneralUncertainStringIndex(figure10_string, tau_min=0.1)
         assert index.query("ZZ", 0.5) == []
 
-    def test_invalid_long_pattern_mode(self, figure10_string):
-        with pytest.raises(ValidationError):
-            GeneralUncertainStringIndex(
-                figure10_string, tau_min=0.1, long_pattern_mode="nope"  # type: ignore[arg-type]
-            )
-
     def test_tau_min_property(self, figure10_string):
         assert GeneralUncertainStringIndex(figure10_string, tau_min=0.15).tau_min == 0.15
 
@@ -152,25 +146,6 @@ class TestAgainstOracle:
         assert [occ.position for occ in index.query(pattern, 0.1)] == [
             occ.position for occ in oracle.substring_occurrences(pattern, 0.1)
         ]
-
-    def test_block_mode_raises_without_structure(self, random_uncertain_string):
-        # A deterministic string guarantees the long pattern exists in the
-        # transformed text, so the query reaches the long-pattern dispatch.
-        string = random_uncertain_string(40, 0.0, 79)
-        index = GeneralUncertainStringIndex(
-            string, tau_min=0.1, long_pattern_mode="block"
-        )
-        pattern = string.most_likely_string()[:20]
-        with pytest.raises(PatternTooLongError):
-            index.query(pattern, 0.2)
-
-    def test_error_mode_raises(self, random_uncertain_string):
-        string = random_uncertain_string(40, 0.0, 80)
-        index = GeneralUncertainStringIndex(
-            string, tau_min=0.1, long_pattern_mode="error"
-        )
-        with pytest.raises(PatternTooLongError):
-            index.query(string.most_likely_string()[:20], 0.2)
 
     def test_sparse_rmq_variant_matches_oracle(self, random_uncertain_string):
         string = random_uncertain_string(25, 0.4, 81)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.simple_index import SimpleSpecialIndex
 from repro.core.special_index import SpecialUncertainStringIndex
-from repro.exceptions import PatternTooLongError, ValidationError
+from repro.exceptions import ValidationError
 from repro.strings import CorrelationModel, CorrelationRule, SpecialUncertainString
 
 
@@ -38,12 +38,6 @@ class TestConfiguration:
     def test_invalid_max_short_length(self, figure5_special_string):
         with pytest.raises(ValidationError):
             SpecialUncertainStringIndex(figure5_special_string, max_short_length=0)
-
-    def test_invalid_long_pattern_mode(self, figure5_special_string):
-        with pytest.raises(ValidationError):
-            SpecialUncertainStringIndex(
-                figure5_special_string, long_pattern_mode="explode"  # type: ignore[arg-type]
-            )
 
     def test_block_lengths_registered(self, figure5_special_string):
         index = SpecialUncertainStringIndex(
@@ -84,20 +78,6 @@ class TestLongPatterns:
             assert [occ.position for occ in blocked.query(pattern, tau)] == [
                 occ.position for occ in fallback.query(pattern, tau)
             ]
-
-    def test_error_mode_raises_for_long_patterns(self, random_special_string):
-        string = random_special_string(64, 3)
-        index = SpecialUncertainStringIndex(string, long_pattern_mode="error")
-        with pytest.raises(PatternTooLongError):
-            index.query(string.text[:20], 0.001)
-
-    def test_block_mode_requires_registered_length(self, random_special_string):
-        string = random_special_string(64, 4)
-        index = SpecialUncertainStringIndex(
-            string, long_pattern_mode="block", long_lengths=[10]
-        )
-        with pytest.raises(PatternTooLongError):
-            index.query(string.text[:15], 0.001)
 
     def test_pattern_longer_than_string(self, figure5_special_string):
         index = SpecialUncertainStringIndex(figure5_special_string)
