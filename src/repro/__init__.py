@@ -64,7 +64,6 @@ from .core import (
     MaximalFactor,
     Occurrence,
     OnlineDynamicProgrammingMatcher,
-    SimpleSpecialIndex,
     SpecialUncertainStringIndex,
     TransformedString,
     UncertainStringListingIndex,
@@ -135,7 +134,6 @@ __all__ = [
     "ServiceStoppedError",
     "ShardSpec",
     "ShardedEngine",
-    "SimpleSpecialIndex",
     "SpecialUncertainStringIndex",
     "ThresholdError",
     "TransformedString",

@@ -194,7 +194,7 @@ class Engine(QueryEngine):
 
     @property
     def kind(self) -> str:
-        """Index kind: special / simple / general / approximate / listing."""
+        """Index kind: special / general / approximate / listing."""
         return self._plan.kind
 
     @property
@@ -333,8 +333,7 @@ def build_index(
     overrides), constructs the selected :mod:`repro.core` index and
     returns it wrapped in an :class:`Engine`.
 
-    ``epsilon=`` selects the approximate index for a general input, and
-    ``kind="simple"`` the linear-space index for a special-string input.
+    ``epsilon=`` selects the approximate index for a general input.
     The plan depends only on the input and these arguments.
 
     ``compact=True`` re-materializes the freshly built index from its
@@ -386,7 +385,7 @@ def _construct(plan: IndexPlan, normalized: Any) -> Any:
     if plan.kind == "listing":
         collection = plan.prepared_input if plan.prepared_input is not None else normalized
         return UncertainStringListingIndex(collection, plan.tau_min, **options)
-    if plan.kind in ("special", "simple"):
+    if plan.kind == "special":
         string = plan.prepared_input
         if string is None:
             string = normalized

@@ -50,7 +50,6 @@ import numpy as np
 from ..core.approximate import ApproximateSubstringIndex
 from ..core.general_index import GeneralUncertainStringIndex
 from ..core.listing import UncertainStringListingIndex
-from ..core.simple_index import SimpleSpecialIndex
 from ..core.special_index import SpecialUncertainStringIndex
 from ..exceptions import ValidationError
 from ..faults import SITE_ARCHIVE_LOAD, fire
@@ -74,7 +73,6 @@ SHARDED_MANIFEST_NAME = "manifest.json"
 
 _KIND_BY_CLASS = {
     SpecialUncertainStringIndex: "special",
-    SimpleSpecialIndex: "simple",
     GeneralUncertainStringIndex: "general",
     ApproximateSubstringIndex: "approximate",
     UncertainStringListingIndex: "listing",

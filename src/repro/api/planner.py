@@ -16,8 +16,9 @@ Selection rules (``kind="auto"``)
 2. A special uncertain string — ``SpecialUncertainString``, a plain ``str``
    (certain characters) or an ``UncertainString`` with a single probable
    character per position — becomes a :class:`SpecialUncertainStringIndex`.
-   ``kind="simple"`` asks for the O(n)-space :class:`SimpleSpecialIndex`
-   instead.
+   It is also Section 4.1's simple scanning index: unless some suffix
+   range can outgrow the kernels' scans, it stores only the suffix array
+   and the prefix sums.
 3. A general uncertain string becomes a
    :class:`GeneralUncertainStringIndex`, or the
    :class:`ApproximateSubstringIndex` when ``epsilon`` is passed.  The
@@ -38,7 +39,6 @@ from .._validation import check_threshold
 from ..core.approximate import ApproximateSubstringIndex
 from ..core.general_index import GeneralUncertainStringIndex
 from ..core.listing import UncertainStringListingIndex
-from ..core.simple_index import SimpleSpecialIndex
 from ..core.special_index import SpecialUncertainStringIndex
 from ..exceptions import ValidationError
 from ..strings.collection import UncertainStringCollection
@@ -60,7 +60,6 @@ DEFAULT_MAX_PATTERN_LEN = 64
 #: Index kinds the planner knows, mapped to the class it will build.
 INDEX_CLASSES: Dict[str, type] = {
     "special": SpecialUncertainStringIndex,
-    "simple": SimpleSpecialIndex,
     "general": GeneralUncertainStringIndex,
     "approximate": ApproximateSubstringIndex,
     "listing": UncertainStringListingIndex,
@@ -82,11 +81,11 @@ class IndexPlan:
     Attributes
     ----------
     kind:
-        One of ``"special"``, ``"simple"``, ``"general"``,
-        ``"approximate"``, ``"listing"``.
+        One of ``"special"``, ``"general"``, ``"approximate"``,
+        ``"listing"``.
     tau_min:
         Construction threshold the index will be built with (``0.0`` for
-        the special-string indexes, which support any positive threshold).
+        the special-string index, which supports any positive threshold).
     reason:
         Human-readable explanation of the choice (surfaced by
         ``Engine.describe()`` and useful in logs).
@@ -233,8 +232,8 @@ def plan_index(
     tau_min:
         Construction threshold.  Required semantics differ by kind: the
         general / approximate / listing indexes need one (defaulting to
-        :data:`DEFAULT_TAU_MIN`); the special-string indexes support any
-        positive query threshold and ignore it.
+        :data:`DEFAULT_TAU_MIN`); the special-string index supports any
+        positive query threshold and ignores it.
     kind:
         ``"auto"`` (default) or an explicit override naming any key of
         :data:`INDEX_CLASSES`.
@@ -300,7 +299,7 @@ def plan_index(
             tau_min=0.0,
             reason=(
                 f"special uncertain string of length {n} "
-                f"(alphabet {profile['alphabet_size']}) → RMQ-based special index, "
+                f"(alphabet {profile['alphabet_size']}) → suffix-array special index, "
                 f"O(m + occ) short-pattern queries at any threshold"
             ),
             options=dict(options),
@@ -353,15 +352,15 @@ def _plan_for_kind(
             "a listing index needs a collection; wrap the string in an "
             "UncertainStringCollection or pass a sequence of documents"
         )
-    if kind in ("special", "simple"):
+    if kind == "special":
         if special is None:
             raise ValidationError(
                 f"kind={kind!r} requires a special uncertain string (one "
                 "probable character per position); this input is general — "
                 "use kind='general' or let the planner transform it"
             )
-        # The special-string indexes support any positive query threshold;
-        # a caller-provided tau_min has no effect on them.
+        # The special-string index supports any positive query threshold;
+        # a caller-provided tau_min has no effect on it.
         return IndexPlan(
             kind=kind,
             tau_min=0.0,

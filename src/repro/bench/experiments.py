@@ -11,9 +11,10 @@ fig9a–c   index construction time vs n and τ_min, and index space vs n
 ========  =====================================================================
 
 Additional ablation experiments (not figures in the paper but motivated by
-its discussion) compare the efficient index against the simple scanning
-index and the index-free online matcher, the two RMQ implementations, and
-the exact vs approximate index.
+its discussion) compare the index against the index-free online matcher,
+the two RMQ implementations, and the exact vs approximate index.  The
+scan against the RMQ frontier (Section 4.1 against 4.2) is the
+``query-kernel`` width sweep.
 
 Sizes are configurable through :class:`ExperimentScale`.  The paper runs up
 to n = 300K positions on a C++ implementation; the default scale here tops
@@ -32,7 +33,6 @@ from ..core.approximate import ApproximateSubstringIndex
 from ..core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH
 from ..core.baseline import OnlineDynamicProgrammingMatcher
 from ..core.factors import transform_uncertain_string
-from ..core.simple_index import SimpleSpecialIndex
 from ..core.general_index import GeneralUncertainStringIndex
 from ..suffix.rmq import BlockRMQ, SparseTableRMQ
 from .harness import FigureTable, Series, time_callable, time_query_batch
@@ -44,6 +44,7 @@ from .workloads import (
 
 if TYPE_CHECKING:
     from ..api.engine import Engine
+    from ..strings.special import SpecialUncertainString
 
 
 @dataclass(frozen=True)
@@ -481,17 +482,16 @@ def figure_9c(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
 # Ablations (motivated by Sections 4.1/4.2, 8.7 and 7)
 # ---------------------------------------------------------------------------
 def ablation_index_variants(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
-    """Efficient RMQ index vs simple scanning index vs index-free matcher."""
+    """The general index vs the index-free online matcher."""
     table = FigureTable(
         figure_id="ablation-variants",
-        title="Query time: efficient index vs simple index vs online matcher",
+        title="Query time: index vs online matcher",
         x_label="n (positions)",
         y_label="avg query time (ms)",
         notes=f"theta={scale.thetas[-1]}, tau_min={scale.tau_min}, tau={scale.tau}",
     )
     theta = scale.thetas[-1]
     efficient = Series("efficient (RMQ)")
-    simple = Series("simple (scan)")
     online = Series("online DP (no index)")
     for n in scale.string_sizes:
         work = substring_workload(
@@ -501,8 +501,6 @@ def ablation_index_variants(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTab
             query_lengths=scale.mixed_query_lengths,
             patterns_per_length=scale.patterns_per_length,
         )
-        transformed = work.index.transformed
-        simple_index = SimpleSpecialIndex(transformed.to_special_string())
         matcher = OnlineDynamicProgrammingMatcher(work.string)
         efficient.add(
             n,
@@ -510,11 +508,8 @@ def ablation_index_variants(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTab
                 work.index.query, work.patterns, scale.tau, repeats=scale.query_repeats
             ),
         )
-        simple.add(
-            n, time_query_batch(simple_index.query, work.patterns, scale.tau)
-        )
         online.add(n, time_query_batch(matcher.query, work.patterns, scale.tau))
-    table.series.extend([efficient, simple, online])
+    table.series.extend([efficient, online])
     return table
 
 
@@ -1263,17 +1258,38 @@ def observability_overhead(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTabl
     return table
 
 
+def frontier_string(n: int) -> "SpecialUncertainString":
+    """:func:`memory_frontier`'s reference input of ``n`` positions.
+
+    A synthetic special uncertain string: alphabet ACGT, probabilities
+    ~U[0.5, 1) rounded to 6 digits, seeded by ``n``.
+    """
+    import numpy as np
+
+    from ..strings.special import SpecialUncertainString
+
+    rng = np.random.default_rng(1234 + n)
+    characters = rng.choice(list("ACGT"), size=n)
+    probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
+    return SpecialUncertainString(
+        [(c, float(p)) for c, p in zip(characters, probabilities)]
+    )
+
+
 def memory_frontier(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     """The in-RAM half of the space frontier: compact payloads + shm workers.
 
-    Reference workload: a synthetic special uncertain string (alphabet
-    ACGT, probabilities ~U[0.5, 1), seeded per size).  Three questions,
-    one series each:
+    Reference workload: :func:`frontier_string`.  Three questions, one
+    series each:
 
     * **In-RAM footprint** — ``build_index(...)`` vs
       ``build_index(..., compact=True)``: dtype-minimized stored arrays
-      plus the compact RMQ summaries rebuilt from them.  The CI perf
-      smoke guards compact ≤ 0.6 × wide; answers are byte-identical.
+      plus the compact RMQ summaries rebuilt from them.  Below ~2^17
+      positions the index stores only the suffix array and the prefix
+      sums, so compact / wide is 0.625 (a uint16 suffix array beside
+      float64 sums); where a level keeps its RMQ (2^17 positions) it is
+      about 0.15.  The CI perf smoke guards both; answers are
+      byte-identical.
     * **Worker boundary** — pickled bytes of the shared-memory worker
       spec (block name + array layout; see :mod:`repro.api.shm`) vs the
       legacy pickled-payload spec: O(array count) vs O(index bytes).
@@ -1290,7 +1306,6 @@ def memory_frontier(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
     from ..api.persistence import index_to_payload
     from ..api.sharding import build_sharded_index
     from ..api.shm import export_for_index
-    from ..strings.special import SpecialUncertainString
 
     table = FigureTable(
         figure_id="memory-frontier",
@@ -1325,12 +1340,7 @@ def memory_frontier(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
         return (repeats * len(patterns)) / elapsed if elapsed > 0 else 0.0
 
     for n in scale.string_sizes:
-        rng = np.random.default_rng(1234 + n)
-        characters = rng.choice(list("ACGT"), size=n)
-        probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
-        string = SpecialUncertainString(
-            [(c, float(p)) for c, p in zip(characters, probabilities)]
-        )
+        string = frontier_string(n)
         wide_engine = build_index(string)
         compact_engine = build_index(string, compact=True)
         wide_total = wide_engine.nbytes()
@@ -1351,7 +1361,7 @@ def memory_frontier(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
             ),
         )
 
-        offsets = rng.integers(0, n - 6, size=8)
+        offsets = np.random.default_rng(n).integers(0, n - 6, size=8)
         patterns = [string.text[int(o) : int(o) + 5] for o in offsets]
         sharded = build_sharded_index(
             string, shards=2, max_pattern_len=16, query_executor="process"

@@ -34,7 +34,6 @@ from .factors import (
 )
 from .general_index import GeneralUncertainStringIndex
 from .listing import UncertainStringListingIndex, combine_relevance
-from .simple_index import SimpleSpecialIndex
 from .special_index import SpecialUncertainStringIndex
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "OCCURRENCE",
     "Occurrence",
     "OnlineDynamicProgrammingMatcher",
-    "SimpleSpecialIndex",
     "SpecialUncertainStringIndex",
     "TransformedString",
     "UncertainStringListingIndex",

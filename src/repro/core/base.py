@@ -861,7 +861,7 @@ class UncertainSubstringIndex(PayloadSerializable, abc.ABC):
         (they compare with a 1e-12 tolerance); the default mirrors that by
         querying a hair below the floor — clamped to ``tau_min``, since the
         public ``query`` cannot go beneath the construction threshold — so
-        planner-substitutable indexes (e.g. special vs simple) agree.
+        the default and the overrides agree.
         """
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")

@@ -193,7 +193,7 @@ def correlation_adjusted_window_log_probability(
     """Log probability of one window with correlation rules applied.
 
     Scalar counterpart of :func:`apply_correlation_adjustment`, used by the
-    simple (scanning) index and by query-time re-validation.
+    special index's long-pattern scans.
     """
     value = window_log_probability(prefix, position, length)
     if not correlations or not math.isfinite(value):

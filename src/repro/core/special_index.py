@@ -1,11 +1,22 @@
-"""The efficient RMQ-based index for special uncertain strings (Section 4.2).
+"""The index for special uncertain strings (Sections 4.1 and 4.2).
 
-The index keeps, for every prefix length ``i`` up to ``⌈log2 n⌉``, the array
-``C_i`` of window probabilities over lexicographic ranks and a range maximum
-query structure ``RMQ_i`` over it.  A query for a short pattern (``m ≤
-log n``) finds the pattern's suffix range and then repeatedly extracts the
-maximum-probability entry, recursing on both sides until the maximum drops
-below the threshold — ``O(m + occ)`` in total (Algorithm 2).
+A query finds the pattern's suffix range in the suffix array of the
+deterministic text ``t`` and reads, over that range, the array ``C_i`` of
+window probabilities for the pattern's length ``i``: entry ``j`` is
+``C[A[j]+i] − C[A[j]]`` in log space (``C`` the prefix sums of log
+probabilities), so Section 4.1's scan and Section 4.2's per-length arrays
+read the same values.  Every occurrence above the threshold is reported
+(Algorithm 2): one scan of the range, or, on a range wider than the
+kernels' scan cut-offs, recursive range-maximum queries over a stored
+``C_i`` and its ``RMQ_i`` — ``O(m + occ)`` either way for ``m ≤ log n``.
+
+Only the levels whose widest suffix range can outgrow the scans
+(:func:`~repro.core.base.rmq_depth`; on random ACGT text none below ~2^17
+positions) store ``C_i`` and ``RMQ_i``; every other range computes its ``C_i`` from
+``C`` and the suffix array at query time, so on most inputs the index
+holds just those two arrays, the space of Section 4.1's simple index.  A
+correlated string (Algorithm 1) stores every level up to ``⌈log2 n⌉``:
+its correction cannot be read off the prefix sums.
 
 Long patterns (``m > log n``) use the paper's blocking scheme: the suffix
 array is cut into blocks of ``m`` entries, only the per-block maximum is kept
@@ -20,7 +31,7 @@ suffix range, which returns identical results.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, Iterable, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,9 +46,10 @@ from ..strings.serialization import (
     special_string_to_manifest,
 )
 from ..strings.special import SpecialUncertainString
+from ..suffix.lcp import lcp_from_ranks
 from ..suffix.pattern_search import suffix_range
 from ..suffix.rmq import make_rmq, rmq_to_payload
-from ..suffix.suffix_array import SuffixArray
+from ..suffix.suffix_array import SuffixArray, prefix_doubling
 from .base import (
     OCCURRENCE,
     MatchArrays,
@@ -47,10 +59,11 @@ from .base import (
     report_above_threshold,
     resolve_tau,
     restore_child_rmq,
+    rmq_depth,
+    stored_array,
     top_values_above_threshold,
 )
 from .cumulative import (
-    NEGATIVE_INFINITY,
     apply_correlation_adjustment,
     correlation_adjusted_window_log_probability,
     cumulative_log_probabilities,
@@ -62,7 +75,7 @@ SPECIAL_INDEX_SCHEMA = "index/special"
 
 
 class SpecialUncertainStringIndex(UncertainSubstringIndex):
-    """Efficient substring-search index over a special uncertain string.
+    """Substring-search index over a special uncertain string.
 
     Parameters
     ----------
@@ -70,17 +83,19 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         The special uncertain string to index.
     correlations:
         Optional correlation model (Algorithm 1's correlation branch is
-        applied while building the ``C_i`` arrays).
+        applied while building the ``C_i`` arrays, all of which are then
+        stored).
     max_short_length:
-        Largest pattern length answered by the per-length RMQ structures.
-        Defaults to ``⌈log2 n⌉`` as in the paper.
+        Largest pattern length answered through the per-length ``C_i``
+        arrays.  Defaults to ``⌈log2 n⌉`` as in the paper.
     long_lengths:
         Pattern lengths above ``max_short_length`` for which the blocking
         structures of the paper are materialized; a long pattern of any
         other length scans its suffix range.
     rmq_implementation:
         ``"sparse"`` (O(1) query, O(n log n) space) or ``"block"``
-        (O(log n) query, O(n) space).
+        (O(log n) query, O(n) space), for the levels that store an RMQ and
+        the blocking structures.
 
     Examples
     --------
@@ -108,7 +123,8 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         self._rmq_implementation = rmq_implementation
 
         n = len(string)
-        self._suffix_array = SuffixArray(string.text)
+        suffix_array, ranks = prefix_doubling(string.text)
+        self._suffix_array = SuffixArray(string.text, array=suffix_array)
         self._prefix = cumulative_log_probabilities(string.probabilities)
 
         if max_short_length is None:
@@ -119,21 +135,19 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
             )
         self._max_short_length = min(max_short_length, n)
 
-        # Per-length C_i arrays and their RMQ structures (short patterns).
+        # A query computes a level's C_i from the prefix sums (_level), so
+        # only the levels whose suffix ranges can outgrow the kernels' scans
+        # (rmq_depth) store it, for the RMQ frontier.  A correlated string
+        # stores every level: Algorithm 1's correction is not a prefix sum.
+        if self._correlations:
+            stored = self._max_short_length
+        else:
+            stored = rmq_depth(lcp_from_ranks(ranks, suffix_array), self._max_short_length)
+        del ranks
         self._short_values: Dict[int, np.ndarray] = {}
         self._short_rmq: Dict[int, object] = {}
-        for length in range(1, self._max_short_length + 1):
-            values = prefix_length_log_probabilities(
-                self._prefix, self._suffix_array.array, length
-            )
-            values = apply_correlation_adjustment(
-                values,
-                self._suffix_array.array,
-                length,
-                self._correlations,
-                string.text,
-                string.probabilities,
-            )
+        for length in range(1, stored + 1):
+            values = self._adjusted_values(length)
             self._short_values[length] = values
             self._short_rmq[length] = make_rmq(
                 values, mode="max", implementation=rmq_implementation
@@ -143,35 +157,27 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         self._block_maxima: Dict[int, np.ndarray] = {}
         self._block_rmq: Dict[int, object] = {}
         for length in sorted(set(int(value) for value in long_lengths)):
-            if length <= self._max_short_length:
-                continue
-            if length > n:
-                continue
-            self._build_blocking_structure(length)
+            if self._max_short_length < length <= n:
+                values = self._adjusted_values(length)
+                maxima = np.maximum.reduceat(values, np.arange(0, n, length))
+                self._block_maxima[length] = maxima
+                self._block_rmq[length] = make_rmq(
+                    maxima, mode="max", implementation=rmq_implementation
+                )
 
     # -- construction helpers -----------------------------------------------------------
-    def _build_blocking_structure(self, length: int) -> None:
+    def _adjusted_values(self, length: int) -> np.ndarray:
+        """The whole ``C_length``, corrected for the correlation rules."""
         values = prefix_length_log_probabilities(
             self._prefix, self._suffix_array.array, length
         )
-        values = apply_correlation_adjustment(
+        return apply_correlation_adjustment(
             values,
             self._suffix_array.array,
             length,
             self._correlations,
             self._string.text,
             self._string.probabilities,
-        )
-        n = len(values)
-        block_count = (n + length - 1) // length
-        maxima = np.full(block_count, NEGATIVE_INFINITY, dtype=np.float64)
-        for block in range(block_count):
-            start = block * length
-            end = min(start + length, n)
-            maxima[block] = values[start:end].max()
-        self._block_maxima[length] = maxima
-        self._block_rmq[length] = make_rmq(
-            maxima, mode="max", implementation=self._rmq_implementation
         )
 
     # -- metadata ------------------------------------------------------------------------
@@ -187,7 +193,7 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
 
     @property
     def max_short_length(self) -> int:
-        """Largest pattern length answered through the per-length RMQ path."""
+        """Largest pattern length answered through the per-length ``C_i`` arrays."""
         return self._max_short_length
 
     @property
@@ -199,10 +205,11 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
     def to_payload(self) -> IndexPayload:
         """The complete array-schema description of this index.
 
-        Per-length ``C_i`` arrays and block maxima are stored arrays; the
-        per-length RMQ structures are child payloads (space-efficient —
-        block optimum positions only, see
-        :meth:`repro.suffix.rmq.SparseTableRMQ.to_payload`).
+        The stored ``C_i`` arrays and block maxima are stored arrays; their
+        RMQ structures are child payloads (space-efficient — block optimum
+        positions only, see
+        :meth:`repro.suffix.rmq.SparseTableRMQ.to_payload`).  The
+        ``short_lengths`` meta key lists the stored levels.
         """
         arrays = {
             "suffix_array": self._suffix_array.array,
@@ -233,8 +240,11 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
     def from_payload(cls, payload: IndexPayload) -> "SpecialUncertainStringIndex":
         """Restore an index from :meth:`to_payload` output (no construction).
 
-        Every RMQ child restores through
-        :func:`repro.suffix.rmq.rmq_from_payload` in O(n/b · log n) work.
+        Restores the levels ``short_lengths`` lists — also an archive
+        written when every level was stored, whose surplus levels are then
+        read instead of computed, with the same values.  A listed array or
+        RMQ child that is missing raises
+        :class:`~repro.exceptions.ValidationError`.
         """
         expect_schema(payload, SPECIAL_INDEX_SCHEMA)
         meta = payload.meta
@@ -245,10 +255,13 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         index._suffix_array = SuffixArray(
             index._string.text, array=payload.arrays["suffix_array"]
         )
-        index._prefix = payload.arrays["prefix"]
+        # A plain view of a memory-mapped array: every computed range indexes
+        # the prefix sums three times, and np.memmap's subclass hooks cost
+        # more than the gathers on a narrow range.
+        index._prefix = np.asarray(payload.arrays["prefix"])
         index._max_short_length = int(meta["max_short_length"])
         index._short_values = {
-            int(length): payload.arrays[f"short_values_{length}"]
+            int(length): stored_array(payload, f"short_values_{length}")
             for length in meta["short_lengths"]
         }
         index._short_rmq = {
@@ -284,10 +297,24 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         length = len(pattern)
 
         if length <= self._max_short_length:
-            return self._query_short(sp, ep, length, log_threshold)
-        if length in self._block_rmq:
-            return self._query_blocked(sp, ep, length, log_threshold)
-        return self._query_scan(sp, ep, length, log_threshold)
+            rmq, values, positions, offset = self._level(sp, ep, length)
+            ranks = report_above_threshold(
+                rmq, values, sp - offset, ep - offset, log_threshold
+            )
+            positions, log_values = positions[ranks], values[ranks]
+        elif length in self._block_rmq:
+            ranks = blocked_candidate_ranks(
+                self._block_rmq[length],
+                self._block_maxima[length],
+                sp,
+                ep,
+                length,
+                log_threshold,
+            )
+            positions, log_values = self._scan(ranks, length, log_threshold)
+        else:
+            positions, log_values = self._scan(slice(sp, ep + 1), length, log_threshold)
+        return MatchArrays(OCCURRENCE, positions, exp_values(log_values)).by_id()
 
     def top_k(self, pattern: str, k: int, *, tau: Optional[float] = None) -> MatchArrays:
         """The ``k`` most probable occurrences of ``pattern``.
@@ -312,90 +339,71 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         length = len(pattern)
         log_threshold = math.log(threshold) - 1e-12
 
-        if length <= self._max_short_length and not self._correlations:
-            values = self._short_values[length]
-            rmq = self._short_rmq[length]
+        if length <= self._max_short_length:
+            rmq, values, positions, offset = self._level(sp, ep, length)
             ranks = top_values_above_threshold(
-                rmq, values, sp, ep, k, log_threshold, include_ties=True
+                rmq, values, sp - offset, ep - offset, k, log_threshold, include_ties=True
             )
-            positions, log_values = self._suffix_array.array[ranks], values[ranks]
+            positions, log_values = positions[ranks], values[ranks]
         else:
-            positions, log_values = self._scan_ranks(
-                np.arange(sp, ep + 1, dtype=np.int64), length, log_threshold
-            )
+            positions, log_values = self._scan(slice(sp, ep + 1), length, log_threshold)
         # Ranked by the reported (exp'd) probabilities, as the answer reads.
         return MatchArrays(OCCURRENCE, positions, exp_values(log_values)).top(k)
 
-    # -- query strategies ------------------------------------------------------------------------
-    # Every strategy ends in a position-ordered answer of exp'd log values.
-    def _query_short(
-        self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> MatchArrays:
-        values = self._short_values[length]
-        rmq = self._short_rmq[length]
-        ranks = report_above_threshold(rmq, values, sp, ep, log_threshold)
-        return _occurrences(self._suffix_array.array[ranks], values[ranks])
+    # -- what the kernels read ------------------------------------------------------------
+    # Every rank read below lies in the pattern's suffix range, so its
+    # suffix starts with the pattern and no window runs off the text.  A
+    # compact payload's narrow suffix-array entries are widened before the
+    # window arithmetic: ``positions + length`` can exceed their dtype, and
+    # gathering with them takes numpy's slow index path.
+    def _level(
+        self, sp: int, ep: int, length: int
+    ) -> Tuple[Optional[object], np.ndarray, np.ndarray, int]:
+        """What a kernel reads for ``C_length`` over ranks ``[sp, ep]``.
 
-    def _query_blocked(
-        self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> MatchArrays:
-        ranks = blocked_candidate_ranks(
-            self._block_rmq[length],
-            self._block_maxima[length],
-            sp,
-            ep,
-            length,
-            log_threshold,
-        )
-        return _occurrences(*self._scan_ranks(ranks, length, log_threshold))
-
-    def _query_scan(
-        self, sp: int, ep: int, length: int, log_threshold: float
-    ) -> MatchArrays:
-        return _occurrences(
-            *self._scan_ranks(np.arange(sp, ep + 1, dtype=np.int64), length, log_threshold)
-        )
-
-    def _scan_ranks(
-        self, ranks: np.ndarray, length: int, log_threshold: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Positions and window log-probabilities above the threshold.
-
-        Array-native scan of the given lexicographic ranks: one gather into
-        the suffix array, one cumulative-probability subtraction and one
-        comparison — no per-rank Python work on the uncorrelated path.
-        Correlated strings still walk rank by rank (every window needs the
-        correlation adjustment), returning the same array shape.
+        Returns ``(rmq, values, positions, offset)``; the kernel reads
+        ranks ``[sp − offset, ep − offset]`` of ``values`` and, by the
+        range's width against the cut-offs it reads from :mod:`.base` at
+        call time, scans them or runs the frontier; ``positions`` holds
+        each of those ranks' text position.  A stored level is read whole
+        with its RMQ.  Any other level's ranges are no wider than the scans
+        (:func:`~repro.core.base.rmq_depth`), so its values are computed
+        over the range alone — the same float64 subtraction a stored level
+        holds — rebased so that rank ``sp`` is entry 0.
         """
-        # Widen before the window arithmetic: a compacted suffix array is
-        # uint8/16/32 and ``positions + length`` can exceed its dtype range.
-        positions = self._suffix_array.array[ranks].astype(np.int64, copy=False)
+        values = self._short_values.get(length)
+        if values is not None:
+            return self._short_rmq[length], values, self._suffix_array.array, 0
+        positions = self._suffix_array.array[sp : ep + 1].astype(np.intp, copy=False)
+        values = self._prefix[length:][positions] - self._prefix[positions]
+        return None, values, positions, sp
+
+    def _scan(
+        self, ranks: Union[slice, np.ndarray], length: int, log_threshold: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions and window log-probabilities above the threshold at ``ranks``.
+
+        A long pattern's scan: one gather and one subtraction on an
+        uncorrelated string; a correlated one corrects every window rank by
+        rank (Algorithm 1).
+        """
+        positions = self._suffix_array.array[ranks].astype(np.intp, copy=False)
         if not self._correlations:
-            in_range = positions + length <= len(self._string)
-            candidates = positions[in_range]
-            values = self._prefix[candidates + length] - self._prefix[candidates]
-            keep = values > log_threshold
-            return candidates[keep], values[keep]
-        kept_positions: List[int] = []
-        kept_values: List[float] = []
-        for position in positions:
-            value = correlation_adjusted_window_log_probability(
-                self._prefix,
-                int(position),
-                length,
-                self._correlations,
-                self._string.text,
-                self._string.probabilities,
+            values = self._prefix[length:][positions] - self._prefix[positions]
+        else:
+            values = np.array(
+                [
+                    correlation_adjusted_window_log_probability(
+                        self._prefix,
+                        position,
+                        length,
+                        self._correlations,
+                        self._string.text,
+                        self._string.probabilities,
+                    )
+                    for position in positions.tolist()
+                ],
+                dtype=np.float64,
             )
-            if value > log_threshold:
-                kept_positions.append(int(position))
-                kept_values.append(value)
-        return (
-            np.asarray(kept_positions, dtype=np.int64),
-            np.asarray(kept_values, dtype=np.float64),
-        )
-
-
-def _occurrences(positions: np.ndarray, log_values: np.ndarray) -> MatchArrays:
-    """The position-ordered answer of parallel position / log-value arrays."""
-    return MatchArrays(OCCURRENCE, positions, exp_values(log_values)).by_id()
+        keep = values > log_threshold
+        return positions[keep], values[keep]

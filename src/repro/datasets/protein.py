@@ -12,8 +12,9 @@ to a suffix-array index:
   real protein corpora contain many repeated domains, which is what makes
   suffix ranges non-trivial.
 
-See DESIGN.md (substitution table) for why this preserves the evaluation's
-behaviour.
+Those three are all the indexes see of a corpus: query cost follows the
+suffix-range widths and the probabilities in them, not the biology, so a
+sequence that matches them preserves the evaluation's behaviour.
 """
 
 from __future__ import annotations

@@ -97,8 +97,7 @@ def array_checksum(array: np.ndarray) -> int:
 #: that every constructed schema is registered, that index schemas stay
 #: unique per class, and that persistence dispatch covers every entry.
 SCHEMA_REGISTRY: Dict[str, str] = {
-    "index/special": "RMQ-tower index over a special uncertain string",
-    "index/simple": "O(n)-space simple index over a special uncertain string",
+    "index/special": "suffix array + prefix sums over a special uncertain string",
     "index/general": "per-length index over the maximal-factor transformation",
     "index/approximate": "additive-error sampled variant of the general index",
     "index/listing": "document-listing index over an uncertain collection",

@@ -69,11 +69,23 @@ class TestRoundTrips:
         assert loaded.kind == "special"
         assert loaded.index.string.name == "banana"
 
-    def test_simple_round_trip(self, tmp_path):
-        engine = build_index("banana" * 4, kind="simple")
-        assert engine.kind == "simple"
-        loaded = load_index(engine.save(tmp_path / "simple"))
-        _assert_same_answers(engine, loaded, ["ana", "nab", "q"], [0.2, 0.8])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_simple_archive_rejected(self, tmp_path, mmap):
+        # kind="simple" folded into the special index, which stores what
+        # the simple index stored wherever no suffix range outgrows the
+        # scans; an index/simple archive now fails loudly.
+        path = build_index("banana" * 4).save(tmp_path / "simple")
+        manifest = read_manifest(path)
+        meta = manifest["payload"]["meta"]
+        manifest["payload"]["meta"] = {
+            "string": meta["string"],
+            "correlations": meta["correlations"],
+        }
+        manifest["payload"]["schema"] = "index/simple"
+        manifest["kind"] = manifest["plan"]["kind"] = "simple"
+        rezip_archive(path, manifest=manifest)
+        with pytest.raises(ValidationError, match="simple"):
+            load_index(path, mmap=mmap)
 
     def test_general_round_trip(self, tmp_path, general_string):
         engine = build_index(general_string, tau_min=0.1)
@@ -176,7 +188,7 @@ class TestBenchmarkWorkloadRoundTrip:
 
 def _random_input_for(kind: str, rng: random.Random):
     """A random input suitable for building an index of ``kind``."""
-    if kind in ("special", "simple"):
+    if kind == "special":
         return make_random_special_string(rng.randint(10, 40), seed=rng.randint(0, 9999))
     if kind == "listing":
         return UncertainStringCollection(
@@ -213,12 +225,12 @@ def _random_probe(engine, rng: random.Random):
 class TestFuzzRoundTrip:
     """Randomized build → save → load_index → identical answers.
 
-    Parameterized over all five index kinds, eager and memory-mapped
+    Parameterized over all four index kinds, eager and memory-mapped
     loads, *and* the sharded manifest: arrays round-trip bit-exactly, so a
     loaded engine's answers must equal the original's, match for match.
     """
 
-    @pytest.mark.parametrize("kind", ["special", "simple", "general", "approximate", "listing"])
+    @pytest.mark.parametrize("kind", ["special", "general", "approximate", "listing"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("mmap", [False, True])
     def test_engine_fuzz_round_trip(self, tmp_path, kind, seed, mmap):
@@ -416,7 +428,7 @@ class TestShardedManifest:
         # Both manifests write the plan through one helper, so the
         # ensemble's record reads like any single archive's.
         engine = build_sharded_index(
-            "BANANA" * 5, shards=2, max_pattern_len=4, kind="simple"
+            "BANANA" * 5, shards=2, max_pattern_len=4, kind="special"
         )
         path = engine.save(tmp_path / "sharded-plan-record")
         single = save_index_payload(
@@ -425,7 +437,7 @@ class TestShardedManifest:
         engine.close()
         record = read_sharded_manifest(path)["plan"]
         assert record == read_manifest(single)["plan"]
-        assert record["kind"] == "simple"
+        assert record["kind"] == "special"
         assert set(record) == {"kind", "tau_min", "reason", "profile"}
 
 
@@ -485,10 +497,12 @@ class TestFormatVersions:
     archive format; retired, newer and malformed archives fail loudly."""
 
     @pytest.mark.parametrize("n", [500, 1000])
-    def test_archive_is_a_fraction_of_the_in_ram_index(self, tmp_path, n):
-        # Special index with the sparse RMQ tower: in RAM every RMQ holds
-        # its O(n log n)-word table, the archive only the O(n / log n)
-        # block positions, so the archive is a small fraction of nbytes().
+    def test_archive_is_a_fraction_of_the_in_ram_index(self, tmp_path, low_cut_offs, n):
+        # Special index with sparse RMQs on its shallow levels (the low
+        # cut-offs make their suffix ranges outgrow the scans): in RAM every
+        # RMQ holds its O(n log n)-word table, the archive only the
+        # O(n / log n) block positions, so the archive is a small fraction
+        # of nbytes().
         rng = np.random.default_rng(1234 + n)
         characters = rng.choice(list("ACGT"), size=n)
         probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
@@ -496,6 +510,7 @@ class TestFormatVersions:
             [(c, float(p)) for c, p in zip(characters, probabilities)]
         )
         engine = build_index(string, kind="special", rmq_implementation="sparse")
+        assert len(engine.index._short_rmq) >= 1
         path = engine.save(tmp_path / f"size-{n}")
         assert path.stat().st_size <= 0.6 * engine.nbytes()
         with zipfile.ZipFile(path) as archive:
@@ -503,7 +518,9 @@ class TestFormatVersions:
         assert "block_positions.npy" in members
         assert not members & {"table.npy", "summary_table.npy"}
 
-    def test_mmap_load_returns_memory_mapped_arrays(self, tmp_path, general_string):
+    def test_mmap_load_returns_memory_mapped_arrays(
+        self, tmp_path, low_cut_offs, general_string
+    ):
         engine = build_index(general_string, tau_min=0.1)
         path = engine.save(tmp_path / "mapped")
         loaded = load_index(path, mmap=True)
@@ -517,13 +534,14 @@ class TestFormatVersions:
         # Every level of this small text is scanned, so none restored an RMQ.
         assert loaded.index._short_rmq == {}
         assert "mmap" in loaded.plan.reason
-        # The special index keeps its RMQ tower.  Its structures were
-        # restored from their space-efficient payloads: the stored block
+        # Under the low cut-offs the special index's level 1 keeps an RMQ.
+        # It was restored from its space-efficient payload: the stored block
         # positions stay memory-mapped (only the small summary table is
         # rebuilt on the heap).
-        special = build_index(make_random_special_string(60, seed=11))
+        special = build_index(make_random_special_string(200, seed=11))
         loaded = load_index(special.save(tmp_path / "mapped-special"), mmap=True)
-        rmq = next(iter(loaded.index._short_rmq.values()))
+        assert sorted(loaded.index._short_rmq) == sorted(special.index._short_rmq)
+        rmq = loaded.index._short_rmq[1]
         positions = rmq._block_positions
         assert isinstance(positions, np.memmap) or isinstance(
             positions.base, np.memmap
@@ -548,7 +566,7 @@ class TestFormatVersions:
             for tau in (0.1, 0.3):
                 assert loaded.query("QP", tau=tau) == engine.query("QP", tau=tau)
 
-    @pytest.mark.parametrize("kind", ["special", "simple", "general", "approximate", "listing"])
+    @pytest.mark.parametrize("kind", ["special", "general", "approximate", "listing"])
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("mmap", [False, True])
     def test_resave_of_a_loaded_index_is_member_identical(

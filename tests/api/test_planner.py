@@ -6,7 +6,6 @@ from repro.api import build_index, build_sharded_index, plan_index, read_manifes
 from repro.core.approximate import ApproximateSubstringIndex
 from repro.core.general_index import GeneralUncertainStringIndex
 from repro.core.listing import UncertainStringListingIndex
-from repro.core.simple_index import SimpleSpecialIndex
 from repro.core.special_index import SpecialUncertainStringIndex
 from repro.exceptions import ValidationError
 from repro.strings import (
@@ -111,8 +110,13 @@ class TestOverridesAndErrors:
         plan = plan_index(special_string, tau_min=0.1, kind="general")
         assert plan.kind == "general"
 
-    def test_explicit_kind_simple(self, special_string):
-        assert plan_index(special_string, kind="simple").kind == "simple"
+    def test_kind_simple_raises(self, special_string):
+        # The special index stores what the simple index stored unless a
+        # suffix range can outgrow the scans, so the kind folded into it.
+        with pytest.raises(ValidationError, match="simple"):
+            plan_index(special_string, kind="simple")
+        with pytest.raises(ValidationError, match="simple"):
+            build_index("banana", kind="simple")
 
     def test_special_kind_on_general_input_raises(self, general_string):
         with pytest.raises(ValidationError):
@@ -152,7 +156,7 @@ class TestBuildIndex:
                 ApproximateSubstringIndex,
             ),
             (lambda f: f["collection"], {"tau_min": 0.1}, UncertainStringListingIndex),
-            (lambda f: "banana", {"kind": "simple"}, SimpleSpecialIndex),
+            (lambda f: "banana", {"kind": "special"}, SpecialUncertainStringIndex),
         ],
     )
     def test_builds_expected_class(
@@ -197,7 +201,7 @@ class TestHistoryIndependence:
         first_plan, first_paths = plan_and_save("first")
         general = make_random_uncertain_string(60, 0.3, seed=9)
         build_index(make_random_special_string(4_096, seed=6))
-        build_index(make_random_special_string(300, seed=7), kind="simple")
+        build_index(make_random_special_string(300, seed=7), kind="special")
         build_index(general, tau_min=0.1)
         build_index(general, tau_min=0.1, epsilon=0.05)
         build_index([general, make_random_uncertain_string(40, 0.3, seed=10)], tau_min=0.1)

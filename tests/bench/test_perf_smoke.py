@@ -21,12 +21,14 @@ The guards, all at the small scale so the step stays fast:
   beyond a noise margin — replica routing must be overhead-free even
   where single-core CI cannot show a parallel speedup — and scraping the
   metrics registry stays cheap;
-* the compacted in-RAM representation is at most 0.6x the wide bytes at
-  every size, and the shared-memory worker spec stays O(array count) —
-  spawning a process pool must never pickle per-worker index bytes;
-* no general or listing index at the small scale, wide or compact, holds
-  a per-level RMQ: none of their levels has a suffix range wider than
-  ``TOP_K_SCAN_WIDTH``, so such an RMQ could never be probed.
+* the compacted in-RAM special index is the wide one's arrays at their
+  narrowest dtypes at every small size, and at most 0.6x the wide bytes
+  on an input whose level 1 keeps its RMQ; the shared-memory worker spec
+  stays O(array count) — spawning a process pool must never pickle
+  per-worker index bytes;
+* no special, general or listing index at the small scale, wide or
+  compact, holds a per-level RMQ: none of their levels has a suffix range
+  wider than ``TOP_K_SCAN_WIDTH``, so such an RMQ could never be probed.
 
 The archive's size margin is a deterministic test in
 ``tests/api/test_persistence.py``.  The full sweeps stay in the
@@ -34,6 +36,7 @@ default-scale benchmark runs (``python -m repro.bench --figure
 query-kernel --figure serving-throughput --json``).
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments import (
@@ -202,13 +205,16 @@ class TestMemoryFrontierSmoke:
         wide = table.series_by_label("in-RAM wide (bytes)")
         compact = table.series_by_label("in-RAM compact (bytes)")
         assert wide.xs == compact.xs == list(SMALL_SCALE.string_sizes)
-        # The acceptance margin: narrowing dtypes and dropping derived
-        # sparse tables must reach at most 0.6x the wide in-RAM bytes on
-        # the reference workload (in practice ~0.1-0.2x).
+        # No level of these inputs stores C_L or an RMQ, so the index is
+        # the suffix array beside the float64 prefix sums, and compacting
+        # narrows the suffix array to the smallest dtype holding n - 1
+        # (5,008 vs 8,008 B at n = 500).
         for n, wide_bytes, compact_bytes in zip(wide.xs, wide.values, compact.values):
-            assert compact_bytes <= 0.6 * wide_bytes, (
-                f"compact in-RAM ({compact_bytes:.0f} B) is more than 0.6x "
-                f"the wide in-RAM ({wide_bytes:.0f} B) at n={n}"
+            narrow = np.dtype(np.min_scalar_type(n - 1)).itemsize
+            assert wide_bytes == 8 * n + 8 * (n + 1), n
+            assert compact_bytes == narrow * n + 8 * (n + 1), (
+                f"compact in-RAM ({compact_bytes:.0f} B) is not the wide arrays "
+                f"at their narrowest dtypes at n={n}"
             )
         # The worker-boundary contract: the shared-memory spec pickles a
         # block name plus an array layout — O(array count), never O(n).
@@ -232,27 +238,53 @@ class TestMemoryFrontierSmoke:
         cold = table.series_by_label("process-pool cold spawn (ms)")
         assert all(value > 0.0 for value in cold.values)
 
+    def test_compact_ratio_where_a_level_keeps_its_rmq(self):
+        # The acceptance margin: narrowing dtypes and dropping derived
+        # sparse tables reach at most 0.6x the wide in-RAM bytes (0.154 on
+        # this input) on the reference workload at 2^17 positions, where
+        # level 1's widest suffix range outgrows TOP_K_SCAN_WIDTH.
+        from repro.api import build_index
+        from repro.bench.experiments import frontier_string
+
+        string = frontier_string(1 << 17)
+        wide = build_index(string)
+        assert sorted(wide.index._short_rmq) == [1], (
+            "level 1 no longer keeps an RMQ, so this input no longer tests the margin"
+        )
+        compact = build_index(string, compact=True)
+        assert compact.nbytes() <= 0.6 * wide.nbytes(), (
+            f"compact in-RAM ({compact.nbytes()} B) is more than 0.6x "
+            f"the wide in-RAM ({wide.nbytes()} B)"
+        )
+
 
 class TestNoNeverProbedRmqs:
-    """The general and listing kinds store no level that no query reads.
+    """The special, general and listing kinds store no level that no query reads.
 
     A level keeps its RMQ only where some suffix range can be wider than
     ``TOP_K_SCAN_WIDTH``, the smaller scan cut-off
     (``repro.core.base.rmq_depth``).  No small-scale input has such a
     level, so ``rmq_short`` / ``rmq_relevance`` bytes in a space report
-    mean structures built, shipped back from build workers and copied into
-    shared memory for nothing.  The general index also computes every
-    scanned range's ``C_L`` from the prefix sums, so it stores a level's
-    values only for that RMQ: ``short_values`` / ``block_values`` bytes
-    on these inputs would be levels no query reads.
+    mean structures built and copied into shared memory for nothing.  The
+    special and general indexes also compute every scanned range's
+    ``C_L`` from the prefix sums, so they store a level's values only for
+    that RMQ: ``short_values`` / ``block_values`` bytes on these inputs
+    would be levels no query reads.
     """
 
     def test_small_scale_indexes_carry_no_level_rmq(self):
         from repro.api import build_index
+        from repro.bench.experiments import frontier_string
         from repro.bench.workloads import listing_workload, substring_workload
         from repro.core.base import rmq_depth
+        from repro.suffix.lcp import build_lcp_array
 
-        cells = []
+        def lcp_of(index):
+            if hasattr(index, "_lcp"):
+                return index._lcp
+            return build_lcp_array(index.string.text, index._suffix_array.array)
+
+        cells = [("special", n, None, frontier_string(n)) for n in SMALL_SCALE.string_sizes]
         for n in SMALL_SCALE.string_sizes:
             for theta in SMALL_SCALE.thetas:
                 work = substring_workload(n, theta, tau_min=SMALL_SCALE.tau_min)
@@ -267,7 +299,7 @@ class TestNoNeverProbedRmqs:
                 index = build_index(
                     source, tau_min=SMALL_SCALE.tau_min, kind=kind, compact=compact
                 ).index
-                assert rmq_depth(index._lcp, index.max_short_length) == 0, (
+                assert rmq_depth(lcp_of(index), index.max_short_length) == 0, (
                     f"{label}: a level is wider than TOP_K_SCAN_WIDTH, so this "
                     "input no longer tests the guard"
                 )
@@ -281,7 +313,7 @@ class TestNoNeverProbedRmqs:
                     f"{label} (compact={compact}) holds {held} bytes of per-level "
                     "RMQs that no query can probe"
                 )
-                if kind == "general":
+                if kind != "listing":
                     stored = {
                         name: size
                         for name, size in report.items()

@@ -119,6 +119,20 @@ def write_malformed_archives(directory: Path, engine: Any) -> Dict[str, Path]:
     }
 
 
+#: Cut-offs low enough that a few-thousand-position text has wide levels.
+LOW_SCAN_WIDTH = 64
+LOW_TOP_K_SCAN_WIDTH = 32
+
+
+@pytest.fixture
+def low_cut_offs(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Patch the kernels' scan cut-offs low, so shallow levels keep an RMQ."""
+    import repro.core.base as base
+
+    monkeypatch.setattr(base, "SCAN_WIDTH", LOW_SCAN_WIDTH)
+    monkeypatch.setattr(base, "TOP_K_SCAN_WIDTH", LOW_TOP_K_SCAN_WIDTH)
+
+
 @pytest.fixture
 def random_uncertain_string() -> Callable[..., UncertainString]:
     """Factory fixture for random uncertain strings."""

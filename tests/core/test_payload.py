@@ -40,7 +40,7 @@ class TestIndexPayloadStructure:
     def test_nbytes_counts_stored_derived_and_children(self):
         child = IndexPayload("rmq/sparse", arrays={"a": np.zeros(4)})
         payload = IndexPayload(
-            "index/simple",
+            "index/special",
             arrays={"x": np.zeros(2)},
             derived={"y": np.zeros(3)},
             children={"c": child},
@@ -84,7 +84,7 @@ class TestIndexPayloadStructure:
         assert (rebuilt.children["transformed"].arrays["p"] == child.arrays["p"]).all()
 
     def test_missing_archive_array_fails_loudly(self):
-        payload = IndexPayload("index/simple", arrays={"x": np.zeros(1)})
+        payload = IndexPayload("index/special", arrays={"x": np.zeros(1)})
         with pytest.raises(ValidationError):
             IndexPayload.from_manifest(payload.manifest(), {})
 
@@ -107,7 +107,7 @@ class TestIndexPayloadStructure:
 class TestCompactPayload:
     def _payload(self):
         return IndexPayload(
-            "index/simple",
+            "index/special",
             arrays={
                 "positions": np.arange(300, dtype=np.int64),
                 "links": np.array([-1, 0, 200], dtype=np.int64),
@@ -140,7 +140,7 @@ class TestCompactPayload:
         assert "flags" not in expanded.meta[COMPACT_META_KEY]
 
     def test_compact_is_idempotent_and_expand_is_identity_when_unpacked(self):
-        payload = IndexPayload("index/simple", arrays={"x": np.arange(40)})
+        payload = IndexPayload("index/special", arrays={"x": np.arange(40)})
         assert payload.expand() is payload  # nothing packed anywhere
         once = payload.compact()
         twice = once.compact()
@@ -281,7 +281,7 @@ class TestRMQPayloadRoundTrip:
 
 
 def _build_engine(kind, rng):
-    if kind in ("special", "simple"):
+    if kind == "special":
         data = make_random_special_string(rng.randint(15, 40), seed=rng.randint(0, 9999))
     elif kind == "listing":
         data = UncertainStringCollection(
@@ -319,10 +319,10 @@ def _probe(engine, rng):
 
 
 class TestIndexPayloadFuzzRoundTrip:
-    """All five kinds: payload → index → payload exact, answers identical."""
+    """All four kinds: payload → index → payload exact, answers identical."""
 
     @pytest.mark.parametrize(
-        "kind", ["special", "simple", "general", "approximate", "listing"]
+        "kind", ["special", "general", "approximate", "listing"]
     )
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_kind_round_trip(self, kind, seed):
@@ -371,7 +371,7 @@ class TestIndexPayloadFuzzRoundTrip:
 
 
 class TestCompactEquivalenceFuzz:
-    """All five kinds: the dtype-minimized restore answers byte-identically.
+    """All four kinds: the dtype-minimized restore answers byte-identically.
 
     The compact payload narrows integer dtypes and drops derived tables;
     the restored index must return *exactly* the wide index's matches —
@@ -380,7 +380,7 @@ class TestCompactEquivalenceFuzz:
     """
 
     @pytest.mark.parametrize(
-        "kind", ["special", "simple", "general", "approximate", "listing"]
+        "kind", ["special", "general", "approximate", "listing"]
     )
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_compact_answers_byte_identical(self, kind, seed):

@@ -1,17 +1,22 @@
 """Which per-length levels carry an RMQ: ``rmq_depth`` and what depends on it.
 
-The listing index keeps a level's value array always, the general index
-computes it at query time; both build a level's range-maximum structure
-(and the general index stores that level's values) only when some suffix
-range of the level can be wider than the kernels' scan cut-offs.  The
-tests here pin:
+The listing index keeps a level's value array always, the special and
+general indexes compute it at query time; all three build a level's
+range-maximum structure (and the special and general indexes store that
+level's values) only when some suffix range of the level can be wider
+than the kernels' scan cut-offs.  A correlated special string stores
+every level.  The tests here pin:
 
 * the rule itself on synthetic ``lcp`` arrays around ``TOP_K_SCAN_WIDTH``;
 * with the cut-offs patched low, indexes whose shallow levels keep an RMQ
   (and run the frontier on it) while the deep ones do not, answering like
   the oracle and byte-identically to an all-scan build;
-* listing archives written with an RMQ child for every level (the earlier
-  layout) loading eager and mmap with identical answers, and general
+* a correlated special index keeping every level, its ``top_k`` equal to
+  a scan of every window corrected rank by rank;
+* a special index's computed levels answering with the bits of stored
+  ones, built, eager and mmap, wide and compact;
+* listing and special archives written with an RMQ child for every level
+  (the earlier layout) loading eager and mmap with identical answers, and general
   archives of that layout (every level's values stored, no
   ``duplicate_depths``) failing loudly;
 * an archive missing the child of a level that needs one failing loudly.
@@ -25,24 +30,45 @@ import pytest
 
 import repro.core.base as base
 from repro.api.persistence import (
+    index_from_payload,
     index_to_payload,
     load_index_payload,
     read_manifest,
     save_index_payload,
 )
-from repro.core.base import SCAN_WIDTH, TOP_K_SCAN_WIDTH, rmq_depth
+from repro.core.base import (
+    OCCURRENCE,
+    SCAN_WIDTH,
+    TOP_K_SCAN_WIDTH,
+    MatchArrays,
+    exp_values,
+    rmq_depth,
+)
 from repro.core.baseline import BruteForceOracle
+from repro.core.cumulative import (
+    correlation_adjusted_window_log_probability,
+    prefix_length_log_probabilities,
+)
 from repro.core.factors import DEFAULT_SEPARATOR
 from repro.core.general_index import GeneralUncertainStringIndex
 from repro.core.listing import UncertainStringListingIndex
+from repro.core.special_index import SpecialUncertainStringIndex
 from repro.exceptions import ValidationError
-from repro.strings import UncertainStringCollection
+from repro.strings import (
+    CorrelationModel,
+    CorrelationRule,
+    SpecialUncertainString,
+    UncertainStringCollection,
+)
+from repro.suffix.lcp import build_lcp_array
+from repro.suffix.pattern_search import suffix_range
 from repro.suffix.rmq import BlockRMQ, CompactRMQ, SparseTableRMQ, make_rmq, rmq_to_payload
-from tests.conftest import make_random_uncertain_string, rezip_archive
+from tests.conftest import (
+    make_random_special_string,
+    make_random_uncertain_string,
+    rezip_archive,
+)
 
-#: Cut-offs low enough that a few-thousand-position text has wide levels.
-LOW_SCAN_WIDTH = 64
-LOW_TOP_K_SCAN_WIDTH = 32
 TAUS = (0.1, 0.25, 0.5)
 
 
@@ -109,12 +135,6 @@ class TestRmqDepth:
 
 
 @pytest.fixture
-def low_cut_offs(monkeypatch):
-    monkeypatch.setattr(base, "SCAN_WIDTH", LOW_SCAN_WIDTH)
-    monkeypatch.setattr(base, "TOP_K_SCAN_WIDTH", LOW_TOP_K_SCAN_WIDTH)
-
-
-@pytest.fixture
 def probe_counter(monkeypatch):
     """Count every ``query_batch`` call on the three RMQ classes."""
     calls = {"count": 0}
@@ -163,7 +183,13 @@ def same_bits(first, second):
     )
 
 
+def special_string():
+    return make_random_special_string(300, 5, alphabet="ACGT")
+
+
 def build(kind, **options):
+    if kind == "special":
+        return SpecialUncertainStringIndex(special_string(), **options)
     if kind == "general":
         return GeneralUncertainStringIndex(general_string(), 0.1, **options)
     return UncertainStringListingIndex(listing_collection(), 0.1, **options)
@@ -173,19 +199,35 @@ def level_rmqs(index):
     return index._short_rmq if hasattr(index, "_short_rmq") else index._relevance_rmq
 
 
+def lcp_of(index):
+    """The index's ``lcp``; the special index stores none, so rebuild it."""
+    if hasattr(index, "_lcp"):
+        return index._lcp
+    return build_lcp_array(index.string.text, index._suffix_array.array)
+
+
+def text_of(index):
+    """The text the index's suffix array is over."""
+    if isinstance(index, SpecialUncertainStringIndex):
+        return index.string.text
+    return index.transformed.text
+
+
 class TestShallowLevelsKeepAnRmq:
-    @pytest.mark.parametrize("kind", ["general", "listing"])
+    @pytest.mark.parametrize("kind", ["special", "general", "listing"])
     @pytest.mark.parametrize("implementation", ["block", "sparse"])
     def test_levels_answer_like_the_oracle(
         self, low_cut_offs, probe_counter, kind, implementation
     ):
         index = build(kind, rmq_implementation=implementation)
-        depth = rmq_depth(index._lcp, index.max_short_length)
+        depth = rmq_depth(lcp_of(index), index.max_short_length)
         assert 1 <= depth < index.max_short_length
         assert sorted(level_rmqs(index)) == list(range(1, depth + 1))
+        if kind != "listing":
+            assert sorted(index._short_values) == list(range(1, depth + 1))
 
         patterns = patterns_by_length(
-            index.transformed.text, range(1, index.max_short_length + 1)
+            text_of(index), range(1, index.max_short_length + 1)
         )
         # The same input at the real cut-offs: no RMQ, every range scanned.
         with pytest.MonkeyPatch.context() as real:
@@ -200,7 +242,10 @@ class TestShallowLevelsKeepAnRmq:
                 for tau in TAUS
             }
 
-        if kind == "general":
+        if kind == "special":
+            oracle = BruteForceOracle(string=index.string.to_uncertain_string())
+            expected = oracle.substring_occurrences
+        elif kind == "general":
             oracle = BruteForceOracle(string=index.string)
             expected = oracle.substring_occurrences
         else:
@@ -248,6 +293,7 @@ def with_every_level_rmq(payload, values_prefix, child_prefix, implementation):
 
 
 LAYOUT = {
+    "special": ("short_values_", "rmq_short_"),
     "general": ("short_values_", "rmq_short_"),
     "listing": ("relevance_", "rmq_relevance_"),
 }
@@ -261,6 +307,17 @@ def old_general_layout(index, implementation):
         payload.arrays[f"short_values_{length}"] = index._deduplicated_values(length)
     payload.meta["short_lengths"] = list(range(1, index.max_short_length + 1))
     return with_every_level_rmq(payload, *LAYOUT["general"], implementation)
+
+
+def old_special_layout(index, implementation):
+    """``index``'s payload as written when every level stored ``C_L`` and an RMQ."""
+    payload = index_to_payload(index)
+    for length in range(1, index.max_short_length + 1):
+        payload.arrays[f"short_values_{length}"] = prefix_length_log_probabilities(
+            index._prefix, index._suffix_array.array, length
+        )
+    payload.meta["short_lengths"] = list(range(1, index.max_short_length + 1))
+    return with_every_level_rmq(payload, *LAYOUT["special"], implementation)
 
 
 class TestArchivesWithAnRmqOnEveryLevel:
@@ -310,8 +367,151 @@ class TestArchivesWithAnRmqOnEveryLevel:
                     )
 
 
+    @pytest.mark.parametrize("implementation", ["block", "sparse"])
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_old_special_layout_loads_and_answers_identically(
+        self, tmp_path, monkeypatch, low_cut_offs, implementation, mmap
+    ):
+        index = build("special", rmq_implementation=implementation)
+        assert 1 <= len(index._short_rmq) < index.max_short_length
+        payload = old_special_layout(index, implementation)
+        monkeypatch.setattr(index, "to_payload", lambda: payload)
+        path = save_index_payload(index, None, tmp_path / "special-every-level")
+        loaded, _ = load_index_payload(path, mmap=mmap)
+        # The archive lists every level, so every level is read, not computed.
+        every_level = list(range(1, index.max_short_length + 1))
+        assert sorted(loaded._short_values) == sorted(loaded._short_rmq) == every_level
+        patterns = patterns_by_length(text_of(index), (1, 2, 3, 6, 12))
+        for group in patterns.values():
+            for pattern in group:
+                for tau in TAUS:
+                    assert same_bits(loaded.query(pattern, tau), index.query(pattern, tau))
+                    assert same_bits(
+                        loaded.top_k(pattern, 4, tau=tau), index.top_k(pattern, 4, tau=tau)
+                    )
+
+
+def correlated_special_string(n=240, seed=8):
+    """A random special string over ABC with correlation rules, and the model."""
+    rng = random.Random(seed)
+    base = make_random_special_string(n, seed, alphabet="ABC")
+    pairs = [(entry.character, entry.probability) for entry in base]
+    rules = []
+    for position in sorted(rng.sample(range(n), n // 6)):
+        offset = rng.choice([1, 2, 3, 5])
+        partner = position + offset if position + offset < n else position - offset
+        present, absent = rng.uniform(0.2, 1.0), rng.uniform(0.05, 1.0)
+        pairs[position] = (pairs[position][0], present)
+        partner_character = pairs[partner][0] if rng.random() < 0.7 else "Z"
+        rules.append(
+            CorrelationRule(
+                position, pairs[position][0], partner, partner_character, present, absent
+            )
+        )
+    return SpecialUncertainString(pairs), CorrelationModel(rules)
+
+
+def scanned_top_k(index, pattern, k, tau):
+    """``top_k`` by correcting every window of the range rank by rank."""
+    string = index.string
+    sp, ep = suffix_range(string.text, index._suffix_array.array, pattern)
+    positions = index._suffix_array.array[sp : ep + 1].astype(np.int64)
+    values = np.array(
+        [
+            correlation_adjusted_window_log_probability(
+                index._prefix,
+                position,
+                len(pattern),
+                index._correlations,
+                string.text,
+                string.probabilities,
+            )
+            for position in positions.tolist()
+        ]
+    )
+    keep = values > np.log(1e-9 if tau is None else tau) - 1e-12
+    return MatchArrays(OCCURRENCE, positions[keep], exp_values(values[keep])).top(k)
+
+
+class TestCorrelatedSpecialLevels:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("implementation", ["block", "sparse"])
+    def test_every_level_stored_and_top_k_equals_the_scan(self, seed, implementation):
+        string, model = correlated_special_string(seed=8 + seed)
+        index = SpecialUncertainStringIndex(
+            string, correlations=model, rmq_implementation=implementation
+        )
+        # Algorithm 1's correction is not a prefix sum: every level stays.
+        every_level = list(range(1, index.max_short_length + 1))
+        assert rmq_depth(lcp_of(index), index.max_short_length) == 0
+        assert sorted(index._short_values) == sorted(index._short_rmq) == every_level
+        patterns = patterns_by_length(string.text, every_level, per_length=3, seed=seed)
+        for group in patterns.values():
+            for pattern in group:
+                for k in (1, 3, 10, 50):
+                    for tau in (None, 0.05, 0.3):
+                        assert same_bits(
+                            index.top_k(pattern, k, tau=tau),
+                            scanned_top_k(index, pattern, k, tau),
+                        ), (pattern, k, tau)
+
+
+class TestComputedLevelsReadLikeStoredOnes:
+    """A computed ``C_L`` answers with the bits of a stored one, in every layout.
+
+    The reference is the same index restored from a payload that stores
+    every level with its RMQ (the layout before levels were computed); the
+    index under test stores none.  A correlated string stores every level
+    either way, and its loads must answer like its build.
+    """
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"long_lengths": [10, 14]}, {"rmq_implementation": "block"}],
+        ids=["default", "long_lengths", "block"],
+    )
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("load", ["built", "eager", "mmap"])
+    def test_answers_equal_every_level_stored(self, tmp_path, options, compact, load):
+        implementation = options.get("rmq_implementation", "sparse")
+        plain = SpecialUncertainStringIndex(
+            make_random_special_string(400, 17, alphabet="ACGT"), **options
+        )
+        assert plain._short_values == {} and plain._short_rmq == {}
+        string, model = correlated_special_string(seed=21)
+        correlated = SpecialUncertainStringIndex(string, correlations=model, **options)
+        references = [
+            index_from_payload(old_special_layout(plain, implementation)),
+            correlated,
+        ]
+        for number, (index, reference) in enumerate(zip((plain, correlated), references)):
+            if load == "built":
+                payload = index_to_payload(index)
+                got = index_from_payload(payload.compact()) if compact else index
+            else:
+                path = save_index_payload(
+                    index, None, tmp_path / f"special-{number}", compact=compact
+                )
+                got, _ = load_index_payload(path, mmap=load == "mmap")
+            assert sorted(got._short_values) == sorted(index._short_values)
+            text = index.string.text
+            for length in (1, 2, 3, 5, 9, 10, 14):
+                for start in (0, 37, 211):
+                    pattern = text[start : start + length]
+                    for tau in (0.02, 0.2, 0.6):
+                        assert same_bits(
+                            got.query(pattern, tau), reference.query(pattern, tau)
+                        ), (number, pattern, tau)
+                    for k in (1, 5, 40):
+                        for tau in (None, 0.1):
+                            assert same_bits(
+                                got.top_k(pattern, k, tau=tau),
+                                reference.top_k(pattern, k, tau=tau),
+                            ), (number, pattern, k, tau)
+
+
 class TestMissingNeededChild:
-    @pytest.mark.parametrize("kind", ["general", "listing"])
+    @pytest.mark.parametrize("kind", ["special", "general", "listing"])
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("mmap", [False, True])
     def test_raises_validation_error(self, tmp_path, low_cut_offs, kind, compact, mmap):

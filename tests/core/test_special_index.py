@@ -1,14 +1,21 @@
-"""Tests for repro.core.special_index (the Section 4.2 efficient index)."""
+"""Tests for repro.core.special_index (the paper's Sections 4.1 and 4.2)."""
 
 import pytest
 
-from repro.core.simple_index import SimpleSpecialIndex
+from repro.core.baseline import BruteForceOracle
 from repro.core.special_index import SpecialUncertainStringIndex
-from repro.exceptions import ValidationError
+from repro.exceptions import ThresholdError, ValidationError
 from repro.strings import CorrelationModel, CorrelationRule, SpecialUncertainString
 
 
 class TestFigure5Example:
+    def test_query_reproduces_figure5(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        # Figure 5: query ("ana", 0.3) outputs position 4 (1-based) = 3.
+        occurrences = index.query("ana", 0.3)
+        assert [occ.position for occ in occurrences] == [3]
+        assert occurrences[0].probability == pytest.approx(0.8 * 0.9 * 0.6)
+
     def test_short_pattern_query(self, figure5_special_string):
         index = SpecialUncertainStringIndex(figure5_special_string)
         assert [occ.position for occ in index.query("ana", 0.3)] == [3]
@@ -24,6 +31,36 @@ class TestFigure5Example:
                         pattern, occurrence.position
                     )
                 )
+
+
+class TestQueryBehaviour:
+    def test_absent_pattern(self, figure5_special_string):
+        assert SpecialUncertainStringIndex(figure5_special_string).query("xyz", 0.1) == []
+
+    def test_pattern_present_but_below_threshold(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        assert index.query("banana", 0.9) == []
+        assert index.top_k("banana", 3, tau=0.9) == []
+
+    def test_empty_pattern_rejected(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        with pytest.raises(ValidationError):
+            index.query("", 0.1)
+        with pytest.raises(ValidationError):
+            index.top_k("", 3)
+
+    def test_invalid_threshold_rejected(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        with pytest.raises(ThresholdError):
+            index.query("ana", 0.0)
+        with pytest.raises(ThresholdError):
+            index.query("ana", 1.5)
+
+    def test_count_and_exists(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        assert index.count("ana", 0.2) == 2
+        assert index.exists("ana", 0.2)
+        assert not index.exists("ana", 0.9)
 
 
 class TestConfiguration:
@@ -84,21 +121,34 @@ class TestLongPatterns:
         assert index.query("bananabanana", 0.1) == []
 
 
-class TestAgainstSimpleIndex:
+class TestAgainstOracle:
     @pytest.mark.parametrize("seed", range(15))
-    def test_agrees_with_simple_index(self, random_special_string, seed):
+    def test_agrees_with_oracle(self, random_special_string, seed):
         string = random_special_string(50 + seed, seed, alphabet="ABC")
-        efficient = SpecialUncertainStringIndex(string, long_lengths=[8, 12])
-        simple = SimpleSpecialIndex(string)
+        index = SpecialUncertainStringIndex(string, long_lengths=[8, 12])
+        oracle = BruteForceOracle(string=string.to_uncertain_string())
         for length in (1, 2, 3, 5, 8, 12):
             if length > len(string):
                 continue
             start = (7 * seed) % (len(string) - length + 1)
             pattern = string.text[start : start + length]
             for tau in (0.05, 0.2, 0.5, 0.9):
-                assert [occ.position for occ in efficient.query(pattern, tau)] == [
-                    occ.position for occ in simple.query(pattern, tau)
-                ], (pattern, tau)
+                expected = oracle.substring_occurrences(pattern, tau)
+                got = index.query(pattern, tau)
+                assert got.ids.tolist() == [occ.position for occ in expected], (pattern, tau)
+                assert got.values.tolist() == pytest.approx(
+                    [occ.probability for occ in expected]
+                )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_bruteforce_scan(self, random_special_string, seed):
+        string = random_special_string(60, seed)
+        index = SpecialUncertainStringIndex(string)
+        for pattern_length in (1, 2, 4):
+            pattern = string.text[seed % 10 : seed % 10 + pattern_length]
+            for tau in (0.05, 0.3, 0.7):
+                expected = string.matching_positions(pattern, tau)
+                assert [occ.position for occ in index.query(pattern, tau)] == expected
 
 
 class TestCorrelationHandling:
@@ -114,3 +164,29 @@ class TestCorrelationHandling:
         occurrences = index.query("eqz", 0.15)
         assert [occ.position for occ in occurrences] == [0]
         assert occurrences[0].probability == pytest.approx(0.18)
+
+    @pytest.fixture
+    def correlated_index(self):
+        # "eqz" with z stored as pr+ = 0.3, correlated with e at position 0.
+        string = SpecialUncertainString([("e", 0.6), ("q", 1.0), ("z", 0.3)])
+        correlations = CorrelationModel([CorrelationRule(2, "z", 0, "e", 0.3, 0.4)])
+        return SpecialUncertainStringIndex(string, correlations=correlations)
+
+    def test_partner_inside_window(self, correlated_index):
+        # Case 1: the partner lies inside the window and is present.
+        occurrences = correlated_index.query("eqz", 0.1)
+        assert [occ.position for occ in occurrences] == [0]
+        assert occurrences[0].probability == pytest.approx(0.6 * 1.0 * 0.3)
+
+    def test_partner_outside_window_uses_mixture(self, correlated_index):
+        # Case 2: the partner lies outside the window, so the mixture applies.
+        occurrences = correlated_index.query("qz", 0.1)
+        assert [occ.position for occ in occurrences] == [1]
+        assert occurrences[0].probability == pytest.approx(0.34)
+
+    def test_correlation_model_validated(self):
+        string = SpecialUncertainString([("a", 0.5)])
+        rules = CorrelationModel([CorrelationRule(3, "a", 0, "b", 0.5, 0.5)])
+        with pytest.raises(Exception):
+            SpecialUncertainStringIndex(string, correlations=rules)
+

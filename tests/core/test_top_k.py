@@ -162,14 +162,14 @@ class TestUnifiedSignature:
     def test_tau_defaults_to_none_everywhere(self, figure10_string, figure5_special_string):
         import inspect
 
+        from repro.core.approximate import ApproximateSubstringIndex
         from repro.core.listing import UncertainStringListingIndex
-        from repro.core.simple_index import SimpleSpecialIndex
 
         for cls in (
             GeneralUncertainStringIndex,
             SpecialUncertainStringIndex,
             UncertainStringListingIndex,
-            SimpleSpecialIndex,
+            ApproximateSubstringIndex,
         ):
             parameter = inspect.signature(cls.top_k).parameters["tau"]
             assert parameter.default is None, cls
@@ -183,27 +183,30 @@ class TestUnifiedSignature:
         index = GeneralUncertainStringIndex(figure10_string, tau_min=0.1)
         assert index.top_k("P", 3) == index.top_k("P", 3, tau=0.1)
 
-    def test_base_default_top_k_for_simple_index(self, figure5_special_string):
-        from repro.core.simple_index import SimpleSpecialIndex
-
-        simple = SimpleSpecialIndex(figure5_special_string)
-        efficient = SpecialUncertainStringIndex(figure5_special_string)
-        assert simple.top_k("ana", 2) == efficient.top_k("ana", 2)
+    def test_top_k_ranks_the_oracle_answer(self, figure5_special_string):
+        index = SpecialUncertainStringIndex(figure5_special_string)
+        oracle = BruteForceOracle(string=figure5_special_string.to_uncertain_string())
+        expected = sorted(
+            oracle.substring_occurrences("ana", 1e-9),
+            key=lambda occ: (-occ.probability, occ.position),
+        )[:2]
+        got = index.top_k("ana", 2)
+        assert [occ.position for occ in got] == [occ.position for occ in expected]
+        assert [occ.probability for occ in got] == pytest.approx(
+            [occ.probability for occ in expected]
+        )
         with pytest.raises(ValidationError):
-            simple.top_k("ana", 0)
+            index.top_k("ana", 0)
 
-    def test_boundary_tau_agrees_across_substitutable_indexes(self):
-        # An occurrence sitting exactly on tau is included by the RMQ fast
-        # path (1e-12 tolerance); the base-class default must match, so the
-        # planner can substitute simple for special without changing answers.
-        from repro.core.simple_index import SimpleSpecialIndex
+    def test_boundary_tau_agrees_with_the_oracle(self):
+        # An occurrence sitting exactly on tau is included by the top-k
+        # kernels (1e-12 tolerance), as by the base-class default.
         from repro.strings import SpecialUncertainString
 
         string = SpecialUncertainString([("a", 0.5), ("b", 1.0)])
         special = SpecialUncertainStringIndex(string).top_k("ab", 5, tau=0.5)
-        simple = SimpleSpecialIndex(string).top_k("ab", 5, tau=0.5)
-        assert special == simple
-        assert [occ.probability for occ in simple] == [pytest.approx(0.5)]
+        assert [occ.position for occ in special] == [0]
+        assert [occ.probability for occ in special] == [pytest.approx(0.5)]
 
 
 class TestListingIndexTopK:

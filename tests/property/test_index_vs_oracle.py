@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.baseline import BruteForceOracle, OnlineDynamicProgrammingMatcher
 from repro.core.general_index import GeneralUncertainStringIndex
-from repro.core.simple_index import SimpleSpecialIndex
 from repro.core.special_index import SpecialUncertainStringIndex
 from repro.strings import SpecialUncertainString, UncertainString
 
@@ -77,17 +76,13 @@ def test_special_indexes_agree_with_scan(string, data):
     pattern = _pattern_from(data, string.text)
     tau = data.draw(st.floats(min_value=0.01, max_value=0.95))
     expected = string.matching_positions(pattern, tau)
-    simple = SimpleSpecialIndex(string)
-    efficient = SpecialUncertainStringIndex(string)
+    index = SpecialUncertainStringIndex(string)
 
     def probability_of(position):
         return string.occurrence_probability(pattern, position)
 
     _assert_same_positions(
-        [occ.position for occ in simple.query(pattern, tau)], expected, probability_of, tau
-    )
-    _assert_same_positions(
-        [occ.position for occ in efficient.query(pattern, tau)],
+        [occ.position for occ in index.query(pattern, tau)],
         expected,
         probability_of,
         tau,

@@ -378,8 +378,12 @@ def replay_special_short(index, pattern, tau):
     if interval is None:
         return []
     sp, ep = interval
-    values = index._short_values[len(pattern)]
-    rmq = index._short_rmq[len(pattern)]
+    # The index stores a level's C_L and RMQ only where its ranges can
+    # outgrow the scan, so the replay builds the whole C_L and its own RMQ.
+    values = prefix_length_log_probabilities(
+        index._prefix, index._suffix_array.array, len(pattern)
+    )
+    rmq = make_rmq(values)
     occurrences = []
     for rank in report_above_threshold_scalar(rmq, values, sp, ep, math.log(tau)):
         position = int(index._suffix_array.array[rank])
@@ -488,9 +492,10 @@ class TestIndexesMatchScalarReplay:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_simple_index_substitutable_for_special(self, seed):
-        # The simple index shares no kernel code; it pins the planner's
-        # substitution contract: identical answers to the special index.
-        from repro.core.simple_index import SimpleSpecialIndex
+        # The special index is also Section 4.1's simple scanning index:
+        # with no stored level it scans every range, and answers like the
+        # possible-worlds oracle.
+        from repro.core.baseline import BruteForceOracle
         from repro.core.special_index import SpecialUncertainStringIndex
         from repro.strings.special import SpecialUncertainString
 
@@ -501,15 +506,14 @@ class TestIndexesMatchScalarReplay:
             text, rng.uniform(0.4, 1.0, n)
         )
         special = SpecialUncertainStringIndex(string)
-        simple = SimpleSpecialIndex(string)
+        assert special._short_values == {} and special._short_rmq == {}
+        oracle = BruteForceOracle(string=string.to_uncertain_string())
         for length in (1, 2, 4):
             pattern = text[:length]
             got = special.query(pattern, 0.3)
-            reference = simple.query(pattern, 0.3)
-            # The two variants accumulate window probabilities differently
-            # (log-prefix sums vs direct products), so values agree to the
-            # last couple of ulps, not bit-for-bit — same as before this
-            # kernel existed.  Positions are exact.
+            reference = oracle.substring_occurrences(pattern, 0.3)
+            # The index subtracts log-prefix sums, the oracle multiplies
+            # probabilities, so values agree to the last couple of ulps.
             assert [occ.position for occ in got] == [
                 occ.position for occ in reference
             ]

@@ -111,7 +111,6 @@ def _patterns(kind):
         return [text[:1], text[2:4]]
     text = {
         "special": SPECIAL.text,
-        "simple": SPECIAL.text,
         "general": GENERAL.most_likely_string(),
         "approximate": SHORT_GENERAL.most_likely_string(),
     }[kind]
@@ -120,7 +119,6 @@ def _patterns(kind):
 
 KIND_INPUTS = {
     "special": (SPECIAL, {}),
-    "simple": (SPECIAL, {"kind": "simple"}),
     "general": (GENERAL, {"tau_min": 0.05}),
     "approximate": (SHORT_GENERAL, {"tau_min": 0.05, "epsilon": 0.02}),
     "listing": (DOCUMENTS, {"tau_min": 0.05}),
