@@ -245,7 +245,7 @@ def _extract_manifest(arrays: Dict[str, np.ndarray], path: Path) -> Dict[str, An
     if MANIFEST_KEY not in arrays:
         raise ValidationError(f"{path} is not a repro index archive (no manifest)")
     try:
-        manifest = json.loads(bytes(arrays[MANIFEST_KEY].tolist()).decode("utf-8"))
+        manifest = json.loads(arrays[MANIFEST_KEY].tobytes().decode("utf-8"))
     except (TypeError, ValueError) as error:
         raise ValidationError(f"{path} has an unreadable manifest: {error}") from error
     if not isinstance(manifest, dict):
@@ -287,7 +287,9 @@ def _mmap_member(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
     skip the member's local zip header, parse the ``.npy`` header, and
     hand the remaining byte range to :class:`numpy.memmap`.  The pages
     backing the returned array live in the OS page cache and are shared by
-    every process that maps the same archive.
+    every process that maps the same archive.  The array is a plain
+    ``ndarray`` view whose ``base`` is the map, so the kernels index it
+    without np.memmap's per-call subclass hooks.
     """
     with path.open("rb") as handle:
         handle.seek(info.header_offset)
@@ -318,13 +320,15 @@ def _mmap_member(path: Path, info: zipfile.ZipInfo) -> np.ndarray:
     if int(np.prod(shape)) == 0:
         # mmap cannot map zero bytes; an empty array has nothing to share.
         return np.empty(shape, dtype=dtype)
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=data_offset,
-        shape=shape,
-        order="F" if fortran_order else "C",
+    return np.asarray(
+        np.memmap(
+            path,
+            dtype=dtype,
+            mode="r",
+            offset=data_offset,
+            shape=shape,
+            order="F" if fortran_order else "C",
+        )
     )
 
 
@@ -334,8 +338,9 @@ def _read_archive(
     """The validated manifest and the arrays of an index archive.
 
     One pass over the zip members: with ``mmap=True`` a stored member
-    comes back as a read-only :class:`numpy.memmap` view into the archive
-    file; every other member is read onto the heap.  ``manifest_only``
+    comes back as a read-only view of a :class:`numpy.memmap` of the
+    archive file (:func:`_mmap_member`); every other member is read onto
+    the heap.  ``manifest_only``
     skips every array member.  A file that is not a zip of ``.npy``
     members raises :class:`ValidationError`, as does a manifest
     :func:`_extract_manifest` rejects.

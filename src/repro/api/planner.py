@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
+import numpy as np
+
 from .._validation import check_threshold
 from ..core.approximate import ApproximateSubstringIndex
 from ..core.general_index import GeneralUncertainStringIndex
@@ -195,9 +197,7 @@ def _profile(
             "shape": "special",
             "length": len(data),
             "alphabet_size": len(set(data.text)),
-            "uncertain_fraction": float(
-                sum(1 for p in data.probabilities if p < 1.0) / len(data)
-            ),
+            "uncertain_fraction": np.count_nonzero(data.probabilities < 1.0) / len(data),
         }
     alphabet = set()
     uncertain = 0

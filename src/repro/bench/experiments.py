@@ -1271,8 +1271,8 @@ def frontier_string(n: int) -> "SpecialUncertainString":
     rng = np.random.default_rng(1234 + n)
     characters = rng.choice(list("ACGT"), size=n)
     probabilities = rng.uniform(0.5, 1.0, size=n).round(6)
-    return SpecialUncertainString(
-        [(c, float(p)) for c, p in zip(characters, probabilities)]
+    return SpecialUncertainString.from_characters_and_probabilities(
+        "".join(characters.tolist()), probabilities
     )
 
 

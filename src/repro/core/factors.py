@@ -45,7 +45,6 @@ from .._validation import check_threshold
 from ..exceptions import ConstructionError, ValidationError
 from ..payload import IndexPayload, expect_schema
 from ..strings.collection import UncertainStringCollection
-from ..strings.special import SpecialUncertainString
 from ..strings.uncertain import UncertainString
 from ..suffix.pattern_search import suffix_range
 
@@ -429,12 +428,6 @@ class TransformedString:
         if self._separator in pattern:
             return None
         return suffix_range(self.text, suffix_array, pattern)
-
-    def to_special_string(self) -> SpecialUncertainString:
-        """View the transformation as a special uncertain string."""
-        return SpecialUncertainString.from_characters_and_probabilities(
-            self.text, self.probabilities
-        )
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the numpy payload in bytes."""

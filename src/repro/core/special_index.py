@@ -255,10 +255,7 @@ class SpecialUncertainStringIndex(UncertainSubstringIndex):
         index._suffix_array = SuffixArray(
             index._string.text, array=payload.arrays["suffix_array"]
         )
-        # A plain view of a memory-mapped array: every computed range indexes
-        # the prefix sums three times, and np.memmap's subclass hooks cost
-        # more than the gathers on a narrow range.
-        index._prefix = np.asarray(payload.arrays["prefix"])
+        index._prefix = payload.arrays["prefix"]
         index._max_short_length = int(meta["max_short_length"])
         index._short_values = {
             int(length): stored_array(payload, f"short_values_{length}")

@@ -5,6 +5,9 @@ payload ``meta`` so a restored index can re-verify correlated candidates
 and expose the original input.  These helpers convert the string types to
 and from plain JSON-serializable dictionaries; floats round-trip exactly
 (JSON preserves the shortest repr, which Python parses back bit-equal).
+A special string is its text plus its probability list: the restore
+converts the list to one float64 array and validates it in one pass,
+building no per-position object.
 
 Moved here from :mod:`repro.api.persistence` so the :mod:`repro.core`
 ``to_payload`` / ``from_payload`` implementations — which live *below* the
@@ -70,7 +73,7 @@ def special_string_to_manifest(string: SpecialUncertainString) -> Dict[str, Any]
         "type": "special",
         "name": string.name,
         "text": string.text,
-        "probabilities": [float(value) for value in string.probabilities],
+        "probabilities": string.probabilities.tolist(),
     }
 
 

@@ -4,13 +4,18 @@ A *special* uncertain string has exactly one probable character per position,
 each with a non-zero probability of occurrence.  It is the form produced by
 the maximal-factor transformation of Section 5.1 and the form the efficient
 RMQ-based index of Section 4.2 is built over.
+
+As in Definition 1, a :class:`SpecialUncertainString` is the deterministic
+text ``t`` plus one float64 probability per position: both constructors
+validate the probabilities in one array pass, and :class:`SpecialPosition`
+records are built only when a caller iterates or indexes the string.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +42,48 @@ class SpecialPosition:
                 "special uncertain string probabilities must be strictly positive"
             )
         object.__setattr__(self, "probability", probability)
+
+
+def _checked_text_and_probabilities(
+    characters: Sequence[str], probabilities: Any
+) -> Tuple[str, np.ndarray]:
+    """The text and float64 probabilities of a special uncertain string.
+
+    Rejects what :class:`SpecialPosition` rejects position by position —
+    a character that is not a one-character ``str``, a probability that is
+    not a number, not finite, outside ``[0, 1]`` or zero — plus an empty
+    input and a length mismatch, with one array conversion and one
+    vectorized range check.  Each probability becomes ``float(value)``.
+    """
+    if len(characters) == 0:
+        raise ValidationError("a special uncertain string needs at least one position")
+    if not isinstance(characters, str):
+        for character in characters:
+            if not isinstance(character, str) or len(character) != 1:
+                raise ValidationError(
+                    "special position character must be a single character, "
+                    f"got {character!r}"
+                )
+        characters = "".join(characters)
+    try:
+        array = np.array(probabilities, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise ValidationError(f"probabilities must be numbers: {error}") from error
+    if array.shape != (len(characters),):
+        raise ValidationError(
+            f"need one probability per character: {len(characters)} characters, "
+            f"probabilities of shape {array.shape}"
+        )
+    # NaN fails both comparisons.
+    outside = np.flatnonzero(~((array > 0.0) & (array <= 1.0)))
+    if outside.size:
+        position = int(outside[0])
+        check_probability(probabilities[position], name=f"probability at position {position}")
+        raise ValidationError(
+            "special uncertain string probabilities must be strictly positive "
+            f"(position {position})"
+        )
+    return characters, array
 
 
 class SpecialUncertainString:
@@ -69,18 +116,17 @@ class SpecialUncertainString:
         *,
         name: Optional[str] = None,
     ):
-        if pairs is None or len(pairs) == 0:
-            raise ValidationError("a special uncertain string needs at least one position")
-        positions: List[SpecialPosition] = []
-        for pair in pairs:
+        characters: List[str] = []
+        probabilities: List[Any] = []
+        for pair in () if pairs is None else pairs:
             if isinstance(pair, SpecialPosition):
-                positions.append(pair)
-            else:
-                character, probability = pair
-                positions.append(SpecialPosition(character, probability))
-        self._positions: Tuple[SpecialPosition, ...] = tuple(positions)
-        self._text = "".join(p.character for p in self._positions)
-        self._probabilities = np.array([p.probability for p in self._positions], dtype=np.float64)
+                pair = (pair.character, pair.probability)
+            character, probability = pair
+            characters.append(character)
+            probabilities.append(probability)
+        self._text, self._probabilities = _checked_text_and_probabilities(
+            characters, probabilities
+        )
         self.name = name
 
     # -- constructors ----------------------------------------------------------
@@ -92,31 +138,34 @@ class SpecialUncertainString:
         *,
         name: Optional[str] = None,
     ) -> "SpecialUncertainString":
-        """Build from a character string plus a parallel probability sequence."""
-        probability_list = list(probabilities)
-        if len(characters) != len(probability_list):
-            raise ValidationError(
-                "characters and probabilities must have the same length "
-                f"({len(characters)} vs {len(probability_list)})"
-            )
-        return cls(list(zip(characters, probability_list)), name=name)
+        """Build from a character string plus a parallel probability sequence.
+
+        Validates exactly what the pair constructor does, without building
+        a :class:`SpecialPosition` per position.
+        """
+        if not isinstance(probabilities, np.ndarray):
+            probabilities = list(probabilities)
+        string = cls.__new__(cls)
+        string._text, string._probabilities = _checked_text_and_probabilities(
+            characters, probabilities
+        )
+        string.name = name
+        return string
 
     @classmethod
     def from_deterministic(cls, text: str, *, name: Optional[str] = None) -> "SpecialUncertainString":
         """Build a special uncertain string where every character is certain."""
-        if not text:
-            raise ValidationError("cannot build a special uncertain string from empty text")
-        return cls([(c, 1.0) for c in text], name=name)
+        return cls.from_characters_and_probabilities(text, np.ones(len(text)), name=name)
 
     # -- container protocol -----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._text)
 
     def __iter__(self) -> Iterator[SpecialPosition]:
-        return iter(self._positions)
+        return map(SpecialPosition, self._text, self._probabilities.tolist())
 
     def __getitem__(self, index: int) -> SpecialPosition:
-        return self._positions[index]
+        return SpecialPosition(self._text[index], float(self._probabilities[index]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecialUncertainString):
@@ -145,7 +194,7 @@ class SpecialUncertainString:
     @property
     def length(self) -> int:
         """Number of positions."""
-        return len(self._positions)
+        return len(self._text)
 
     # -- probability computation ---------------------------------------------------
     def log_probabilities(self) -> np.ndarray:
@@ -160,7 +209,7 @@ class SpecialUncertainString:
         of the per-position probabilities (Section 3.2).
         """
         check_nonempty_pattern(pattern)
-        if position < 0 or position + len(pattern) > len(self._positions):
+        if position < 0 or position + len(pattern) > len(self._text):
             return 0.0
         if self._text[position : position + len(pattern)] != pattern:
             return 0.0
@@ -168,7 +217,7 @@ class SpecialUncertainString:
 
     def window_probability(self, position: int, length: int) -> float:
         """Probability of the length-``length`` window starting at ``position``."""
-        if position < 0 or length <= 0 or position + length > len(self._positions):
+        if position < 0 or length <= 0 or position + length > len(self._text):
             return 0.0
         return float(np.prod(self._probabilities[position : position + length]))
 
@@ -177,7 +226,7 @@ class SpecialUncertainString:
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau)
         results = []
-        for position in range(len(self._positions) - len(pattern) + 1):
+        for position in range(len(self._text) - len(pattern) + 1):
             if self._text[position : position + len(pattern)] != pattern:
                 continue
             if self.occurrence_probability(pattern, position) > threshold:
@@ -192,11 +241,13 @@ class SpecialUncertainString:
         window exactly as the full string does — the property chunked
         sharding relies on (mirrors :meth:`UncertainString.slice`).
         """
-        if start < 0 or stop > len(self._positions) or start >= stop:
+        if start < 0 or stop > len(self._text) or start >= stop:
             raise ValidationError(
-                f"invalid slice [{start}, {stop}) for string of length {len(self._positions)}"
+                f"invalid slice [{start}, {stop}) for string of length {len(self._text)}"
             )
-        return SpecialUncertainString(self._positions[start:stop], name=self.name)
+        return self.from_characters_and_probabilities(
+            self._text[start:stop], self._probabilities[start:stop], name=self.name
+        )
 
     # -- conversions ----------------------------------------------------------------
     def to_uncertain_string(self) -> UncertainString:
@@ -208,14 +259,9 @@ class SpecialUncertainString:
         pattern drawn from a real alphabet.
         """
         rows = []
-        for position in self._positions:
-            if math.isclose(position.probability, 1.0, abs_tol=1e-12):
-                rows.append({position.character: 1.0})
+        for character, probability in zip(self._text, self._probabilities.tolist()):
+            if math.isclose(probability, 1.0, abs_tol=1e-12):
+                rows.append({character: 1.0})
             else:
-                rows.append(
-                    {
-                        position.character: position.probability,
-                        "\x00": 1.0 - position.probability,
-                    }
-                )
+                rows.append({character: probability, "\x00": 1.0 - probability})
         return UncertainString.from_table(rows, name=self.name)

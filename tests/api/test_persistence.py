@@ -153,6 +153,48 @@ class TestRoundTrips:
         assert loaded.plan.kind == "general"
 
 
+class TestSpecialStringRestore:
+    """A special archive restores its string from the manifest's text and
+    probability list, with the same checks a freshly built string passes."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_save_load_save_writes_identical_bytes(
+        self, tmp_path, mmap, correlated, compact
+    ):
+        string = make_random_special_string(300, seed=5, alphabet="ACGT")
+        options = {}
+        if correlated:
+            options["correlations"] = CorrelationModel(
+                [CorrelationRule(10, string.text[10], 12, string.text[12], 0.9, 0.2)]
+            )
+        engine = build_index(string, **options)
+        first = engine.save(tmp_path / "first", compact=compact)
+        loaded = load_index(first, mmap=mmap)
+        restored = loaded.index.string
+        assert restored.text == string.text
+        assert restored.probabilities.tobytes() == string.probabilities.tobytes()
+        # The plan's reason notes the archive a loaded engine came from, so
+        # the second save writes the first engine's plan.
+        second = save_index_payload(
+            loaded.index, engine.plan, tmp_path / "second", compact=compact
+        )
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("value", [1.5, 0.0])
+    def test_restore_rejects_an_invalid_probability(self, tmp_path, mmap, value):
+        path = build_index(make_random_special_string(40, seed=3)).save(
+            tmp_path / "tampered"
+        )
+        manifest = read_manifest(path)
+        manifest["payload"]["meta"]["string"]["probabilities"][17] = value
+        rezip_archive(path, manifest=manifest)
+        with pytest.raises(ValidationError, match="position 17"):
+            load_index(path, mmap=mmap)
+
+
 class TestBenchmarkWorkloadRoundTrip:
     """Acceptance: saved-then-loaded index is byte-identical on the synthetic
     benchmark workload."""
@@ -524,13 +566,15 @@ class TestFormatVersions:
         engine = build_index(general_string, tau_min=0.1)
         path = engine.save(tmp_path / "mapped")
         loaded = load_index(path, mmap=True)
-        assert isinstance(loaded.index._prefix, np.memmap)
-        # SuffixArray casts through ascontiguousarray, which keeps the map
-        # as a zero-copy base view.
+        # A plain ndarray view whose base is the map: zero-copy, and the
+        # kernels index it without np.memmap's subclass hooks.
+        prefix = loaded.index._prefix
+        assert type(prefix) is np.ndarray
+        assert isinstance(prefix.base, np.memmap)
+        assert not prefix.flags.writeable
+        # SuffixArray casts through ascontiguousarray, which keeps the view.
         suffix_array = loaded.index._suffix_array.array
-        assert isinstance(suffix_array, np.memmap) or isinstance(
-            suffix_array.base, np.memmap
-        )
+        assert isinstance(suffix_array.base, np.memmap)
         # Every level of this small text is scanned, so none restored an RMQ.
         assert loaded.index._short_rmq == {}
         assert "mmap" in loaded.plan.reason
@@ -543,9 +587,9 @@ class TestFormatVersions:
         assert sorted(loaded.index._short_rmq) == sorted(special.index._short_rmq)
         rmq = loaded.index._short_rmq[1]
         positions = rmq._block_positions
-        assert isinstance(positions, np.memmap) or isinstance(
-            positions.base, np.memmap
-        )
+        assert type(positions) is np.ndarray
+        assert isinstance(positions.base, np.memmap)
+        assert isinstance(loaded.index._prefix.base, np.memmap)
         assert "mmap" in loaded.plan.reason
 
     def test_mmap_on_compressed_archive_degrades_gracefully(
@@ -562,7 +606,9 @@ class TestFormatVersions:
             )
         for mmap in (False, True):
             loaded = load_index(path, mmap=mmap)
-            assert not isinstance(loaded.index._prefix, np.memmap)
+            prefix = loaded.index._prefix
+            assert not isinstance(prefix, np.memmap)
+            assert not isinstance(prefix.base, np.memmap)
             for tau in (0.1, 0.3):
                 assert loaded.query("QP", tau=tau) == engine.query("QP", tau=tau)
 

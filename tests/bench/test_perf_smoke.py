@@ -28,7 +28,10 @@ The guards, all at the small scale so the step stays fast:
   per-worker index bytes;
 * no special, general or listing index at the small scale, wide or
   compact, holds a per-level RMQ: none of their levels has a suffix range
-  wider than ``TOP_K_SCAN_WIDTH``, so such an RMQ could never be probed.
+  wider than ``TOP_K_SCAN_WIDTH``, so such an RMQ could never be probed;
+* an mmap load of a 2^16-position special archive constructs no
+  ``SpecialPosition`` (a count, not a timing): the string is restored as
+  its text plus one float64 array, and answers as the built engine does.
 
 The archive's size margin is a deterministic test in
 ``tests/api/test_persistence.py``.  The full sweeps stay in the
@@ -324,3 +327,48 @@ class TestNoNeverProbedRmqs:
                         "levels that every query computes instead"
                     )
 
+
+class TestSpecialRestoreBuildsNoPositions:
+    """A special archive loads without one validated object per position.
+
+    Restoring special-bulk's 2^16 positions as ``SpecialPosition`` records
+    once cost most of an mmap load; the restore now converts the
+    manifest's probability list to one float64 array, so the count is 0.
+    """
+
+    def test_mmap_load_constructs_no_special_position(self, tmp_path, monkeypatch):
+        from repro.api import build_index, load_index
+        from repro.strings import SpecialPosition, SpecialUncertainString
+
+        n = 1 << 16
+        rng = np.random.default_rng(2016)
+        text = "".join(rng.choice(list("ACGT"), size=n).tolist())
+        string = SpecialUncertainString.from_characters_and_probabilities(
+            text, rng.uniform(0.5, 1.0, size=n).tolist()
+        )
+        built = build_index(string)
+        path = built.save(tmp_path / "special")
+
+        constructed = []
+        check = SpecialPosition.__post_init__
+
+        def counting_check(position):
+            constructed.append(1)
+            check(position)
+
+        monkeypatch.setattr(SpecialPosition, "__post_init__", counting_check)
+        loaded = load_index(path, mmap=True)
+        answers = [
+            (loaded.index.query(pattern, 0.05), built.index.query(pattern, 0.05))
+            for pattern in ("ACGT", "GATTA", "CC", "T")
+        ] + [
+            (loaded.index.top_k(pattern, 50), built.index.top_k(pattern, 50))
+            for pattern in ("ACG", "TTTT")
+        ]
+        assert len(constructed) == 0, (
+            f"an mmap load of {n} positions built {len(constructed)} SpecialPosition records"
+        )
+        for got, expected in answers:
+            assert len(expected) > 0
+            assert got.ids.tobytes() == expected.ids.tobytes()
+            assert got.values.tobytes() == expected.values.tobytes()

@@ -158,12 +158,6 @@ class TestTransformedString:
             figure3_string.occurrence_probability(window, factor.start)
         )
 
-    def test_to_special_string(self, figure10_string):
-        transformed = transform_uncertain_string(figure10_string, 0.1)
-        special = transformed.to_special_string()
-        assert special.text == transformed.text
-        assert len(special) == transformed.length
-
     def test_conservation_of_probable_substrings(self, random_uncertain_string):
         string = random_uncertain_string(20, 0.4, 3)
         tau_min = 0.1
