@@ -4,7 +4,7 @@ A Python reproduction of *"Probabilistic Threshold Indexing for Uncertain
 Strings"* (Thankachan, Patil, Shah, Biswas — EDBT 2016): indexes for
 searching deterministic patterns inside character-level uncertain strings
 with a probability threshold, plus the supporting substrate (suffix arrays,
-suffix trees, range maximum queries), dataset generators and a benchmark
+LCP arrays, range maximum queries), dataset generators and a benchmark
 harness reproducing the paper's experimental figures.
 
 Quick start

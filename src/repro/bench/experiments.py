@@ -586,7 +586,10 @@ def ablation_approximate(scale: ExperimentScale = DEFAULT_SCALE) -> FigureTable:
             ),
         )
         approximate.add(
-            n, time_query_batch(approx_index.query, work.patterns, scale.tau)
+            n,
+            time_query_batch(
+                approx_index.query, work.patterns, scale.tau, repeats=scale.query_repeats
+            ),
         )
     table.series.extend([exact, approximate])
     return table

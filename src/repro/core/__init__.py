@@ -1,6 +1,6 @@
 """The paper's indexes: substring search, string listing, approximate search."""
 
-from .approximate import ApproximateSubstringIndex, Link
+from .approximate import ApproximateSubstringIndex
 from .base import (
     DEFAULT_TAU_FLOOR,
     LISTING,
@@ -41,7 +41,6 @@ __all__ = [
     "DEFAULT_TAU_FLOOR",
     "BruteForceOracle",
     "GeneralUncertainStringIndex",
-    "Link",
     "LISTING",
     "ListingMatch",
     "MatchArrays",

@@ -6,21 +6,27 @@ additive error ``ε`` on the probability threshold, using the marked-node /
 link framework of Hon, Shah and Vitter:
 
 1. the uncertain string is transformed (maximal factors w.r.t. ``τ_min``)
-   and a suffix tree is built over the transformed text;
+   and the suffix array and LCP array of the transformed text are built
+   (one :func:`~repro.suffix.suffix_array.prefix_doubling`).  A node of the
+   suffix tree is a rank range plus a string depth, read off the LCP array,
+   so the tree itself is never built;
 2. every leaf is marked with the *original* position its suffix maps to;
-   every internal node that is the LCA of two leaves with the same mark is
-   marked with it too (the root is implicitly marked with every position);
+   every node that is the LCA of two rank-adjacent leaves with the same mark
+   is marked with it too (the root is implicitly marked with every position);
 3. for every node ``u`` marked with position ``d`` a link
    ``(origin=u, target=lowest marked proper ancestor, d, prob)`` is created,
    where ``prob`` is the probability of ``path(u)`` occurring at ``d``;
 4. each link is split into a chain of sub-links so that the probabilities of
    consecutive sub-links differ by at most ``ε``.
 
-A query ``(p, τ)`` reports the positions of the links *stabbed* by the
-pattern's locus (origin at or below the locus, target strictly above it)
-whose probability is at least ``τ − ε``.  Every reported position has true
-occurrence probability ≥ ``τ − ε`` and every position with true probability
-≥ ``τ`` is reported.
+:func:`build_links` does steps 2-4 in numpy and returns the links as six
+parallel arrays, sorted by origin.  A query ``(p, τ)`` reports the
+positions of the links *stabbed* by the pattern's locus (origin at or below
+the locus, target strictly above it) whose probability is at least
+``τ − ε``: one masked pass over the links whose origin starts inside the
+pattern's suffix range.  Every reported position has true occurrence
+probability ≥ ``τ − ε`` and every position with true probability ≥ ``τ`` is
+reported.
 
 Setting ``verify=True`` on the query re-checks candidates against the
 original string, turning the structure into an exact index at the cost of
@@ -29,9 +35,7 @@ original string, turning the structure into an exact index at the cost of
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,16 +47,17 @@ from ..strings.serialization import (
     uncertain_string_to_manifest,
 )
 from ..strings.uncertain import UncertainString
-from ..suffix.lcp import lcp_from_ranks
+from ..suffix.lcp import common_prefix_lengths, lcp_from_ranks
 from ..suffix.rmq import make_rmq, rmq_to_payload
 from ..suffix.suffix_array import SuffixArray, prefix_doubling
-from ..suffix.suffix_tree import SuffixTree
+from . import base
 from .base import (
     OCCURRENCE,
     MatchArrays,
     UncertainSubstringIndex,
     report_above_threshold,
     restore_child_rmq,
+    stored_array,
 )
 
 from .cumulative import cumulative_log_probabilities
@@ -61,33 +66,264 @@ from .factors import DEFAULT_SEPARATOR, TransformedString, transform_uncertain_s
 #: Payload schema of this index kind (see :mod:`repro.payload`).
 APPROXIMATE_INDEX_SCHEMA = "index/approximate"
 
+#: The link arrays, as :func:`build_links` returns them and the payload
+#: stores them: the origin node's rank range and string depth, the target's
+#: string depth, the reported original position and the link probability.
+LINK_ARRAYS = (
+    "link_origin_left",
+    "link_origin_right",
+    "link_origin_depth",
+    "link_target_depth",
+    "link_position",
+    "link_probability",
+)
 
-@dataclass(frozen=True)
-class Link:
-    """One (possibly split) link of the marked-node framework.
 
-    Attributes
-    ----------
-    origin_left, origin_right:
-        Leaf-rank range of the real suffix-tree node at (or below) the
-        link's origin; used for the "origin inside the locus subtree" test.
-    origin_depth:
-        String depth of the origin (may be a dummy point on an edge).
-    target_depth:
-        String depth of the target (the next link of the chain, or the
-        lowest marked proper ancestor).
-    position:
-        Original-string position ``d`` the link reports.
-    probability:
-        Probability of the origin's prefix occurring at ``d``.
+def _minimum_levels(lcp: np.ndarray) -> List[np.ndarray]:
+    """Sparse table of ``lcp``: ``levels[k][i] = min(lcp[i : i + 2**k])``.
+
+    Held as int32, like the doubling ranks: every entry is below the text
+    length.
+    """
+    levels = [lcp.astype(np.int32)]
+    while 1 << len(levels) <= len(lcp):
+        width = 1 << (len(levels) - 1)
+        previous = levels[-1]
+        levels.append(np.minimum(previous[:-width], previous[width:]))
+    return levels
+
+
+def _node_ranges(
+    levels: List[np.ndarray], first: np.ndarray, last: np.ndarray, depths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank range of the depth-``depths[i]`` node holding ranks ``first[i]..last[i]``.
+
+    The range runs from the nearest rank at or before ``first`` whose
+    ``lcp`` is below the depth to the rank before the nearest such rank
+    after ``last`` (or to the last rank): both runs of ``lcp >= depth`` are
+    found by binary lifting over the sparse table, one level per step.
+    ``lcp[0] = 0`` stops every left run.
+    """
+    count = len(levels[0])
+    start = first + 1
+    end = last + 1
+    for k in range(len(levels) - 1, -1, -1):
+        level, width = levels[k], 1 << k
+        before = start - width
+        grow = (before >= 0) & (level[np.maximum(before, 0)] >= depths)
+        start = np.where(grow, before, start)
+        grow = (end + width <= count) & (level[np.minimum(end, len(level) - 1)] >= depths)
+        end = np.where(grow, end + width, end)
+    return start - 1, end - 1
+
+
+def _capped_depths(
+    prefix: np.ndarray, starts: np.ndarray, depths: np.ndarray, threshold: float
+) -> np.ndarray:
+    """How many of the depths ``1..depths[i]`` keep ``prefix[s+D] − prefix[s] ≥ threshold``.
+
+    The prefix sums never increase, so those depths are ``1..cap`` and a
+    bisection finds ``cap``.  No query accepts a deeper link: its
+    probability is below ``τ_min``.
+    """
+    low = np.zeros_like(depths)
+    high = depths.copy()
+    while True:
+        open_ = low < high
+        if not open_.any():
+            return low
+        middle = (low + high + 1) // 2
+        keeps = prefix[starts + middle] - prefix[starts] >= threshold
+        low = np.where(open_ & keeps, middle, low)
+        high = np.where(open_ & ~keeps, middle - 1, high)
+
+
+def _split_chains(
+    prefix: np.ndarray,
+    starts: np.ndarray,
+    targets: np.ndarray,
+    origins: np.ndarray,
+    epsilon: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut every chain into sub-links whose probabilities differ by at most ``epsilon``.
+
+    Chain ``i`` runs from depth ``origins[i]`` up to ``targets[i]``, and its
+    depth ``D`` has probability ``P(D) = exp(prefix[s+D] − prefix[s])``
+    with ``s = starts[i]`` (``P(0) = 1``).  From the current depth, a round
+    cuts below the deepest shallower depth whose probability exceeds the
+    current one by more than ``epsilon`` (one step up when that is the next
+    depth; at the target when there is none) and emits the sub-link above.
+    The search reads windows of depths going up from the current one, each
+    twice as wide as the last, so a round reads at most about twice the
+    depths a one-by-one scan reads, and all chains move at once.
+
+    Returns the chain, origin depth, target depth and probability of every
+    sub-link.
     """
 
-    origin_left: int
-    origin_right: int
-    origin_depth: int
-    target_depth: int
-    position: int
-    probability: float
+    def probability(chains: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        start = starts[chains]
+        values = np.exp(prefix[start + depths] - prefix[start])
+        values[depths == 0] = 1.0
+        return values
+
+    emitted: List[Tuple[np.ndarray, ...]] = []
+    current = origins.copy()
+    value = probability(np.arange(len(origins)), current)
+    # The next window of chain i ends at depth high[i] and is width[i] wide.
+    high = current - 1
+    width = np.ones_like(current)
+    active = np.arange(len(origins))
+    while active.size:
+        top = high[active]
+        low = np.maximum(targets[active], top - width[active] + 1)
+        spans = top - low + 1
+        offsets = np.cumsum(spans) - spans
+        depths = np.arange(int(spans.sum())) + np.repeat(low - offsets, spans)
+        rises = (
+            probability(np.repeat(active, spans), depths) - np.repeat(value[active], spans)
+            > epsilon
+        )
+        deepest = np.maximum.reduceat(np.where(rises, depths, -1), offsets)
+        found = deepest >= 0
+        settled = found | (low == targets[active])
+        waiting = active[~settled]
+        high[waiting] = low[~settled] - 1
+        width[waiting] *= 2
+
+        chains = active[settled]
+        depth = np.where(found[settled], deepest[settled] + 1, targets[chains])
+        depth = np.minimum(depth, current[chains] - 1)
+        emitted.append((chains, current[chains], depth, value[chains]))
+        current[chains] = depth
+        value[chains] = probability(chains, depth)
+        high[chains] = depth - 1
+        width[chains] = 1
+        active = np.concatenate([waiting, chains[depth > targets[chains]]])
+    if not emitted:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, np.empty(0, dtype=np.float64)
+    chains, tops, cuts, values = (np.concatenate(parts) for parts in zip(*emitted))
+    return chains, tops, cuts, values
+
+
+def build_links(
+    suffix_array: np.ndarray,
+    ranks: Sequence[np.ndarray],
+    rank_positions: np.ndarray,
+    prefix: np.ndarray,
+    tau_min: float,
+    epsilon: float,
+) -> Dict[str, np.ndarray]:
+    """The links of every marked node, as the :data:`LINK_ARRAYS`, sorted by origin.
+
+    ``ranks`` are the doubling rounds of
+    :func:`~repro.suffix.suffix_array.prefix_doubling` that produced
+    ``suffix_array``; ``rank_positions`` maps each rank to its original
+    position (``-1`` on a separator) and ``prefix`` holds the log prefix
+    sums of the transformed text.  With ``a_1 < … < a_k`` the leaves of
+    position ``d`` and ``h_i`` the LCP of ``a_i`` and ``a_(i+1)``
+    (``h_0 = h_k = 0``, the root):
+
+    * the marked nodes of ``d`` are its leaves (depth ``N − sa[r]``) and the
+      LCAs of its rank-adjacent leaves (depth ``h_i``); a node's range ends
+      at the nearest ``lcp`` below its depth on each side.  A suffix that is
+      a prefix of the suffixes ranked after it is their node, so its range
+      runs past its own rank;
+    * a node holding the leaves ``a_p..a_q`` has as lowest marked proper
+      ancestor the deeper of ``LCA(a_(p−1), a_p)`` and ``LCA(a_q,
+      a_(q+1))``, at depth ``max(h_(p−1), h_q)``;
+    * its probabilities are read from its smallest-rank leaf ``a_p``:
+      ``P(D) = exp(prefix[s+D] − prefix[s])`` with ``s = sa[a_p]`` and
+      ``P(0) = 1``.  Other leaves give the same value in exact arithmetic,
+      not the same bits.
+
+    Links with equal origins are ordered by their position's smallest rank.
+    """
+    count = len(suffix_array)
+    suffix_array = np.asarray(suffix_array, dtype=np.int64)
+    lcp = lcp_from_ranks(ranks, suffix_array)
+
+    # Leaves grouped by position, in rank order within a position.
+    leaves = np.flatnonzero(rank_positions >= 0)
+    leaves = leaves[np.argsort(rank_positions[leaves], kind="stable")]
+    positions = rank_positions[leaves].astype(np.int64)
+    paired = np.flatnonzero(positions[1:] == positions[:-1])
+    pair_depths = common_prefix_lengths(
+        ranks, suffix_array[leaves[paired]], suffix_array[leaves[paired + 1]]
+    )
+    # h_i after / before every leaf; 0 (the root) at a position's ends.
+    after = np.zeros(len(leaves), dtype=np.int64)
+    after[paired] = pair_depths
+    before = np.zeros(len(leaves), dtype=np.int64)
+    before[paired + 1] = pair_depths
+
+    # Marked nodes: every leaf, and every non-root LCA of an adjacent pair.
+    inner = pair_depths > 0
+    node_position = np.concatenate([positions, positions[paired[inner]]])
+    node_depth = np.concatenate([count - suffix_array[leaves], pair_depths[inner]])
+    left, right = _node_ranges(
+        _minimum_levels(lcp),
+        np.concatenate([leaves, leaves[paired[inner]]]),
+        np.concatenate([leaves, leaves[paired[inner] + 1]]),
+        node_depth,
+    )
+    # An LCA can be a leaf (a prefix of the next suffixes) or another LCA.
+    # Ranks and depths are below ``count``, so (position, rank) pairs and
+    # the sort keys below fit one int64 each.
+    node_key = node_position * count + left
+    order = np.lexsort((node_depth, node_key))
+    unique = np.ones(len(order), dtype=bool)
+    unique[1:] = (np.diff(node_key[order]) != 0) | (np.diff(node_depth[order]) != 0)
+    order = order[unique]
+    node_position, node_key = node_position[order], node_key[order]
+    node_depth, left, right = node_depth[order], left[order], right[order]
+
+    # Leaves a_p..a_q of the position inside each node.
+    keys = positions * count + leaves
+    first = np.searchsorted(keys, node_key, side="left")
+    last = np.searchsorted(keys, node_position * count + right, side="right") - 1
+    target = np.maximum(before[first], after[last])
+    start = suffix_array[leaves[first]]
+    origin = _capped_depths(prefix, start, node_depth, np.log(tau_min) - 1e-12)
+    chained = np.flatnonzero(origin > target)
+    start, origin, target = start[chained], origin[chained], target[chained]
+
+    chain, origin_depth, target_depth, probability = _split_chains(
+        prefix, start, target, origin, epsilon
+    )
+
+    node = chained[chain]
+    first_rank = leaves[np.searchsorted(keys, node_position[node] * count)]
+    order = np.lexsort(
+        (origin_depth * count + first_rank, left[node] * count + right[node])
+    )
+    node = node[order]
+    return {
+        "link_origin_left": left[node],
+        "link_origin_right": right[node],
+        "link_origin_depth": origin_depth[order],
+        "link_target_depth": target_depth[order],
+        "link_position": node_position[node],
+        "link_probability": probability[order],
+    }
+
+
+def widest_first_character_slice(
+    text: str, suffix_array: np.ndarray, origin_left: np.ndarray
+) -> int:
+    """Most links whose origins start with one character.
+
+    A query stabs the links whose origin starts inside the pattern's suffix
+    range, which lies inside its first character's range, so no query's
+    slice is wider.  A function of the stored arrays alone: a restore
+    derives whether the build kept the link RMQ.  No links give 0.
+    """
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    # Non-decreasing: ranks sort by first character.
+    first = codes[suffix_array[origin_left]]
+    edges = np.flatnonzero(first[1:] != first[:-1]) + 1
+    return int(np.diff(edges, prepend=0, append=len(first)).max())
 
 
 class ApproximateSubstringIndex(UncertainSubstringIndex):
@@ -146,154 +382,28 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         transformed = self._transformed
         suffix_array, ranks = prefix_doubling(transformed.text)
         self._suffix_array = SuffixArray(transformed.text, array=suffix_array)
-        self._tree = SuffixTree(self._suffix_array, lcp=lcp_from_ranks(ranks, suffix_array))
+        self._links = build_links(
+            suffix_array,
+            ranks,
+            transformed.positions[suffix_array],
+            cumulative_log_probabilities(transformed.probabilities),
+            self._tau_min,
+            epsilon,
+        )
         del ranks
-        self._prefix = cumulative_log_probabilities(transformed.probabilities)
-        self._rank_positions = transformed.positions[self._suffix_array.array]
-
-        self._links = self._build_links()
-        # Links sorted by origin_left so a locus range maps to a contiguous
-        # slice; an RMQ over probability drives output-sensitive reporting.
-        self._link_origin_left = np.asarray(
-            [link.origin_left for link in self._links], dtype=np.int64
+        probabilities = self._links["link_probability"]
+        self._link_rmq = (
+            make_rmq(probabilities, mode="max") if self._needs_link_rmq() else None
         )
-        self._link_probabilities = np.asarray(
-            [link.probability for link in self._links], dtype=np.float64
+
+    def _needs_link_rmq(self) -> bool:
+        """Whether a stabbed slice can be wider than the kernel's scan."""
+        widest = widest_first_character_slice(
+            self._transformed.text,
+            self._suffix_array.array,
+            self._links["link_origin_left"],
         )
-        if len(self._links) > 0:
-            self._link_rmq = make_rmq(self._link_probabilities, mode="max")
-        else:
-            self._link_rmq = None
-
-    # -- construction ---------------------------------------------------------------------
-    def _leaf_window_probability(self, leaf_rank: int, depth: int) -> float:
-        start = int(self._suffix_array.array[leaf_rank])
-        if depth <= 0 or start + depth > len(self._transformed.text):
-            return 0.0
-        return float(np.exp(self._prefix[start + depth] - self._prefix[start]))
-
-    def _build_links(self) -> List[Link]:
-        tree = self._tree
-        root = tree.root
-
-        # Leaves marked with each original position, in rank order.
-        leaves_by_position: Dict[int, List[int]] = {}
-        for rank, position in enumerate(self._rank_positions):
-            position = int(position)
-            if position < 0:
-                continue
-            # Skip suffixes that start on a separator (their first character
-            # can never match a query pattern) — their position is -1 already,
-            # so nothing to do; suffixes that merely *cross* a separator are
-            # fine because the locus of a real pattern never descends there.
-            leaves_by_position.setdefault(position, []).append(rank)
-
-        links: List[Link] = []
-        for position, leaf_ranks in leaves_by_position.items():
-            marked = set(leaf_ranks)
-            for previous, current in zip(leaf_ranks, leaf_ranks[1:]):
-                marked.add(tree.lowest_common_ancestor(previous, current))
-            marked_with_root = set(marked)
-            marked_with_root.add(root)
-
-            for node in marked:
-                if node == root:
-                    continue
-                target = self._lowest_marked_proper_ancestor(node, marked_with_root)
-                representative_leaf = self._representative_leaf(node, position, leaf_ranks)
-                links.extend(
-                    self._split_link(node, target, position, representative_leaf)
-                )
-        links.sort(key=lambda link: (link.origin_left, link.origin_right, link.origin_depth))
-        return links
-
-    def _lowest_marked_proper_ancestor(self, node: int, marked: set) -> int:
-        current = self._tree.node_parent(node)
-        while current != -1:
-            if current in marked:
-                return current
-            current = self._tree.node_parent(current)
-        return self._tree.root
-
-    def _representative_leaf(
-        self, node: int, position: int, leaf_ranks: List[int]
-    ) -> int:
-        node_left, node_right = self._tree.node_range(node)
-        index = bisect.bisect_left(leaf_ranks, node_left)
-        if index < len(leaf_ranks) and leaf_ranks[index] <= node_right:
-            return leaf_ranks[index]
-        raise ValidationError(
-            f"internal error: no leaf with position {position} under node {node}"
-        )  # pragma: no cover - construction invariant
-
-    def _useful_depth_cap(self, leaf_rank: int, origin_depth: int) -> int:
-        """Deepest prefix depth whose probability is still at least ``tau_min``.
-
-        Links deeper than this can never satisfy a query (every query uses
-        ``tau >= tau_min`` and probabilities only shrink with depth), so the
-        chain is split starting from this depth instead of the full suffix
-        depth — without this cap, link construction is quadratic in the
-        transformed text length.
-        """
-        start = int(self._suffix_array.array[leaf_rank])
-        limit = min(origin_depth, len(self._transformed.text) - start)
-        if limit <= 0:
-            return 0
-        # prefix[start+1 .. start+limit] - prefix[start] is non-increasing.
-        window = self._prefix[start + 1 : start + limit + 1] - self._prefix[start]
-        threshold = np.log(self._tau_min) - 1e-12
-        return int(np.searchsorted(-window, -threshold, side="right"))
-
-    def _split_link(
-        self, origin: int, target: int, position: int, representative_leaf: int
-    ) -> List[Link]:
-        tree = self._tree
-        origin_left, origin_right = tree.node_range(origin)
-        origin_depth = tree.node_depth(origin)
-        target_depth = tree.node_depth(target)
-        if target_depth >= origin_depth:
-            # Degenerate (can only happen for a leaf equal to its marked
-            # ancestor); no link needed.
-            return []
-        # Cap the chain at the deepest depth that any query could still
-        # accept; deeper prefixes have probability < tau_min.
-        origin_depth = min(
-            origin_depth, self._useful_depth_cap(representative_leaf, origin_depth)
-        )
-        if origin_depth <= target_depth:
-            return []
-
-        sublinks: List[Link] = []
-        current_depth = origin_depth
-        current_probability = self._leaf_window_probability(representative_leaf, origin_depth)
-        while current_depth > target_depth:
-            cut_depth = target_depth
-            # Walk upwards while the probability increase stays within epsilon.
-            for depth in range(current_depth - 1, target_depth - 1, -1):
-                probability = self._leaf_window_probability(representative_leaf, depth) if depth > 0 else 1.0
-                if probability - current_probability > self._epsilon:
-                    cut_depth = depth + 1
-                    break
-            if cut_depth >= current_depth:
-                # Even a single character step exceeds epsilon: cut right above.
-                cut_depth = current_depth - 1
-            sublinks.append(
-                Link(
-                    origin_left=origin_left,
-                    origin_right=origin_right,
-                    origin_depth=current_depth,
-                    target_depth=cut_depth,
-                    position=position,
-                    probability=current_probability,
-                )
-            )
-            current_depth = cut_depth
-            current_probability = (
-                self._leaf_window_probability(representative_leaf, cut_depth)
-                if cut_depth > 0
-                else 1.0
-            )
-        return sublinks
+        return widest > base.SCAN_WIDTH
 
     # -- metadata -------------------------------------------------------------------------
     @property
@@ -319,37 +429,17 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
     @property
     def link_count(self) -> int:
         """Total number of (split) links stored by the index."""
-        return len(self._links)
+        return len(self._links["link_probability"])
 
     # -- payload currency -----------------------------------------------------------------
     def to_payload(self) -> IndexPayload:
         """The complete array-schema description of this index.
 
-        The link chain is decomposed into six parallel flat arrays (the
-        :class:`Link` dataclasses are rebuilt on restore); the link RMQ is
-        a child payload, present only when the index holds links.
+        The links are the six :data:`LINK_ARRAYS`; the link RMQ is a child
+        payload, present only where a stabbed slice can be wider than
+        :data:`~repro.core.base.SCAN_WIDTH`.
         """
-        links = self._links
-        arrays = {
-            "suffix_array": self._suffix_array.array,
-            "lcp": self._tree.lcp,
-            "prefix": self._prefix,
-            "rank_positions": self._rank_positions,
-            "link_origin_left": self._link_origin_left,
-            "link_origin_right": np.asarray(
-                [link.origin_right for link in links], dtype=np.int64
-            ),
-            "link_origin_depth": np.asarray(
-                [link.origin_depth for link in links], dtype=np.int64
-            ),
-            "link_target_depth": np.asarray(
-                [link.target_depth for link in links], dtype=np.int64
-            ),
-            "link_position": np.asarray(
-                [link.position for link in links], dtype=np.int64
-            ),
-            "link_probability": self._link_probabilities,
-        }
+        arrays = {"suffix_array": self._suffix_array.array, **self._links}
         children = {"transformed": self._transformed.to_payload()}
         if self._link_rmq is not None:
             children["rmq_links"] = rmq_to_payload(self._link_rmq)
@@ -359,7 +449,7 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
                 "string": uncertain_string_to_manifest(self._string),
                 "tau_min": self._tau_min,
                 "epsilon": self._epsilon,
-                "link_count": len(links),
+                "link_count": self.link_count,
             },
             arrays=arrays,
             children=children,
@@ -367,7 +457,13 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
 
     @classmethod
     def from_payload(cls, payload: IndexPayload) -> "ApproximateSubstringIndex":
-        """Restore an index from :meth:`to_payload` output (no construction)."""
+        """Restore an index from :meth:`to_payload` output (no construction).
+
+        Arrays and an ``rmq_links`` child the index does not need (earlier
+        archives also stored ``lcp``, ``prefix``, ``rank_positions`` and
+        the link RMQ) are not read; a missing link array, or a missing
+        needed RMQ child, raises :class:`~repro.exceptions.ValidationError`.
+        """
         expect_schema(payload, APPROXIMATE_INDEX_SCHEMA)
         meta = payload.meta
         index = cls.__new__(cls)
@@ -380,32 +476,19 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         index._suffix_array = SuffixArray(
             index._transformed.text, array=payload.arrays["suffix_array"]
         )
-        index._tree = SuffixTree(index._suffix_array, lcp=payload.arrays["lcp"])
-        index._prefix = payload.arrays["prefix"]
-        index._rank_positions = payload.arrays["rank_positions"]
-        arrays = payload.arrays
-        index._links = [
-            Link(
-                origin_left=int(arrays["link_origin_left"][i]),
-                origin_right=int(arrays["link_origin_right"][i]),
-                origin_depth=int(arrays["link_origin_depth"][i]),
-                target_depth=int(arrays["link_target_depth"][i]),
-                position=int(arrays["link_position"][i]),
-                probability=float(arrays["link_probability"][i]),
-            )
-            for i in range(int(meta["link_count"]))
-        ]
-        # Widen once at restore: the query path binary-searches this array
-        # against suffix ranks that can exceed a compacted dtype's range, and
-        # ``searchsorted`` would otherwise re-promote the haystack per query.
-        index._link_origin_left = arrays["link_origin_left"].astype(np.int64, copy=False)
-        index._link_probabilities = arrays["link_probability"]
-        if len(index._links) > 0:
-            index._link_rmq = restore_child_rmq(
-                payload, "rmq_links", index._link_probabilities
-            )
-        else:
-            index._link_rmq = None
+        index._links = {name: stored_array(payload, name) for name in LINK_ARRAYS}
+        # Widen and align once at restore: the query path binary-searches
+        # this array, and ``searchsorted`` copies the whole haystack on every
+        # call when it is narrower than int64 (a compact archive) or
+        # unaligned (an mmap'd archive member).
+        index._links["link_origin_left"] = np.require(
+            index._links["link_origin_left"], dtype=np.int64, requirements="A"
+        )
+        index._link_rmq = (
+            restore_child_rmq(payload, "rmq_links", index._links["link_probability"])
+            if index._needs_link_rmq()
+            else None
+        )
         return index
 
     # -- queries --------------------------------------------------------------------------------
@@ -422,36 +505,40 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
         """
         check_nonempty_pattern(pattern)
         threshold = check_threshold(tau, tau_min=self._tau_min)
-        if self._link_rmq is None:
-            return MatchArrays(OCCURRENCE)
         interval = self._transformed.suffix_range(self._suffix_array.array, pattern)
         if interval is None:
             return MatchArrays(OCCURRENCE)
         sp, ep = interval
         length = len(pattern)
-        relaxed_threshold = threshold - self._epsilon
+        links = self._links
 
         # Links whose origin range starts inside [sp, ep] form a contiguous
-        # slice of the origin-sorted link array.
-        first = int(np.searchsorted(self._link_origin_left, sp, side="left"))
-        last = int(np.searchsorted(self._link_origin_left, ep, side="right")) - 1
-        if first > last:
+        # slice of the origin-sorted link arrays; the stabbed ones among
+        # them have their origin inside the locus and their target above it.
+        origin_left = links["link_origin_left"]
+        first = int(np.searchsorted(origin_left, sp, side="left"))
+        last = int(np.searchsorted(origin_left, ep, side="right")) - 1
+        hits = report_above_threshold(
+            self._link_rmq,
+            links["link_probability"],
+            first,
+            last,
+            threshold - self._epsilon,
+        )
+        hits = hits[
+            (links["link_origin_right"][hits] <= ep)
+            & (links["link_origin_depth"][hits] >= length)
+            & (links["link_target_depth"][hits] < length)
+        ]
+        if hits.size == 0:
             return MatchArrays(OCCURRENCE)
-
-        reported: Dict[int, float] = {}
-        for index in report_above_threshold(
-            self._link_rmq, self._link_probabilities, first, last, relaxed_threshold
-        ):
-            link = self._links[index]
-            if link.origin_right > ep:
-                continue
-            if link.origin_depth < length or link.target_depth >= length:
-                continue
-            previous = reported.get(link.position)
-            if previous is None or link.probability > previous:
-                reported[link.position] = link.probability
-
-        positions = np.fromiter(reported, dtype=np.int64, count=len(reported))
+        positions = links["link_position"][hits].astype(np.int64)
+        values = links["link_probability"][hits]
+        # The largest probability per position: the last of each run.
+        order = np.lexsort((values, positions))
+        positions, values = positions[order], values[order]
+        best = np.append(positions[1:] != positions[:-1], True)
+        positions, values = positions[best], values[best]
         if verify:
             values = np.array(
                 [
@@ -462,6 +549,4 @@ class ApproximateSubstringIndex(UncertainSubstringIndex):
             )
             keep = values > threshold
             positions, values = positions[keep], values[keep]
-        else:
-            values = np.fromiter(reported.values(), dtype=np.float64, count=len(reported))
-        return MatchArrays(OCCURRENCE, positions, values).by_id()
+        return MatchArrays(OCCURRENCE, positions, values)

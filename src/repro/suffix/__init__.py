@@ -1,13 +1,7 @@
-"""Deterministic string-indexing substrate (suffix arrays, trees, RMQ)."""
+"""Deterministic string-indexing substrate (suffix arrays, LCP arrays, RMQ)."""
 
-from .lcp import (
-    LCPArray,
-    build_lcp_array,
-    common_prefix_lengths,
-    lcp_from_ranks,
-    naive_lcp_array,
-)
-from .pattern_search import count_occurrences, occurrence_positions, suffix_range
+from .lcp import common_prefix_lengths, lcp_from_ranks, naive_lcp_array
+from .pattern_search import suffix_range
 from .rmq import (
     BlockRMQ,
     CompactRMQ,
@@ -23,19 +17,14 @@ from .suffix_array import (
     naive_suffix_array,
     prefix_doubling,
 )
-from .suffix_tree import SuffixTree
 
 __all__ = [
     "BlockRMQ",
     "CompactRMQ",
-    "LCPArray",
     "SparseTableRMQ",
     "SuffixArray",
-    "SuffixTree",
-    "build_lcp_array",
     "build_suffix_array",
     "common_prefix_lengths",
-    "count_occurrences",
     "inverse_suffix_array",
     "lcp_from_ranks",
     "make_rmq",
@@ -43,7 +32,6 @@ __all__ = [
     "rmq_to_payload",
     "naive_lcp_array",
     "naive_suffix_array",
-    "occurrence_positions",
     "prefix_doubling",
     "suffix_range",
 ]

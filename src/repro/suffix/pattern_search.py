@@ -4,9 +4,8 @@ Given a suffix array of a text ``t`` and a pattern ``p``, the *suffix range*
 ``[sp, ep]`` is the maximal interval of lexicographic ranks whose suffixes
 have ``p`` as a prefix (paper Section 3.4).  The paper obtains it through the
 suffix tree in ``O(m)``; this module provides the equivalent binary-search
-lookup over the suffix array in ``O(m log n)``, which is what the indexes use
-by default (the suffix tree remains available for structural queries such as
-locus partitions).
+lookup over the suffix array in ``O(m log n)``, which is what every index
+uses.
 """
 
 from __future__ import annotations
@@ -97,22 +96,3 @@ def suffix_range(text: str, suffix_array: np.ndarray, pattern: str) -> Optional[
     if text[first : first + m] != pattern:
         return None
     return start_rank, end_rank
-
-
-def count_occurrences(text: str, suffix_array: np.ndarray, pattern: str) -> int:
-    """Number of (deterministic) occurrences of ``pattern`` in ``text``."""
-    interval = suffix_range(text, suffix_array, pattern)
-    if interval is None:
-        return 0
-    return interval[1] - interval[0] + 1
-
-
-def occurrence_positions(text: str, suffix_array: np.ndarray, pattern: str) -> np.ndarray:
-    """Sorted text positions of all deterministic occurrences of ``pattern``."""
-    interval = suffix_range(text, suffix_array, pattern)
-    if interval is None:
-        return np.empty(0, dtype=np.int64)
-    sp, ep = interval
-    positions = _as_index_array(suffix_array)[sp : ep + 1].copy()
-    positions.sort()
-    return positions

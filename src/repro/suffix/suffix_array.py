@@ -1,8 +1,9 @@
 """Suffix array construction (deterministic-string indexing substrate).
 
-The paper's indexes are all layered on top of a suffix array / suffix tree of
-the deterministic text obtained from the (transformed) uncertain string.
-This module builds it by prefix doubling, vectorized with numpy:
+The paper's indexes are all layered on top of a suffix tree of the
+deterministic text; this package replaces it with the suffix array and LCP
+array of the text obtained from the (transformed) uncertain string.
+This module builds the suffix array by prefix doubling, vectorized with numpy:
 :func:`prefix_doubling` returns the suffix array together with the rank
 array of every doubling round, from which
 :func:`repro.suffix.lcp.common_prefix_lengths` reads the longest common

@@ -8,6 +8,7 @@ from repro.bench.experiments import (
     SCALES,
     SMALL_SCALE,
     ExperimentScale,
+    ablation_approximate,
     ablation_transformation,
     figure_7a,
     figure_7d,
@@ -99,6 +100,17 @@ class TestFigureGenerators:
         for series in table.series:
             # Larger tau_min => shorter factors => smaller expansion.
             assert series.values[0] >= series.values[-1]
+
+    def test_ablation_approximate_has_both_series_per_size(self):
+        table = ablation_approximate(TINY_SCALE)
+        assert table.figure_id == "ablation-approx"
+        assert [series.label for series in table.series] == [
+            "exact (general index)",
+            "approximate (links)",
+        ]
+        for series in table.series:
+            assert series.xs == list(TINY_SCALE.string_sizes)
+            assert all(value > 0.0 for value in series.values)
 
     def test_run_experiments_returns_tables_in_order(self):
         tables = run_experiments(["fig9c", "fig7a"], TINY_SCALE)

@@ -262,7 +262,7 @@ class TestMemoryFrontierSmoke:
 
 
 class TestNoNeverProbedRmqs:
-    """The special, general and listing kinds store no level that no query reads.
+    """No kind stores an RMQ or a level that no query reads.
 
     A level keeps its RMQ only where some suffix range can be wider than
     ``TOP_K_SCAN_WIDTH``, the smaller scan cut-off
@@ -272,7 +272,9 @@ class TestNoNeverProbedRmqs:
     special and general indexes also compute every scanned range's
     ``C_L`` from the prefix sums, so they store a level's values only for
     that RMQ: ``short_values`` / ``block_values`` bytes on these inputs
-    would be levels no query reads.
+    would be levels no query reads.  The approximate index keeps its link
+    RMQ only where a first character's links outnumber ``SCAN_WIDTH``; on
+    these inputs ``rmq_links`` bytes would be a structure no query probes.
     """
 
     def test_small_scale_indexes_carry_no_level_rmq(self):
@@ -280,12 +282,14 @@ class TestNoNeverProbedRmqs:
         from repro.bench.experiments import frontier_string
         from repro.bench.workloads import listing_workload, substring_workload
         from repro.core.base import rmq_depth
-        from repro.suffix.lcp import build_lcp_array
+        from repro.suffix.lcp import lcp_from_ranks
+        from repro.suffix.suffix_array import prefix_doubling
 
         def lcp_of(index):
             if hasattr(index, "_lcp"):
                 return index._lcp
-            return build_lcp_array(index.string.text, index._suffix_array.array)
+            ranks = prefix_doubling(index.string.text)[1]
+            return lcp_from_ranks(ranks, index._suffix_array.array)
 
         cells = [("special", n, None, frontier_string(n)) for n in SMALL_SCALE.string_sizes]
         for n in SMALL_SCALE.string_sizes:
@@ -325,6 +329,39 @@ class TestNoNeverProbedRmqs:
                     assert not stored, (
                         f"{label} (compact={compact}) holds {stored} bytes of stored "
                         "levels that every query computes instead"
+                    )
+
+    def test_small_scale_approximate_indexes_carry_no_link_rmq(self):
+        from repro.api import build_index
+        from repro.bench.workloads import substring_workload
+        from repro.core.approximate import widest_first_character_slice
+        from repro.core.base import SCAN_WIDTH
+
+        for n in SMALL_SCALE.string_sizes:
+            for theta in SMALL_SCALE.thetas:
+                work = substring_workload(n, theta, tau_min=SMALL_SCALE.tau_min)
+                for compact in (False, True):
+                    label = f"approximate n={n} theta={theta} (compact={compact})"
+                    index = build_index(
+                        work.string,
+                        tau_min=SMALL_SCALE.tau_min,
+                        epsilon=0.05,
+                        compact=compact,
+                    ).index
+                    arrays = index.to_payload().arrays
+                    widest = widest_first_character_slice(
+                        index.transformed.text,
+                        arrays["suffix_array"],
+                        arrays["link_origin_left"],
+                    )
+                    assert widest <= SCAN_WIDTH, (
+                        f"{label}: a stabbed slice can be wider than SCAN_WIDTH, "
+                        "so this input no longer tests the guard"
+                    )
+                    held = index.space_report().get("rmq_links")
+                    assert not held, (
+                        f"{label} holds {held} bytes of a link RMQ that no query "
+                        "can probe"
                     )
 
 

@@ -60,9 +60,10 @@ from repro.strings import (
     SpecialUncertainString,
     UncertainStringCollection,
 )
-from repro.suffix.lcp import build_lcp_array
+from repro.suffix.lcp import lcp_from_ranks
 from repro.suffix.pattern_search import suffix_range
 from repro.suffix.rmq import BlockRMQ, CompactRMQ, SparseTableRMQ, make_rmq, rmq_to_payload
+from repro.suffix.suffix_array import prefix_doubling
 from tests.conftest import (
     make_random_special_string,
     make_random_uncertain_string,
@@ -203,7 +204,7 @@ def lcp_of(index):
     """The index's ``lcp``; the special index stores none, so rebuild it."""
     if hasattr(index, "_lcp"):
         return index._lcp
-    return build_lcp_array(index.string.text, index._suffix_array.array)
+    return lcp_from_ranks(prefix_doubling(index.string.text)[1], index._suffix_array.array)
 
 
 def text_of(index):

@@ -1,22 +1,17 @@
-"""Property-based tests for the suffix-array / LCP / suffix-tree substrate."""
+"""Property-based tests for the suffix-array / LCP substrate and the suffix
+tree read off it (rank ranges plus string depths, never built as nodes)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.suffix.lcp import (
-    build_lcp_array,
-    common_prefix_lengths,
-    lcp_from_ranks,
-    naive_lcp_array,
-)
+from repro.core.approximate import _minimum_levels, _node_ranges
+from repro.suffix.lcp import common_prefix_lengths, lcp_from_ranks, naive_lcp_array
 from repro.suffix.pattern_search import suffix_range
 from repro.suffix.suffix_array import (
-    SuffixArray,
     build_suffix_array,
     naive_suffix_array,
     prefix_doubling,
 )
-from repro.suffix.suffix_tree import SuffixTree
 
 #: Texts over a tiny alphabet maximize repeated substrings, which is where
 #: suffix structures earn their keep (and where bugs hide).
@@ -42,8 +37,8 @@ def test_suffix_array_is_sorted_permutation(text):
 @settings(max_examples=60, deadline=None)
 @given(texts)
 def test_lcp_matches_naive(text):
-    suffix_array = build_suffix_array(text)
-    assert build_lcp_array(text, suffix_array).tolist() == naive_lcp_array(
+    suffix_array, ranks = prefix_doubling(text)
+    assert lcp_from_ranks(ranks, suffix_array).tolist() == naive_lcp_array(
         text, suffix_array.tolist()
     )
 
@@ -51,8 +46,8 @@ def test_lcp_matches_naive(text):
 @settings(max_examples=60, deadline=None)
 @given(texts)
 def test_lcp_values_are_actual_common_prefix_lengths(text):
-    suffix_array = build_suffix_array(text)
-    lcp = build_lcp_array(text, suffix_array)
+    suffix_array, ranks = prefix_doubling(text)
+    lcp = lcp_from_ranks(ranks, suffix_array)
     for rank in range(1, len(text)):
         a = text[int(suffix_array[rank - 1]) :]
         b = text[int(suffix_array[rank]) :]
@@ -79,37 +74,56 @@ def test_suffix_range_reports_exactly_the_occurrences(text, data):
     ]
 
 
+def implicit_tree(text):
+    """Suffix array, LCP array and node-range function of ``text``'s suffix tree.
+
+    A node is a rank range plus a string depth, read off the LCP array as
+    the approximate index reads it: ``node(first, last, depth)`` is the
+    range of the depth-``depth`` node holding ranks ``first..last``.
+    """
+    suffix_array, ranks = prefix_doubling(text)
+    lcp = lcp_from_ranks(ranks, suffix_array)
+    levels = _minimum_levels(lcp)
+
+    def node(first, last, depth):
+        left, right = _node_ranges(levels, np.array([first]), np.array([last]), np.array([depth]))
+        return int(left[0]), int(right[0])
+
+    return suffix_array, lcp, node
+
+
 @settings(max_examples=40, deadline=None)
 @given(busy_texts)
 def test_suffix_tree_structure_invariants(text):
-    tree = SuffixTree(SuffixArray(text))
-    for node in range(tree.node_count):
-        left, right = tree.node_range(node)
-        assert 0 <= left <= right < tree.leaf_count
-        parent = tree.node_parent(node)
-        if parent != -1:
-            parent_left, parent_right = tree.node_range(parent)
-            assert parent_left <= left and right <= parent_right
-            assert tree.node_depth(parent) < tree.node_depth(node)
+    suffix_array, _, node = implicit_tree(text)
+    for rank in range(len(text)):
+        parent = None
+        for depth in range(1, len(text) - int(suffix_array[rank]) + 1):
+            left, right = node(rank, rank, depth)
+            assert 0 <= left <= rank <= right < len(text)
+            if parent is not None:
+                assert parent[0] <= left and right <= parent[1]
+            parent = left, right
+        # The leaf's range starts at its own rank.
+        assert parent[0] == rank
 
 
 @settings(max_examples=40, deadline=None)
 @given(busy_texts, st.integers(min_value=1, max_value=6))
 def test_depth_partitions_tile_the_leaves(text, depth):
-    tree = SuffixTree(SuffixArray(text))
-    partitions = tree.depth_partitions(depth)
+    suffix_array, _, node = implicit_tree(text)
+    partitions = sorted({node(rank, rank, depth) for rank in range(len(text))})
     covered = []
     for left, right in partitions:
         assert left <= right
         covered.extend(range(left, right + 1))
-    assert covered == list(range(tree.leaf_count))
+    assert covered == list(range(len(text)))
     # Members of one partition share their length-`depth` prefix.
-    sa = tree.suffix_array.array
     for left, right in partitions:
         prefixes = {
-            text[int(sa[rank]) : int(sa[rank]) + depth]
+            text[int(suffix_array[rank]) : int(suffix_array[rank]) + depth]
             for rank in range(left, right + 1)
-            if int(sa[rank]) + depth <= len(text)
+            if int(suffix_array[rank]) + depth <= len(text)
         }
         assert len(prefixes) <= 1
 
@@ -120,13 +134,17 @@ def test_locus_is_highest_node_spelling_pattern(text, data):
     length = data.draw(st.integers(min_value=1, max_value=min(5, len(text))))
     start = data.draw(st.integers(min_value=0, max_value=len(text) - length))
     pattern = text[start : start + length]
-    tree = SuffixTree(SuffixArray(text))
-    locus = tree.locus(pattern)
-    assert locus is not None
-    assert tree.node_range(locus) == tree.pattern_range(pattern)
-    assert tree.node_depth(locus) >= length
-    parent = tree.node_parent(locus)
-    assert parent == -1 or tree.node_depth(parent) < length
+    suffix_array, lcp, node = implicit_tree(text)
+    sp, ep = suffix_range(text, suffix_array, pattern)
+    occurrence = int(np.flatnonzero(suffix_array == start)[0])
+    assert node(occurrence, occurrence, length) == (sp, ep)
+    # The locus is the node holding exactly sp..ep; its depth is at least
+    # the pattern's, and one character deeper the range splits.
+    depth = len(text) - int(suffix_array[sp]) if sp == ep else int(lcp[sp + 1 : ep + 1].min())
+    assert depth >= length
+    assert node(sp, ep, depth) == (sp, ep)
+    if sp < ep:
+        assert node(sp, sp, depth + 1) != (sp, ep)
 
 
 #: Separators, non-BMP code points and periodic texts: the inputs the
@@ -146,9 +164,9 @@ doubling_texts = st.one_of(wide_alphabet_texts, periodic_texts)
 @settings(max_examples=80, deadline=None)
 @given(doubling_texts)
 def test_doubling_suffix_array_and_lcp_match_naive(text):
-    suffix_array = build_suffix_array(text)
+    suffix_array, ranks = prefix_doubling(text)
     assert suffix_array.tolist() == naive_suffix_array(text)
-    assert build_lcp_array(text, suffix_array).tolist() == naive_lcp_array(
+    assert lcp_from_ranks(ranks, suffix_array).tolist() == naive_lcp_array(
         text, suffix_array.tolist()
     )
 

@@ -523,53 +523,45 @@ class TestIndexesMatchScalarReplay:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_approximate_index(self, seed):
-        # The approximate index consumes the reporting kernel's rank set and
-        # deduplicates by max link probability — order-insensitive, so the
-        # vectorized kernel must leave its answers untouched.  Replay its
-        # link loop with the scalar generator and compare.
+        # The approximate index masks the reporting kernel's rank set and
+        # keeps the largest link probability per position — order-insensitive,
+        # so the vectorized kernel must leave its answers untouched.  Replay
+        # the stabbing pass over the link arrays with the scalar generator.
         from repro.bench.workloads import cached_uncertain_string
         from repro.core.approximate import ApproximateSubstringIndex
+        from repro.suffix.rmq import make_rmq
 
         string = cached_uncertain_string(50, 0.3, seed=800 + seed)
         index = ApproximateSubstringIndex(string, tau_min=0.1, epsilon=0.05)
+        links = index.to_payload().arrays
+        rmq = make_rmq(links["link_probability"], mode="max")
         backbone = string.most_likely_string()
         for pattern in (backbone[:2], backbone[3:6]):
             for tau in (0.1, 0.25):
                 got = index.query(pattern, tau)
-                interval = index._tree.pattern_range(pattern)
-                if interval is None or index._link_rmq is None:
+                interval = index.transformed.suffix_range(links["suffix_array"], pattern)
+                if interval is None:
                     assert got == []
                     continue
                 sp, ep = interval
-                first = int(
-                    np.searchsorted(index._link_origin_left, sp, side="left")
-                )
-                last = (
-                    int(np.searchsorted(index._link_origin_left, ep, side="right"))
-                    - 1
-                )
-                if first > last:
-                    assert got == []
-                    continue
+                first = int(np.searchsorted(links["link_origin_left"], sp, side="left"))
+                last = int(np.searchsorted(links["link_origin_left"], ep, side="right")) - 1
                 reported = {}
-                for link_index in report_above_threshold_scalar(
-                    index._link_rmq,
-                    index._link_probabilities,
-                    first,
-                    last,
-                    tau - index._epsilon,
+                for link in report_above_threshold_scalar(
+                    rmq, links["link_probability"], first, last, tau - index.epsilon
                 ):
-                    link = index._links[link_index]
-                    if link.origin_right > ep:
+                    if links["link_origin_right"][link] > ep:
                         continue
                     if (
-                        link.origin_depth < len(pattern)
-                        or link.target_depth >= len(pattern)
+                        links["link_origin_depth"][link] < len(pattern)
+                        or links["link_target_depth"][link] >= len(pattern)
                     ):
                         continue
-                    previous = reported.get(link.position)
-                    if previous is None or link.probability > previous:
-                        reported[link.position] = link.probability
+                    position = int(links["link_position"][link])
+                    probability = float(links["link_probability"][link])
+                    previous = reported.get(position)
+                    if previous is None or probability > previous:
+                        reported[position] = probability
                 expected = by_position(
                     [Occurrence(p, value) for p, value in reported.items()]
                 )

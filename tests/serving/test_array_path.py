@@ -97,8 +97,6 @@ def _record_body(result, offset=0, limit=None):
 
 SPECIAL = make_random_special_string(400, 3, alphabet="ACGT", min_probability=0.5)
 GENERAL = make_random_uncertain_string(300, 0.3, seed=4)
-#: The approximate index builds and answers in Python per link: kept short.
-SHORT_GENERAL = make_random_uncertain_string(60, 0.3, seed=4)
 DOCUMENTS = [
     make_random_uncertain_string(random.Random(seed).randint(15, 40), 0.4, seed=60 + seed)
     for seed in range(12)
@@ -112,7 +110,7 @@ def _patterns(kind):
     text = {
         "special": SPECIAL.text,
         "general": GENERAL.most_likely_string(),
-        "approximate": SHORT_GENERAL.most_likely_string(),
+        "approximate": GENERAL.most_likely_string(),
     }[kind]
     return [text[:1], text[10:12]]
 
@@ -120,7 +118,7 @@ def _patterns(kind):
 KIND_INPUTS = {
     "special": (SPECIAL, {}),
     "general": (GENERAL, {"tau_min": 0.05}),
-    "approximate": (SHORT_GENERAL, {"tau_min": 0.05, "epsilon": 0.02}),
+    "approximate": (GENERAL, {"tau_min": 0.05, "epsilon": 0.02}),
     "listing": (DOCUMENTS, {"tau_min": 0.05}),
 }
 

@@ -4,58 +4,35 @@ import random
 
 import pytest
 
-from repro.exceptions import ValidationError
-from repro.suffix.lcp import LCPArray, build_lcp_array, naive_lcp_array
-from repro.suffix.suffix_array import SuffixArray, build_suffix_array
+from repro.suffix.lcp import lcp_from_ranks, naive_lcp_array
+from repro.suffix.suffix_array import prefix_doubling
 
 
-class TestBuildLcpArray:
+def lcp_of(text):
+    """The LCP array of ``text``, as every index builds it."""
+    suffix_array, ranks = prefix_doubling(text)
+    return lcp_from_ranks(ranks, suffix_array)
+
+
+class TestLcpFromRanks:
     def test_banana(self):
-        text = "banana"
-        lcp = build_lcp_array(text, build_suffix_array(text))
-        assert lcp.tolist() == [0, 1, 3, 0, 0, 2]
+        assert lcp_of("banana").tolist() == [0, 1, 3, 0, 0, 2]
 
     def test_all_equal_characters(self):
-        text = "aaaa"
-        lcp = build_lcp_array(text, build_suffix_array(text))
-        assert lcp.tolist() == [0, 1, 2, 3]
+        assert lcp_of("aaaa").tolist() == [0, 1, 2, 3]
 
     def test_single_character(self):
-        assert build_lcp_array("z", build_suffix_array("z")).tolist() == [0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            build_lcp_array("", [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            build_lcp_array("abc", [0, 1])
+        assert lcp_of("z").tolist() == [0]
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_naive_on_random_strings(self, seed):
         rng = random.Random(seed)
         text = "".join(rng.choice("ab\x01") for _ in range(rng.randint(1, 150)))
-        suffix_array = build_suffix_array(text)
-        assert build_lcp_array(text, suffix_array).tolist() == naive_lcp_array(
+        suffix_array, ranks = prefix_doubling(text)
+        assert lcp_from_ranks(ranks, suffix_array).tolist() == naive_lcp_array(
             text, suffix_array.tolist()
         )
 
     def test_first_entry_always_zero(self):
         for text in ("abc", "zzz", "abab"):
-            assert build_lcp_array(text, build_suffix_array(text))[0] == 0
-
-
-class TestLcpArrayClass:
-    def test_wraps_suffix_array(self):
-        sa = SuffixArray("banana")
-        lcp = LCPArray(sa)
-        assert len(lcp) == 6
-        assert lcp[2] == 3
-        assert lcp.suffix_array is sa
-        assert lcp.nbytes() > 0
-
-    def test_values_match_function(self):
-        sa = SuffixArray("mississippi")
-        assert LCPArray(sa).values.tolist() == build_lcp_array(
-            "mississippi", sa.array
-        ).tolist()
+            assert lcp_of(text)[0] == 0

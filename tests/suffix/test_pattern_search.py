@@ -5,11 +5,7 @@ import random
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.suffix.pattern_search import (
-    count_occurrences,
-    occurrence_positions,
-    suffix_range,
-)
+from repro.suffix.pattern_search import suffix_range
 from repro.suffix.suffix_array import build_suffix_array
 
 
@@ -57,15 +53,16 @@ class TestSuffixRange:
         assert positions == expected
 
 
-class TestDerivedHelpers:
-    def test_count_occurrences(self):
+class TestOccurrencesFromRange:
+    def test_range_width_counts_occurrences(self):
         text = "abracadabra"
         suffix_array = build_suffix_array(text)
-        assert count_occurrences(text, suffix_array, "abra") == 2
-        assert count_occurrences(text, suffix_array, "zzz") == 0
+        sp, ep = suffix_range(text, suffix_array, "abra")
+        assert ep - sp + 1 == 2
+        assert suffix_range(text, suffix_array, "zzz") is None
 
-    def test_occurrence_positions_sorted(self):
+    def test_range_holds_the_occurrence_positions(self):
         text = "abracadabra"
         suffix_array = build_suffix_array(text)
-        assert occurrence_positions(text, suffix_array, "abra").tolist() == [0, 7]
-        assert occurrence_positions(text, suffix_array, "zzz").tolist() == []
+        sp, ep = suffix_range(text, suffix_array, "abra")
+        assert sorted(suffix_array[sp : ep + 1].tolist()) == [0, 7]
